@@ -2,8 +2,10 @@
 """Benchmark the compiled search kernel against the pure-Python fallback.
 
 Runs induced-copy counting workloads on seeded random hosts and prints a
-table of per-backend timings plus the speedup.  Counts must agree exactly
-between backends; the script aborts if they do not.
+table of search expansions, per-backend timings and nanoseconds per
+expansion, plus the speedup.  The backends must agree exactly on count,
+expansions and budget flag; the script aborts if they do not.  With only
+the pure backend built, the ns/expansion column still shows kernel changes.
 
 Usage: python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -26,15 +28,17 @@ WORKLOADS = [
 
 
 def run(pattern, host, mode, backend, repeats):
+    """Best wall time over the repeats and the (count, expansions, exceeded)
+    the search reported."""
     best = float("inf")
-    count = None
+    outcome = None
     for _ in range(repeats):
         t0 = time.perf_counter()
         res = embed_search(pattern, host, mode=mode, backend=backend,
                            budget=10**9)
         best = min(best, time.perf_counter() - t0)
-        count = res.count
-    return best, count
+        outcome = (res.count, res.expansions, res.exceeded)
+    return best, outcome
 
 
 def main() -> int:
@@ -45,7 +49,9 @@ def main() -> int:
     backends = available_backends()
     if backends == ["pure"]:
         print("compiled backend unavailable; benchmarking pure only")
-    header = f"{'workload':<28}" + "".join(f"{b:>12}" for b in backends)
+    header = f"{'workload':<28}{'expansions':>12}" + "".join(
+        f"{b + ' ms':>12}{b + ' ns/exp':>14}" for b in backends
+    )
     if len(backends) > 1:
         header += f"{'speedup':>10}"
     print(header)
@@ -53,13 +59,19 @@ def main() -> int:
     for label, a, gamma, r, n, p, mode in WORKLOADS:
         pattern = build_W(a, gamma, r).graph
         host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-        times, counts = {}, {}
+        times, outcomes = {}, {}
         for b in backends:
-            times[b], counts[b] = run(pattern, host, mode, b, args.repeats)
-        if len(set(counts.values())) != 1:
-            raise SystemExit(f"backend disagreement on {label}: {counts}")
-        row = f"{label:<28}" + "".join(f"{times[b] * 1e3:>10.2f}ms" for b in backends)
-        if len(backends) > 1 and "cython" in backends:
+            times[b], outcomes[b] = run(pattern, host, mode, b, args.repeats)
+        if len(set(outcomes.values())) != 1:
+            raise SystemExit(
+                f"backend disagreement on {label} (count, expansions, exceeded): {outcomes}"
+            )
+        expansions = outcomes[backends[0]][1]
+        row = f"{label:<28}{expansions:>12}" + "".join(
+            f"{times[b] * 1e3:>10.2f}ms{times[b] * 1e9 / max(expansions, 1):>14.1f}"
+            for b in backends
+        )
+        if len(backends) > 1:
             row += f"{times['pure'] / times['cython']:>9.1f}x"
         print(row)
     return 0

@@ -30,7 +30,6 @@ class SearchBudget:
     """Resource limits for a detection run."""
 
     max_expansions: int = DEFAULT_BUDGET
-    limit: int | None = None
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,12 @@ def embed_search(
     backend: str | None = None,
     raise_on_budget: bool = False,
 ) -> SearchResult:
-    """Run the kernel on Graph inputs, preparing masks and search order."""
+    """Run the kernel on Graph inputs, preparing masks and search order.
+
+    limit caps the copies MODE_COLLECT gathers; None means no cap.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be None or at least 1, got {limit}")
     if order is None:
         order = default_order(pattern)
     if base is None:

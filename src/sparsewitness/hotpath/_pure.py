@@ -3,6 +3,20 @@
 Same contract as the compiled kernel in ``_speedups``: bitset backtracking
 over host adjacency masks.  Masks are arbitrary-width Python ints here, so
 this backend has no size limits and serves as the fallback.
+
+Both kernels walk the same search tree: they visit the same nodes in the
+same order and return the same ``(embeddings, count, expansions,
+exceeded)`` for every mode, limit and budget.  This one only does less
+Python work per node:
+
+* each node refines the next depth's candidate mask once, over the
+  earlier assignments, and each child then ANDs in one host row or its
+  complement (Ullmann's candidate-set refinement);
+* when that refined mask is empty no sibling has a child, so all of them
+  are charged in one step;
+* leaves are handled in their parent, and in the dominating modes a
+  closed-neighbourhood cover of the path replaces the per-leaf domination
+  scan.
 """
 
 MODE_FIND = 0
@@ -16,7 +30,8 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
     """Backtracking search for induced copies of the pattern in the host.
 
     pattern_masks: pattern adjacency rows as bitmasks over pattern vertices.
-    host_masks: host adjacency rows as bitmasks over host vertices.
+    host_masks: host adjacency rows as bitmasks over host vertices (a
+    simple graph: no row contains its own vertex).
     order: permutation of pattern vertices giving the assignment order.
     base_masks: per pattern vertex, bitmask of allowed host images.
 
@@ -35,44 +50,55 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
     dominating = mode in (MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING)
     counting = mode in (MODE_COUNT, MODE_COUNT_DOMINATING)
     finding = mode in (MODE_FIND, MODE_FIND_DOMINATING)
-    # Precompute, per search depth, which earlier depths are pattern
-    # neighbors of the vertex placed at that depth.
-    adj_flags = []
-    for k, pv in enumerate(order):
+    last = n_p - 1
+    # Per search depth d, the depths before d - 1 whose pattern vertices
+    # are neighbors (touch) and non-neighbors (apart) of the one at d.
+    # Depth d - 1 is left out: each of its candidates applies its own row.
+    touch = []
+    apart = []
+    for d, pv in enumerate(order):
         row = pattern_masks[pv]
-        adj_flags.append([(row >> order[j]) & 1 for j in range(k)])
+        t = []
+        a = []
+        for j in range(d - 1):
+            (t if row >> order[j] & 1 else a).append(j)
+        touch.append(t)
+        apart.append(a)
+    # A vertex set dominates iff the union of its closed neighbourhoods
+    # covers the host.
+    closed = [row | (1 << v) for v, row in enumerate(host_masks)] if dominating else None
 
     assign = [0] * n_p
+    rows = [0] * n_p  # host adjacency row of each assigned image
     embeddings = []
     count = 0
     expansions = 0
     exceeded = False
 
-    def dominates(used):
-        outside = full & ~used
-        while outside:
-            low = outside & -outside
-            v = low.bit_length() - 1
-            if not host_masks[v] & used:
-                return False
-            outside ^= low
-        return True
-
-    def descend(k, used):
+    def leaves(cand, cover):
+        # cand: the candidates at the last depth; cover: closed
+        # neighbourhood of the assigned path (dominating modes only).
         nonlocal count, expansions, exceeded
-        cand = base_masks[order[k]] & ~used
-        flags = adj_flags[k]
-        for j in range(k):
-            row = host_masks[assign[j]]
-            cand &= row if flags[j] else ~row
-        if k == n_p - 1 and mode == MODE_COUNT:
-            # Leaf shortcut: every remaining candidate completes a copy.
-            c = cand.bit_count()
+        c = cand.bit_count()
+        if mode == MODE_COUNT:
+            # Every remaining candidate completes a copy.
             count += c
             expansions += c
             if expansions > budget:
                 exceeded = True
                 return True
+            return False
+        if mode == MODE_COUNT_DOMINATING and expansions + c <= budget:
+            # The whole batch fits the budget.  A leaf dominates iff it lies
+            # in the closed neighbourhood of every vertex the path leaves
+            # uncovered.
+            expansions += c
+            missing = full & ~cover
+            while missing and cand:
+                low = missing & -missing
+                missing ^= low
+                cand &= closed[low.bit_length() - 1]
+            count += cand.bit_count()
             return False
         while cand:
             low = cand & -cand
@@ -82,23 +108,62 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
                 exceeded = True
                 return True
             v = low.bit_length() - 1
-            assign[k] = v
-            if k == n_p - 1:
-                new_used = used | low
-                if dominating and not dominates(new_used):
-                    continue
-                count += 1
-                if not counting:
-                    emb = [0] * n_p
-                    for i in range(n_p):
-                        emb[order[i]] = assign[i]
-                    embeddings.append(tuple(emb))
-                if finding or (mode == MODE_COLLECT and limit and count >= limit):
-                    return True
-            else:
-                if descend(k + 1, used | low):
-                    return True
+            if dominating and cover | closed[v] != full:
+                continue
+            count += 1
+            if not counting:
+                assign[last] = v
+                emb = [0] * n_p
+                for i in range(n_p):
+                    emb[order[i]] = assign[i]
+                embeddings.append(tuple(emb))
+            if finding or (mode == MODE_COLLECT and limit and count >= limit):
+                return True
         return False
 
-    descend(0, 0)
+    def descend(k, cand, used, cover):
+        # cand: the candidates at depth k < last; used: images of depths < k.
+        nonlocal expansions, exceeded
+        nxt = k + 1
+        pre = used
+        for j in apart[nxt]:
+            pre |= rows[j]
+        pre = base_masks[order[nxt]] & ~pre
+        for j in touch[nxt]:
+            pre &= rows[j]
+        if not pre:
+            # No candidate at this depth has a child: charge them all.
+            expansions += cand.bit_count()
+            if expansions > budget:
+                expansions = budget + 1
+                exceeded = True
+                return True
+            return False
+        adjacent = pattern_masks[order[nxt]] >> order[k] & 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            expansions += 1
+            if expansions > budget:
+                exceeded = True
+                return True
+            v = low.bit_length() - 1
+            row = host_masks[v]
+            child = pre & row if adjacent else pre & ~(row | low)
+            if not child:
+                continue
+            assign[k] = v
+            rows[k] = row
+            child_cover = cover | closed[v] if dominating else 0
+            if nxt == last:
+                if leaves(child, child_cover):
+                    return True
+            elif descend(nxt, child, used | low, child_cover):
+                return True
+        return False
+
+    if last:
+        descend(0, base_masks[order[0]], 0, 0)
+    else:
+        leaves(base_masks[order[0]], 0)
     return embeddings, count, expansions, exceeded
