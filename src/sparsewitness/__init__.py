@@ -8,7 +8,6 @@ from .graphs import (
     automorphism_count,
     induced_embeddings,
     is_dominating,
-    new_graph,
     read_edge_list,
     write_edge_list,
 )

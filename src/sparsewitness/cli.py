@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i-max", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.3)
     p.add_argument("--beta", type=float, default=0.25)
-    p.add_argument("--gamma", type=int, default=10)
+    p.add_argument("--gamma", type=int, default=13)
     p.add_argument("--r", type=int, default=4)
     p.set_defaults(func=cmd_sequences)
 

@@ -19,6 +19,7 @@ from .graphs import (
     DEFAULT_BUDGET,
     Embedding,
     Graph,
+    iter_mask,
     mask_of,
 )
 
@@ -255,7 +256,7 @@ def check_connector_property(
             if k == length:
                 return attach_ok(path[-1], v)
             prev_mask = mask_of(path[:-1])
-            for w in g.adj[path[-1]]:
+            for w in iter_mask(bits[path[-1]]):
                 expansions += 1
                 if expansions > budget:
                     raise BudgetExceededError(

@@ -103,7 +103,5 @@ def _sample_sparse(rng: np.random.Generator, n: int, p: float, total: int) -> Gr
             if cursor >= total:
                 break
             positions.append(cursor)
-    if not positions:
-        return Graph(n, [])
     iu, ju = _pair_of_index(np.asarray(positions, dtype=np.int64), n)
     return Graph.from_arrays(n, iu, ju)

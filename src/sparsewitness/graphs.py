@@ -1,18 +1,18 @@
 """Small undirected graphs with brute-force embedding oracles.
 
-Vertices are integers 0..n-1.  Graphs are immutable after construction and
-keep both neighbor sets and (lazily) per-vertex adjacency bitmasks; the
-bitmasks make domination checks and the search kernels cheap.
+Vertices are integers 0..n-1.  A graph is immutable after construction and
+stores only its adjacency rows: row u is a Python int whose bit v is set
+iff u and v are adjacent.  Degrees, neighbour sets and edge lists are read
+off the rows; the rows themselves feed domination checks and the search
+kernels.
 
 The embedding search in this module is the reference oracle: a plain
-backtracking search over dicts and sets, independent of the optimized
-kernels in ``sparsewitness.hotpath``.  Tests use it to cross-check the
-fast paths.
+backtracking search over dicts, independent of the optimized kernels in
+``sparsewitness.hotpath``.  Tests use it to cross-check the fast paths.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_BUDGET = 10**8
@@ -31,103 +31,91 @@ class BudgetExceededError(RuntimeError):
 
 
 class Graph:
-    """Immutable simple undirected graph."""
+    """Immutable simple undirected graph stored as adjacency bitmask rows."""
 
-    __slots__ = ("n", "m", "adj", "_bits")
+    __slots__ = ("n", "m", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
-        self.m = m
-        self.adj = adj
-        self._bits: list[int] | None = None
+        self.m = sum(row.bit_count() for row in rows) // 2
+        self._bits = rows
+
+    @classmethod
+    def _from_rows(cls, rows: list[int], m: int) -> "Graph":
+        """Trusted constructor: rows must be symmetric, loop-free Python
+        ints holding m edges.  The list is kept, not copied."""
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g.m = m
+        g._bits = rows
+        return g
 
     @classmethod
     def from_arrays(cls, n: int, us, vs) -> "Graph":
-        """Trusted fast path used by the sampler: no validation, no dedup."""
-        g = cls.__new__(cls)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in zip(us, vs):
-            u, v = int(u), int(v)  # numpy scalars overflow in bitmask shifts
-            adj[u].add(v)
-            adj[v].add(u)
-        g.n = n
-        g.m = sum(len(s) for s in adj) // 2
-        g.adj = adj
-        g._bits = None
-        return g
+        """Trusted fast path used by the sampler: numpy arrays of distinct
+        in-range pairs, no validation, no dedup."""
+        rows = [0] * n
+        # tolist() yields Python ints; numpy scalars would overflow in the
+        # shifts past bit 63.
+        for u, v in zip(us.tolist(), vs.tolist()):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls._from_rows(rows, len(us))
 
     @property
     def bits(self) -> list[int]:
-        """Adjacency rows as integer bitmasks, built on first use."""
-        if self._bits is None:
-            rows = [0] * self.n
-            for u, nbrs in enumerate(self.adj):
-                row = 0
-                for v in nbrs:
-                    row |= 1 << v
-                rows[u] = row
-            self._bits = rows
+        """Adjacency rows as integer bitmasks."""
         return self._bits
 
     def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
+        return set(iter_mask(self._bits[v]))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self._bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self._bits[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges())
+        """Each edge once as (u, v) with u < v, in lexicographic order."""
+        for u, row in enumerate(self._bits):
+            for v in iter_mask(row >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in the given vertex order."""
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise GraphError("duplicate vertices in induced-subgraph selection")
-        edges = []
-        for i, v in enumerate(vertices):
-            for w in self.adj[v]:
-                j = index.get(w)
-                if j is not None and i < j:
-                    edges.append((i, j))
-        return Graph(len(vertices), edges)
+        chosen = mask_of(vertices, self.n)
+        rows = []
+        for v in vertices:
+            row = 0
+            for w in iter_mask(self._bits[v] & chosen):
+                row |= 1 << index[w]
+            rows.append(row)
+        return Graph._from_rows(rows, sum(row.bit_count() for row in rows) // 2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.n == other.n and self._bits == other._bits
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.edges()))))
+        return hash((self.n, tuple(self._bits)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph, validating vertex ids and rejecting self-loops."""
-    return Graph(n, edges)
 
 
 def mask_of(vertices: Iterable[int], n: int | None = None) -> int:
@@ -147,14 +135,18 @@ def iter_mask(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def dominates(g: Graph, mask: int) -> bool:
+    """True iff every vertex outside the mask has a neighbor inside it."""
+    bits = g.bits
+    cover = mask
+    for v in iter_mask(mask):
+        cover |= bits[v]
+    return cover == (1 << g.n) - 1
+
+
 def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff every vertex outside the set has a neighbor inside it."""
-    mask = mask_of(vertices, g.n)
-    bits = g.bits
-    for v in range(g.n):
-        if not (mask >> v) & 1 and not bits[v] & mask:
-            return False
-    return True
+    return dominates(g, mask_of(vertices, g.n))
 
 
 def _oracle_order(pattern: Graph) -> list[int]:
@@ -162,15 +154,16 @@ def _oracle_order(pattern: Graph) -> list[int]:
     extend by the unplaced vertex with the most placed neighbors."""
     if pattern.n == 0:
         return []
+    bits = pattern.bits
     order = [max(range(pattern.n), key=pattern.degree)]
-    placed = set(order)
+    placed = 1 << order[0]
     while len(order) < pattern.n:
         best = max(
-            (v for v in range(pattern.n) if v not in placed),
-            key=lambda v: (len(pattern.adj[v] & placed), pattern.degree(v)),
+            (v for v in range(pattern.n) if not placed >> v & 1),
+            key=lambda v: ((bits[v] & placed).bit_count(), pattern.degree(v)),
         )
         order.append(best)
-        placed.add(best)
+        placed |= 1 << best
     return order
 
 
@@ -202,6 +195,7 @@ def induced_embeddings(
         else:
             candidates.append([hv for hv in host_by_deg if host.degree(hv) >= d])
 
+    pbits, hbits = pattern.bits, host.bits
     results: list[Embedding] = []
     assign: dict[int, int] = {}
     used: set[int] = set()
@@ -216,7 +210,7 @@ def induced_embeddings(
             results.append(tuple(emb))
             return limit is not None and len(results) >= limit
         pv = order[k]
-        nbrs = pattern.adj[pv]
+        nbrs = pbits[pv]
         for hv in candidates[k]:
             if hv in used:
                 continue
@@ -225,9 +219,10 @@ def induced_embeddings(
                 raise BudgetExceededError(
                     f"induced_embeddings exceeded budget of {budget} expansions"
                 )
+            row = hbits[hv]
             ok = True
             for qv, qh in assign.items():
-                if (qv in nbrs) != host.has_edge(hv, qh):
+                if (nbrs >> qv & 1) != (row >> qh & 1):
                     ok = False
                     break
             if not ok:
@@ -245,60 +240,16 @@ def induced_embeddings(
 
 
 def automorphism_count(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of adjacency-preserving vertex permutations.
-
-    Candidate classes are refined by (degree, sorted neighbor degrees)
-    before the backtracking search.
-    """
-    sig = [
-        (g.degree(v), tuple(sorted(g.degree(w) for w in g.adj[v])))
-        for v in range(g.n)
-    ]
-    order = _oracle_order(g)
-    candidates = [[hv for hv in range(g.n) if sig[hv] == sig[pv]] for pv in order]
-
-    count = 0
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-    expansions = 0
-
-    def extend(k: int) -> None:
-        nonlocal count, expansions
-        if k == g.n:
-            count += 1
-            return
-        pv = order[k]
-        nbrs = g.adj[pv]
-        for hv in candidates[k]:
-            if hv in used:
-                continue
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(
-                    f"automorphism_count exceeded budget of {budget} expansions"
-                )
-            ok = True
-            for qv, qh in assign.items():
-                if (qv in nbrs) != g.has_edge(hv, qh):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[pv] = hv
-            used.add(hv)
-            extend(k + 1)
-            del assign[pv]
-            used.discard(hv)
-
-    extend(0)
-    return count
+    """Number of adjacency-preserving vertex permutations: the induced
+    self-embeddings found by the reference oracle."""
+    return len(induced_embeddings(g, g, budget=budget))
 
 
 def write_edge_list(g: Graph) -> str:
     """Canonical text form: header ``n m`` then one ``u v`` line per edge
     with u < v, edges sorted lexicographically."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 

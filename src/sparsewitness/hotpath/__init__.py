@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph
+from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph, iter_mask
 from . import _pure
 
 MODE_FIND = _pure.MODE_FIND
@@ -33,8 +33,9 @@ def available_backends() -> list[str]:
 
 
 def default_order(pattern: Graph, start: int | None = None) -> list[int]:
-    """BFS order from a max-degree vertex (or the given anchor); any
-    leftover isolated components follow in index order."""
+    """BFS order from a max-degree vertex (or the given anchor), visiting
+    each vertex's neighbours by descending degree, ties by ascending index;
+    any leftover isolated components follow in index order."""
     if pattern.n == 0:
         return []
     if start is None:
@@ -46,7 +47,7 @@ def default_order(pattern: Graph, start: int | None = None) -> list[int]:
     while queue:
         v = queue.popleft()
         order.append(v)
-        for w in sorted(pattern.adj[v], key=lambda x: -pattern.degree(x)):
+        for w in sorted(iter_mask(pattern.bits[v]), key=lambda x: -pattern.degree(x)):
             if not seen[w]:
                 seen[w] = True
                 queue.append(w)
@@ -67,10 +68,10 @@ def base_masks(pattern: Graph, host: Graph) -> list[int]:
     match the embedding is an isomorphism and degrees must agree exactly.
     """
     exact = pattern.n == host.n
-    degs = [host.degree(v) for v in range(host.n)]
+    degs = [row.bit_count() for row in host.bits]
     masks = []
-    for pv in range(pattern.n):
-        d = pattern.degree(pv)
+    for row in pattern.bits:
+        d = row.bit_count()
         mask = 0
         for hv in range(host.n):
             if degs[hv] == d if exact else degs[hv] >= d:

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from . import witness
-from .graphs import BudgetExceededError, Graph, iter_mask, mask_of
+from .graphs import BudgetExceededError, Graph, dominates, iter_mask, mask_of
 from . import hotpath
 
 
@@ -126,15 +126,6 @@ def _popcount(mask: int) -> int:
 
 def _vertices(mask: int) -> list[int]:
     return list(iter_mask(mask))
-
-
-def builtin_max(ctx: EvalContext, X: int) -> bool:
-    """Every vertex outside X has a neighbor inside X."""
-    g = ctx.g
-    for v in range(g.n):
-        if not (X >> v) & 1 and not g.bits[v] & X:
-            return False
-    return True
 
 
 def builtin_isoW(ctx: EvalContext, X: int) -> bool:
@@ -378,37 +369,6 @@ def builtin_even(ctx: EvalContext, X: int) -> bool:
     return _popcount(X) % 2 == 0
 
 
-def even_via_bipartition(g: Graph, X, budget: int = 10**7) -> bool:
-    """Alternative encoding for paths: some X0 inside X holds exactly one
-    endpoint of the induced path and alternates with its complement along
-    every edge; on an induced path this forces |X| even.  Enumerates X0
-    directly (one set variable)."""
-    mask = X if isinstance(X, int) else mask_of(X, g.n)
-    members = _vertices(mask)
-    comps = _path_components(g, mask)
-    if comps is None or len(comps) != 1:
-        raise ValueError("even_via_bipartition requires an induced path")
-    path = comps[0]
-    spent = 0
-    for bits in range(1 << len(members)):
-        spent += 1
-        if spent > budget:
-            raise BudgetExceededError("bipartition enumeration budget exhausted")
-        x0 = 0
-        for i, v in enumerate(members):
-            if (bits >> i) & 1:
-                x0 |= 1 << v
-        ok = ((x0 >> path[0]) & 1) == 1 and ((x0 >> path[-1]) & 1) == 0
-        if ok:
-            for u, v in zip(path, path[1:]):
-                if ((x0 >> u) & 1) == ((x0 >> v) & 1):
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
-
-
 def builtin_disjoint(ctx: EvalContext, *sets: int) -> bool:
     seen = 0
     for s in sets:
@@ -426,31 +386,6 @@ def builtin_edges(ctx: EvalContext, *sets: int) -> bool:
             if g.bits[v] & b & ~a:
                 return False
     return True
-
-
-def _induced_path_to(ctx: EvalContext, start: int, target_mask: int,
-                     forbidden: int, clean: int, length: int) -> bool:
-    """Is there an induced path of `length` vertices from start to some
-    vertex of target_mask, avoiding `forbidden`, with inner vertices
-    having no neighbors in `clean`?"""
-    g = ctx.g
-
-    def extend(path, pmask):
-        ctx.charge()
-        k = len(path)
-        if k == length:
-            return bool((target_mask >> path[-1]) & 1)
-        prev_mask = mask_of(path[:-1])
-        for w in iter_mask(g.bits[path[-1]] & ~forbidden & ~pmask):
-            if g.bits[w] & prev_mask:
-                continue
-            if k < length - 1 and g.bits[w] & clean:
-                continue
-            if extend(path + [w], pmask | (1 << w)):
-                return True
-        return False
-
-    return extend([start], 1 << start)
 
 
 def builtin_max2(ctx: EvalContext, X1: int, X2: int, TX1: int, TX2: int,
@@ -555,7 +490,7 @@ def _ext_path(ctx: EvalContext, w: int, anchor: int, U: int) -> bool:
 
 
 BUILTINS = {
-    "max": (("s",), builtin_max),
+    "max": (("s",), lambda ctx, X: dominates(ctx.g, X)),
     "isoW": (("s",), builtin_isoW),
     "phi_star": (("s", "s", "s"), builtin_phi_star),
     "paths": (("s", "s", "s", "s", "s"), builtin_paths),

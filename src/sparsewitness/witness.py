@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .graphs import BudgetExceededError, DEFAULT_BUDGET, Graph, GraphError
+from .graphs import DEFAULT_BUDGET, Graph, iter_mask
 from . import hotpath
 
 ROLE_F1 = "F1"
@@ -102,7 +102,7 @@ class RootedTree:
         while frontier:
             nxt = []
             for v in frontier:
-                for w in self.graph.adj[v]:
+                for w in iter_mask(self.graph.bits[v]):
                     if depth[w] < 0:
                         depth[w] = depth[v] + 1
                         nxt.append(w)
@@ -309,13 +309,6 @@ class ProcessState:
         return "".join(f"{v} {role}\n" for v, role in enumerate(self.roles))
 
 
-def bookkeeping_vertex_count(i: int, a: int, gamma: int) -> int:
-    """Diagnostic closed form (gamma + 1) * (i + 2) + a for the vertex
-    count after step i at floor a; exposed for inspection only, it does
-    not drive the rule schedule."""
-    return (gamma + 1) * (i + 2) + a
-
-
 def process_init(gamma: int, r: int) -> ProcessState:
     """Initial state: W*(1), a path on 3 * gamma + 4 vertices."""
     ws = build_W_star(1, gamma, r)
@@ -368,7 +361,8 @@ def process_step(state: ProcessState) -> ProcessState:
     gamma, r, a = state.gamma, state.r, state.floor
     rule = _classify(state.graph.n, a, gamma, r)
     roles = list(state.roles)
-    edges = list(state.graph.edges())
+    rows = list(state.graph.bits)
+    m = state.graph.m
     f1, f2, tf1, tf2 = list(state.f1), list(state.f2), list(state.tf1), list(state.tf2)
     f2_depth, tf2_depth = list(state.f2_depth), list(state.tf2_depth)
     f2_children, tf2_children = list(state.f2_children), list(state.tf2_children)
@@ -376,15 +370,22 @@ def process_step(state: ProcessState) -> ProcessState:
 
     def new_vertex(role: str) -> int:
         roles.append(role)
+        rows.append(0)
         return len(roles) - 1
+
+    def edge(u: int, v: int) -> None:
+        nonlocal m
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        m += 1
 
     def connector(u: int, v: int) -> None:
         prev = u
         for _ in range(gamma):
             w = new_vertex(ROLE_CONNECTOR)
-            edges.append((prev, w))
+            edge(prev, w)
             prev = w
-        edges.append((prev, v))
+        edge(prev, v)
 
     def bfs_first_open(ids, depths, children, want_depth):
         for idx, vid in enumerate(ids):
@@ -395,12 +396,12 @@ def process_step(state: ProcessState) -> ProcessState:
     kind = rule[0]
     if kind == "extend_f1":
         v_new = new_vertex(ROLE_F1)
-        edges.append((f1[-1], v_new))
+        edge(f1[-1], v_new)
         f1.append(v_new)
     elif kind == "extend_f2":
         idx, parent = bfs_first_open(f2, f2_depth, f2_children, a - 1)
         u_new = new_vertex(ROLE_F2)
-        edges.append((parent, u_new))
+        edge(parent, u_new)
         f2.append(u_new)
         f2_depth.append(a)
         f2_children[idx] += 1
@@ -409,7 +410,7 @@ def process_step(state: ProcessState) -> ProcessState:
         last_f2 = u_new
     elif kind == "extend_tf1":
         v_new = new_vertex(ROLE_TF1)
-        edges.append((tf1[-1], v_new))
+        edge(tf1[-1], v_new)
         tf1.append(v_new)
         if last_f2 < 0:
             raise ProcessError("path extension before any tree leaf was added")
@@ -420,14 +421,14 @@ def process_step(state: ProcessState) -> ProcessState:
             tf2, tf2_depth, tf2_children, omega(a, r) + j - 1
         )
         u_new = new_vertex(ROLE_TF2)
-        edges.append((parent, u_new))
+        edge(parent, u_new)
         tf2.append(u_new)
         tf2_depth.append(omega(a, r) + j)
         tf2_children[idx] += 1
         tf2_children.append(0)
         connector(tf1[-1], u_new)
 
-    graph = Graph(len(roles), edges)
+    graph = Graph._from_rows(rows, m)
     floor = a + 1 if graph.n == w_star_vertex_count(a + 1, gamma, r) else a
     return ProcessState(
         gamma=gamma,

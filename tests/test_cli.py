@@ -105,6 +105,14 @@ def test_sequences_part1(capsys):
     assert all(r["gap_certificate"] for r in rows)
 
 
+def test_sequences_part1_default_gamma_certifies(capsys):
+    code, out, _ = run(capsys, "sequences", "--mode", "part1", "--i-max", "4")
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 0
+    assert [r["i"] for r in rows] == [3, 4]
+    assert all(r["gap_certificate"] for r in rows)
+
+
 def test_sequences_part2(capsys):
     code, out, _ = run(capsys, "sequences", "--mode", "part2", "--i-max", "2",
                        "--alpha", "0.6", "--beta", "0.25", "--gamma", "4",

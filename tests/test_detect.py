@@ -14,32 +14,32 @@ from sparsewitness.detect import (
     find_induced_W,
     wilson_interval,
 )
-from sparsewitness.graphs import induced_embeddings, is_dominating, new_graph
+from sparsewitness.graphs import Graph, induced_embeddings, is_dominating
 from sparsewitness.witness import build_W
 
 
 def random_graph(n, p, rnd):
     edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < p]
-    return new_graph(n, edges)
+    return Graph(n, edges)
 
 
 def path(n):
-    return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n):
-    return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_find_induced_W_examples():
     # No induced edge-with-nonedge structure (W at a=2, gamma=0, r=4 has 7
     # vertices) fits in K_5; an isolated-vertex graph has no copies at all.
-    k5 = new_graph(5, itertools.combinations(range(5), 2))
+    k5 = Graph(5, itertools.combinations(range(5), 2))
     assert find_induced_W(k5, 2, 0, 4).outcome == "none"
-    isolates = new_graph(4, [])
+    isolates = Graph(4, [])
     assert find_induced_W(isolates, 1, 0, 4).outcome == "none"
     # A star contains the a=1 witness (a single edge).
-    star = new_graph(5, [(0, i) for i in range(1, 5)])
+    star = Graph(5, [(0, i) for i in range(1, 5)])
     res = find_induced_W(star, 1, 0, 4)
     assert res.outcome == "found" and res.embedding is not None
 
@@ -92,7 +92,7 @@ def test_dominating_search_prefers_larger_a():
 
 
 def test_budget_exceeded_is_reported_not_raised():
-    big = new_graph(40, itertools.combinations(range(40), 2))
+    big = Graph(40, itertools.combinations(range(40), 2))
     res = find_induced_W(big, 2, 1, 4, budget=SearchBudget(max_expansions=10))
     assert res.outcome == "budget_exceeded"
     assert not res

@@ -109,3 +109,19 @@ def test_sparse_edges_are_valid_and_deduplicated():
     e = edges_of(g)
     assert len(e) == g.m
     assert all(0 <= u < v < 500 for u, v in e)
+
+
+@pytest.mark.parametrize("n, p", [(80, 0.3), (300, 0.01)], ids=["dense", "sparse"])
+def test_rows_match_edge_list(n, p):
+    # The sampler writes adjacency rows directly; they must be symmetric
+    # Python ints that the edge list rebuilds exactly.
+    for stream in range(50):
+        g = sample_gnp(SamplerConfig(n=n, p=p, seed=8, stream=stream))
+        rows = [0] * n
+        edges = list(g.edges())
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        assert all(type(row) is int for row in g.bits)
+        assert rows == g.bits
+        assert len(edges) == g.m

@@ -15,26 +15,25 @@ from sparsewitness.graphs import (
     is_dominating,
     iter_mask,
     mask_of,
-    new_graph,
     read_edge_list,
     write_edge_list,
 )
 
 
 def path(n):
-    return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n):
-    return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n):
-    return new_graph(n, itertools.combinations(range(n), 2))
+    return Graph(n, itertools.combinations(range(n), 2))
 
 
 def test_construction_and_degrees():
-    g = new_graph(4, [(0, 1), (1, 2), (1, 2)])  # duplicate edge collapses
+    g = Graph(4, [(0, 1), (1, 2), (1, 2)])  # duplicate edge collapses
     assert g.n == 4 and g.m == 2
     assert g.degree(1) == 2 and g.degree(3) == 0
     assert g.neighbors(1) == {0, 2}
@@ -42,9 +41,9 @@ def test_construction_and_degrees():
 
 def test_construction_rejects_bad_edges():
     with pytest.raises(GraphError):
-        new_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
-        new_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(GraphError):
         Graph(-1, [])
 
@@ -76,7 +75,7 @@ def test_is_dominating():
     assert is_dominating(g, [1, 3])
     assert not is_dominating(g, [0])
     assert is_dominating(complete(4), [2])
-    assert is_dominating(new_graph(0, []), [])
+    assert is_dominating(Graph(0, []), [])
 
 
 def test_induced_embeddings_counts():
@@ -105,11 +104,11 @@ def test_automorphism_counts_known_groups():
     assert automorphism_count(path(4)) == 2
     assert automorphism_count(cycle(5)) == 10  # dihedral
     assert automorphism_count(complete(4)) == 24
-    assert automorphism_count(new_graph(3, [])) == 6
-    star = new_graph(5, [(0, i) for i in range(1, 5)])
+    assert automorphism_count(Graph(3, [])) == 6
+    star = Graph(5, [(0, i) for i in range(1, 5)])
     assert automorphism_count(star) == 24
     # K_{2,3}: 2! * 3!.
-    k23 = new_graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    k23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     assert automorphism_count(k23) == 12
 
 
@@ -134,6 +133,6 @@ def test_read_edge_list_rejects_garbage():
 def test_edge_list_roundtrip_property(n, data):
     pairs = list(itertools.combinations(range(n), 2))
     chosen = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
-    g = new_graph(n, chosen)
+    g = Graph(n, chosen)
     h = read_edge_list(write_edge_list(g))
     assert h == g

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sparsewitness import gnp
 from sparsewitness.gnp import SamplerConfig, sample_gnp
-from sparsewitness.graphs import induced_embeddings, is_dominating, new_graph
+from sparsewitness.graphs import Graph, induced_embeddings, is_dominating
 from sparsewitness.hotpath import (
     BACKEND,
     MODE_COLLECT,
@@ -21,7 +21,7 @@ from sparsewitness.hotpath import (
     default_order,
     embed_search,
 )
-from sparsewitness.witness import build_W
+from sparsewitness.witness import build_W, build_W_star
 
 BACKENDS = available_backends()
 MODES = [MODE_FIND, MODE_COUNT, MODE_COLLECT, MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING]
@@ -38,7 +38,7 @@ ALL_BACKENDS = [
 
 def random_graph(n, p, rnd):
     edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < p]
-    return new_graph(n, edges)
+    return Graph(n, edges)
 
 
 def test_active_backend_is_listed():
@@ -50,9 +50,9 @@ def test_active_backend_is_listed():
 def test_kernel_matches_oracle_on_random_instances(backend):
     rnd = random.Random(7)
     patterns = [
-        new_graph(3, [(0, 1), (1, 2)]),           # P_3
-        new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # C_4
-        new_graph(4, [(0, 1), (0, 2), (0, 3)]),   # star
+        Graph(3, [(0, 1), (1, 2)]),           # P_3
+        Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # C_4
+        Graph(4, [(0, 1), (0, 2), (0, 3)]),   # star
     ]
     for trial in range(40):
         host = random_graph(rnd.randint(4, 11), rnd.choice([0.2, 0.4, 0.6]), rnd)
@@ -71,7 +71,7 @@ def test_kernel_matches_oracle_on_random_instances(backend):
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_dominating_modes_match_filtered_oracle(backend):
     rnd = random.Random(11)
-    pat = new_graph(3, [(0, 1), (1, 2)])
+    pat = Graph(3, [(0, 1), (1, 2)])
     for trial in range(30):
         host = random_graph(rnd.randint(4, 10), 0.4, rnd)
         oracle = [
@@ -87,19 +87,19 @@ def test_dominating_modes_match_filtered_oracle(backend):
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_empty_and_oversized_patterns(backend):
-    host = new_graph(3, [(0, 1)])
-    empty = new_graph(0, [])
+    host = Graph(3, [(0, 1)])
+    empty = Graph(0, [])
     res = embed_search(empty, host, mode=MODE_FIND, backend=backend)
     assert res.count == 1 and res.embeddings == [()]
-    big = new_graph(5, [(0, 1)])
+    big = Graph(5, [(0, 1)])
     res = embed_search(big, host, mode=MODE_COUNT, backend=backend)
     assert res.count == 0
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_budget_reporting(backend):
-    host = new_graph(20, [(i, j) for i in range(20) for j in range(i + 1, 20)])
-    pat = new_graph(3, [(0, 1), (0, 2), (1, 2)])
+    host = Graph(20, [(i, j) for i in range(20) for j in range(i + 1, 20)])
+    pat = Graph(3, [(0, 1), (0, 2), (1, 2)])
     res = embed_search(pat, host, mode=MODE_COUNT, backend=backend, budget=10)
     assert res.exceeded
     assert res.expansions > 10
@@ -108,8 +108,8 @@ def test_budget_reporting(backend):
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 @pytest.mark.parametrize("limit", [0, -1])
 def test_limit_below_one_is_rejected(backend, limit):
-    host = new_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    pat = new_graph(2, [(0, 1)])
+    host = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    pat = Graph(2, [(0, 1)])
     for mode in MODES:
         with pytest.raises(ValueError, match="limit"):
             embed_search(pat, host, mode=mode, limit=limit, backend=backend)
@@ -119,7 +119,7 @@ def test_backends_agree_beyond_one_word():
     # Hosts with more than 64 vertices exercise the multi-word bitset path.
     rnd = random.Random(3)
     host = random_graph(70, 0.15, rnd)
-    pat = new_graph(3, [(0, 1), (1, 2)])
+    pat = Graph(3, [(0, 1), (1, 2)])
     results = set()
     for b in BACKENDS:
         res = embed_search(pat, host, mode=MODE_COUNT, backend=b)
@@ -127,9 +127,17 @@ def test_backends_agree_beyond_one_word():
     assert len(results) == 1
 
 
+def test_default_order_breaks_degree_ties_by_index():
+    # Neighbours of equal degree are queued in ascending vertex index.
+    assert default_order(build_W_star(2, 2, 2).graph) == [
+        7, 6, 26, 33, 35, 37, 39, 5, 24, 29, 31, 25, 34, 36, 38, 40, 22, 27, 23, 30,
+        32, 4, 11, 12, 13, 14, 21, 28, 3, 9, 10, 2, 20, 8, 18, 16, 19, 17, 15, 1, 0,
+    ]
+
+
 def test_collect_limit():
-    host = new_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    pat = new_graph(2, [(0, 1)])
+    host = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    pat = Graph(2, [(0, 1)])
     res = embed_search(pat, host, mode=MODE_COLLECT, limit=4)
     assert len(res.embeddings) == 4
 
@@ -188,14 +196,14 @@ def test_pinned_counters_mc_grid_hosts(backend, n, seed, trial, count, expansion
 @st.composite
 def search_instances(draw):
     n_p = draw(st.integers(1, 5))
-    pattern = new_graph(n_p, [
+    pattern = Graph(n_p, [
         e for e in itertools.combinations(range(n_p), 2) if draw(st.booleans())
     ])
     n_h = draw(st.integers(0, 11))
     pairs = list(itertools.combinations(range(n_h), 2))
     p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
-    host = new_graph(n_h, [e for e in pairs if rnd.random() < p])
+    host = Graph(n_h, [e for e in pairs if rnd.random() < p])
     order = draw(st.permutations(range(n_p)))
     return pattern, host, list(order)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sparsewitness.graphs import new_graph
+from sparsewitness.graphs import Graph
 from sparsewitness.logic import (
     BindingError,
     FormulaSyntaxError,
@@ -13,11 +13,11 @@ from sparsewitness.logic import (
 
 
 def path(n):
-    return new_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n):
-    return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def ev(g, text, **kw):
@@ -98,14 +98,14 @@ def test_builtin_max_and_isoW():
     # gamma=1, r=4: the witness graph at a=1 is P_3, present in P_5.
     assert ev(g, "EXSET X @isoW(X)", gamma=1, r=4)
     # No subset of C_4 induces a P_3-shaped witness plus domination fails:
-    assert not ev(new_graph(3, []), "EXSET X (@isoW(X) & @max(X))", gamma=1, r=4)
+    assert not ev(Graph(3, []), "EXSET X (@isoW(X) & @max(X))", gamma=1, r=4)
 
 
 def test_builtin_even_parity():
     g = path(4)
     assert ev(g, "EXSET X (@even(X) & EX x x in X)")
     # The empty set is even, a singleton is not.
-    assert not ev(new_graph(1, []), "EXSET X (@even(X) & EX x x in X)")
+    assert not ev(Graph(1, []), "EXSET X (@even(X) & EX x x in X)")
 
 
 def test_builtin_disjoint_and_edges():
@@ -140,7 +140,7 @@ def test_evaluate_agrees_with_brute_force_domination():
         (3, []),
         (6, [(i, (i + 1) % 6) for i in range(6)]),
     ]:
-        g = new_graph(n, edges)
+        g = Graph(n, edges)
         expect = any(
             is_dominating(g, comb) and len(comb) % 2 == 0
             for k in range(n + 1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsewitness.graphs import automorphism_count, induced_embeddings, new_graph
+from sparsewitness.graphs import Graph, automorphism_count, induced_embeddings
 from sparsewitness.witness import (
     ProcessError,
     RootedTree,
@@ -119,8 +119,8 @@ def test_w2_gamma_r4_is_theta_like():
 def test_gamma_product_count_identities():
     # Joining a rooted P_2 with a single vertex pairs only the two depth-0
     # roots: n = n1 + n2 + gamma, m = m1 + m2 + gamma + 1.
-    p2 = new_graph(2, [(0, 1)])
-    single = new_graph(1, [])
+    p2 = Graph(2, [(0, 1)])
+    single = Graph(1, [])
     for gamma in range(3):
         g = gamma_product(RootedTree(p2, 0), RootedTree(single, 0), gamma)
         assert g.n == 3 + gamma
@@ -128,13 +128,13 @@ def test_gamma_product_count_identities():
 
 
 def test_gamma_product_rejects_non_trees():
-    c3 = new_graph(3, [(0, 1), (1, 2), (2, 0)])
+    c3 = Graph(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(WitnessError):
-        gamma_product(RootedTree(c3, 0), RootedTree(new_graph(1, []), 0), 1)
+        gamma_product(RootedTree(c3, 0), RootedTree(Graph(1, []), 0), 1)
 
 
 def test_ordered_gamma_product_validation():
-    p2 = new_graph(2, [(0, 1)])
+    p2 = Graph(2, [(0, 1)])
     with pytest.raises(WitnessError, match="unique minimum"):
         ordered_gamma_product(p2, [[0, 1]], p2, [[0, 1]], 1)
     with pytest.raises(WitnessError, match="partition"):
@@ -145,19 +145,25 @@ def test_ordered_gamma_product_validation():
 
 
 def test_process_reaches_w_star_exactly():
-    state = process_init(2, 2)
-    assert state.graph.n == w_star_vertex_count(1, 2, 2) == 10
-    assert state.floor == 1
-    sizes = [state.graph.n]
-    while state.graph.n < w_star_vertex_count(2, 2, 2):
-        state = process_step(state)
-        sizes.append(state.graph.n)
-    increments = {b - a for a, b in zip(sizes, sizes[1:])}
-    assert increments <= {1, 3}  # 1 or gamma + 1
-    assert state.floor == 2
-    target = build_W_star(2, 2, 2).graph
-    assert state.graph.n == target.n and state.graph.m == target.m
-    assert induced_embeddings(target, state.graph, limit=1)
+    for gamma, r in ((2, 2), (0, 2), (1, 2), (1, 3)):
+        state = process_init(gamma, r)
+        assert state.graph.n == w_star_vertex_count(1, gamma, r) == 3 * gamma + 4
+        assert state.floor == 1
+        sizes = [state.graph.n]
+        while state.graph.n < w_star_vertex_count(2, gamma, r):
+            parent = state.graph
+            before = (parent.n, parent.m, list(parent.bits))
+            state = process_step(state)
+            # A step writes new rows; the parent state stays as it was.
+            assert (parent.n, parent.m, parent.bits) == before
+            sizes.append(state.graph.n)
+        increments = {b - a for a, b in zip(sizes, sizes[1:])}
+        assert increments <= {1, gamma + 1}
+        assert state.floor == 2
+        target = build_W_star(2, gamma, r).graph
+        assert state.graph.n == target.n
+        assert state.graph.m == target.m == w_star_edge_count(2, gamma, r)
+        assert induced_embeddings(target, state.graph, limit=1)
 
 
 def test_process_run_and_floor_monotone():
