@@ -15,13 +15,13 @@ comparisons (the part-2 power inequalities) are done on exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import iv
 
-from .witness import omega, w_vertex_count, w_star_vertex_count
+from .witness import omega, w_star_vertex_count
 
 _PRECISIONS = (80, 160, 320, 640, 1280, 2560, 5120)
 
@@ -406,14 +406,37 @@ def part1_constants(
 
 
 def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
-    """Largest integer m with f(m) <= target (target > 0)."""
-    est = int(inverse_f(float(target), float(alpha)))
-    m = max(1, est - 2)
-    while compare_to_window_endpoint(target, Fraction(1), m + 1, alpha) >= 0:
-        m += 1
-    while m > 1 and compare_to_window_endpoint(target, Fraction(1), m, alpha) < 0:
-        m -= 1
-    return m
+    """Largest integer m with f(m) <= target (target > 0).
+
+    The float inverse only seeds the search: from it, steps that double
+    each time gallop outward until f(lo) <= target < f(hi) is established,
+    and the bracket is then bisected.  Every probe is decided rigorously,
+    so the float error costs O(log |error|) comparisons.  f(1) = 0 makes
+    lo = 1 a valid lower end without a probe.
+    """
+
+    def at_most(x: int) -> bool:
+        return compare_to_window_endpoint(target, Fraction(1), x, alpha) >= 0
+
+    x = max(1, int(inverse_f(float(target), float(alpha))))
+    step = 1
+    if at_most(x):
+        lo, hi = x, x + 1
+        while at_most(hi):
+            lo, hi = hi, hi + step
+            step *= 2
+    else:
+        lo, hi = max(1, x - 1), x
+        while lo > 1 and not at_most(lo):
+            lo, hi = max(1, lo - step), lo
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -552,21 +575,7 @@ def _growth_exceeds(
     v: int, x: int, k: Fraction, alpha: Fraction, epsilon: Fraction
 ) -> bool:
     """v > k * x^alpha * ln x + epsilon, decided by escalating intervals."""
-    saved = iv.prec
-    try:
-        for prec in _PRECISIONS:
-            iv.prec = prec
-            rhs = _iv_fraction(k) * _iv_f(x, alpha) + _iv_fraction(epsilon)
-            lhs = iv.mpf(v)
-            if lhs.a > rhs.b:
-                return True
-            if lhs.b < rhs.a:
-                return False
-    finally:
-        iv.prec = saved
-    raise UndecidableComparisonError(
-        f"{v} vs k*f({x})+eps undecided at max precision"
-    )
+    return compare_to_window_endpoint(v, k, x, alpha, add=epsilon) > 0
 
 
 def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2Row:

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from . import analytics, detect, experiment, gnp, logic, witness
+from . import analytics, detect, experiment, gnp, hotpath, logic, witness
 from .graphs import read_edge_list, write_edge_list
 
 
@@ -78,6 +78,7 @@ def cmd_detect(args) -> int:
         "a": res.a,
         "count": res.count,
         "expansions": res.expansions,
+        "backend": hotpath.BACKEND,
         "embedding": list(res.embedding) if res.embedding else None,
     }
     print(json.dumps(record))

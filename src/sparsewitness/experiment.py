@@ -12,7 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import analytics, detect, gnp
 
@@ -63,23 +63,12 @@ class ProbabilityEstimate:
     p_hat: float
     ci_low: float
     ci_high: float
-    mean_copies: float
-    sd_copies: float
-    budget_exceeded: int
 
 
-def estimate(successes: int, trials: int, copy_counts=None) -> ProbabilityEstimate:
-    """Wilson 95% interval plus copy-count moments."""
+def estimate(successes: int, trials: int) -> ProbabilityEstimate:
+    """Success fraction with its Wilson 95% interval."""
     lo, hi = detect.wilson_interval(successes, trials)
-    counts = list(copy_counts) if copy_counts is not None else []
-    mean = sum(counts) / len(counts) if counts else 0.0
-    var = (
-        sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
-        if len(counts) > 1 else 0.0
-    )
-    return ProbabilityEstimate(
-        successes, trials, successes / trials, lo, hi, mean, var**0.5, 0
-    )
+    return ProbabilityEstimate(successes, trials, successes / trials, lo, hi)
 
 
 def run_trial(args) -> tuple[bool, int, bool]:
@@ -121,7 +110,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
             outcomes = [run_trial(a) for a in args]
         successes = sum(1 for ok, _, _ in outcomes if ok)
         exceeded = sum(1 for _, _, ex in outcomes if ex)
-        est = estimate(successes, cfg.trials, [c for _, c, _ in outcomes])
+        est = estimate(successes, cfg.trials)
         log_exp = analytics.expected_W_dominating(n, p, cfg.a_min, cfg.gamma).log
         report = analytics.window_report(
             n, cfg.alpha, cfg.gamma, r=cfg.r, mode="part1", window="existence"

@@ -34,7 +34,7 @@ perfect-tree numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .graphs import DEFAULT_BUDGET, Graph, iter_mask
 from . import hotpath

@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsewitness import analytics
 from sparsewitness.analytics import (
     LogReal,
     ParameterError,
@@ -177,6 +179,72 @@ def test_part1_windows_are_nested_sanely():
     # m_i is genuinely the floor: f(m_i) <= target < f(m_i + 1).
     target = float(Fraction(4**4, 9) / (1 - Fraction(3, 10)))
     assert f(row.m_i, 0.3) <= target <= f(row.m_i + 1, 0.3)
+
+
+# (m_i, n_i) of sequence_part1(i, 0.3, 10), recorded with the earlier floor
+# search that walked one integer at a time from the float estimate.
+PART1_FLOORS_GAMMA10 = {
+    3: (34, 30545),
+    4: (514, 1149701),
+    5: (13022, 52187408),
+    6: (457052, 2713322071),
+    7: (19894030, 155842343277),
+    8: (1004514058, 9649955247676),
+    9: (56453367413, 633505690660872),
+    10: (3437582108465, 43572506750558057),
+}
+
+
+def _f_mp(x: int):
+    return mpmath.power(x, mpmath.mpf(3) / 10) * mpmath.log(x)
+
+
+def test_part1_floors_bracket_their_targets():
+    # m_i is the floor of f^-1(4^i / (9 (1 - alpha))) = f^-1(10 * 4^i / 63);
+    # n_i the floor of f^-1(s(i) / (C k)).  At alpha = 3/10, gamma = 10:
+    # k = 2 (1 - 36/110) = 74/55, and C = ((1 - alpha)/k + 1) / 2 = 225/296
+    # (the default C1 and C2 sum to (1 - alpha)/k + 1), so C k = 45/44;
+    # s(i) = i + 11 (4^i - 1) / 3.  Checked at 60 digits, independently of
+    # the interval comparisons the search uses.
+    with mpmath.workdps(60):
+        for i in range(3, 13):
+            row = sequence_part1(i, 0.3, 10)
+            s = i + 11 * (4**i - 1) // 3
+            for x, target in (
+                (row.m_i, mpmath.mpf(10 * 4**i) / 63),
+                (row.n_i, mpmath.mpf(44 * s) / 45),
+            ):
+                assert _f_mp(x) <= target < _f_mp(x + 1), (i, x)
+
+
+@pytest.mark.parametrize("estimate", ["real", "low", "high", "one"])
+def test_part1_floors_pinned_gamma10(monkeypatch, estimate):
+    # The float inverse only seeds the search: with the real estimate, one
+    # far too low or far too high, or 1, the search gallops up or down to
+    # the same floors, and the clamp to m = 1 holds where f(2) > target
+    # (i = 1: 10 * 4 / 63 < f(2) ~ 0.85).
+    real = analytics.inverse_f
+    scale = {"real": 1.0, "low": 1e-6, "high": 1e6}.get(estimate)
+    calls = []
+
+    def fake(target, alpha):
+        calls.append(target)
+        return 1.0 if scale is None else real(target, alpha) * scale
+
+    monkeypatch.setattr(analytics, "inverse_f", fake)
+    for i, want in PART1_FLOORS_GAMMA10.items():
+        row = sequence_part1(i, 0.3, 10)
+        assert (row.m_i, row.n_i) == want, i
+    assert sequence_part1(1, 0.3, 10).m_i == 1
+    assert len(calls) == 2 * (len(PART1_FLOORS_GAMMA10) + 1)
+
+
+def test_part1_certificates_hold_for_gamma13_large_i():
+    for i in range(9, 13):
+        row = sequence_part1(i, 0.3, 13)
+        assert row.gap_certificate, (i, row.gap_violators)
+        assert row.existence_certificate, i
+        assert row.existence_a == (i,)
 
 
 def test_part2_fails_for_r2_but_holds_for_r4():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sparsewitness import hotpath
 from sparsewitness.cli import main
 from sparsewitness.graphs import read_edge_list
 from sparsewitness.witness import build_W, w_star_vertex_count
@@ -74,6 +75,7 @@ def test_detect_dominating(tmp_path, capsys):
                        "--a-max", "2", "--dominating")
     record = json.loads(out)
     assert code == 0 and record["outcome"] == "found" and record["a"] == 2
+    assert record["backend"] == hotpath.BACKEND
 
 
 def test_evaluate(tmp_path, capsys):
@@ -111,6 +113,15 @@ def test_sequences_part1_default_gamma_certifies(capsys):
     assert code == 0
     assert [r["i"] for r in rows] == [3, 4]
     assert all(r["gap_certificate"] for r in rows)
+
+
+def test_sequences_part1_large_i(capsys):
+    code, out, _ = run(capsys, "sequences", "--mode", "part1", "--i-max", "11")
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 0
+    assert [r["i"] for r in rows] == list(range(3, 12))
+    assert all(r["gap_certificate"] and r["existence_certificate"] for r in rows)
+    assert [r["existence_a"] for r in rows] == [[i] for i in range(3, 12)]
 
 
 def test_sequences_part2(capsys):
