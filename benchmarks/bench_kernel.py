@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled search kernel against the pure-Python fallback.
+"""Benchmark the induced-embedding search kernel.
 
-Runs induced-copy counting workloads on seeded random hosts and prints a
-table of search expansions, per-backend timings and nanoseconds per
-expansion, plus the speedup.  The backends must agree exactly on count,
-expansions and budget flag; the script aborts if they do not.  With only
-the pure backend built, the ns/expansion column still shows kernel changes.
+Runs five induced-copy counting workloads on seeded random hosts and
+prints, per workload, the search expansions, the best wall time over the
+repeats and the nanoseconds per expansion.  The expansions are fixed by
+the search tree (tests/test_hotpath.py pins them on these hosts), so the
+ns/expansion column shows the cost of each search node.
 
 Usage: python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -14,7 +14,7 @@ import argparse
 import time
 
 from sparsewitness.gnp import SamplerConfig, sample_gnp
-from sparsewitness.hotpath import MODE_COUNT, MODE_COUNT_DOMINATING, available_backends, embed_search
+from sparsewitness.hotpath import MODE_COUNT, MODE_COUNT_DOMINATING, embed_search
 from sparsewitness.witness import build_W
 
 WORKLOADS = [
@@ -27,18 +27,16 @@ WORKLOADS = [
 ]
 
 
-def run(pattern, host, mode, backend, repeats):
-    """Best wall time over the repeats and the (count, expansions, exceeded)
-    the search reported."""
+def run(pattern, host, mode, repeats):
+    """Best wall time over the repeats and the expansions the search spent."""
     best = float("inf")
-    outcome = None
+    expansions = 0
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = embed_search(pattern, host, mode=mode, backend=backend,
-                           budget=10**9)
+        res = embed_search(pattern, host, mode=mode, budget=10**9)
         best = min(best, time.perf_counter() - t0)
-        outcome = (res.count, res.expansions, res.exceeded)
-    return best, outcome
+        expansions = res.expansions
+    return best, expansions
 
 
 def main() -> int:
@@ -46,34 +44,15 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    backends = available_backends()
-    if backends == ["pure"]:
-        print("compiled backend unavailable; benchmarking pure only")
-    header = f"{'workload':<28}{'expansions':>12}" + "".join(
-        f"{b + ' ms':>12}{b + ' ns/exp':>14}" for b in backends
-    )
-    if len(backends) > 1:
-        header += f"{'speedup':>10}"
+    header = f"{'workload':<28}{'expansions':>12}{'ms':>12}{'ns/exp':>14}"
     print(header)
     print("-" * len(header))
     for label, a, gamma, r, n, p, mode in WORKLOADS:
         pattern = build_W(a, gamma, r).graph
         host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-        times, outcomes = {}, {}
-        for b in backends:
-            times[b], outcomes[b] = run(pattern, host, mode, b, args.repeats)
-        if len(set(outcomes.values())) != 1:
-            raise SystemExit(
-                f"backend disagreement on {label} (count, expansions, exceeded): {outcomes}"
-            )
-        expansions = outcomes[backends[0]][1]
-        row = f"{label:<28}{expansions:>12}" + "".join(
-            f"{times[b] * 1e3:>10.2f}ms{times[b] * 1e9 / max(expansions, 1):>14.1f}"
-            for b in backends
-        )
-        if len(backends) > 1:
-            row += f"{times['pure'] / times['cython']:>9.1f}x"
-        print(row)
+        best, expansions = run(pattern, host, mode, args.repeats)
+        print(f"{label:<28}{expansions:>12}{best * 1e3:>10.2f}ms"
+              f"{best * 1e9 / max(expansions, 1):>14.1f}")
     return 0
 
 

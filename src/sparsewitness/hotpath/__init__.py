@@ -1,9 +1,9 @@
-"""Induced-embedding search kernels.
+"""Induced-embedding search on Graph inputs.
 
-The compiled Cython kernel is preferred when its extension module built;
-otherwise the pure-Python bitset kernel is used.  Both implement the same
-``search`` contract and are cross-checked in the tests, and either can be
-forced per call via ``backend=``.
+``embed_search`` prepares the search order and candidate masks and runs
+the bitset backtracking kernel in ``_pure``, the one kernel backend; the
+tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
+``backend=`` name that backend, so callers can record which one ran.
 """
 
 from __future__ import annotations
@@ -19,17 +19,11 @@ MODE_COLLECT = _pure.MODE_COLLECT
 MODE_FIND_DOMINATING = _pure.MODE_FIND_DOMINATING
 MODE_COUNT_DOMINATING = _pure.MODE_COUNT_DOMINATING
 
-try:
-    from . import _speedups
-
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    _speedups = None
-    BACKEND = "pure"
+BACKEND = "pure"
 
 
 def available_backends() -> list[str]:
-    return ["pure"] if _speedups is None else ["cython", "pure"]
+    return [BACKEND]
 
 
 def default_order(pattern: Graph, start: int | None = None) -> list[int]:
@@ -111,20 +105,21 @@ def embed_search(
     """Run the kernel on Graph inputs, preparing masks and search order.
 
     limit caps the copies MODE_COLLECT gathers; None means no cap.
+    backend must be None or a name from available_backends().
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be None or at least 1, got {limit}")
+    if backend not in (None, *available_backends()):
+        raise ValueError(
+            f"unknown backend {backend!r}; available: {', '.join(available_backends())}"
+        )
     if order is None:
         order = default_order(pattern)
     if base is None:
         base = base_masks(pattern, host)
-    name = backend or BACKEND
-    if name == "cython" and _speedups is None:
-        raise ValueError("compiled kernel is not available")
-    impl = _speedups if name == "cython" else _pure
-    emb, count, expansions, exceeded = impl.search(
+    emb, count, expansions, exceeded = _pure.search(
         pattern.n, pattern.bits, host.n, host.bits, order, base, mode, limit, budget
     )
     if exceeded and raise_on_budget:
         raise BudgetExceededError(f"search exceeded budget of {budget} expansions")
-    return SearchResult(list(emb), int(count), int(expansions), bool(exceeded), name)
+    return SearchResult(emb, count, expansions, exceeded, BACKEND)

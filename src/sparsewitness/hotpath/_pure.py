@@ -1,13 +1,11 @@
-"""Pure-Python induced-embedding search kernel.
+"""Bitset backtracking search for induced copies of a pattern in a host.
 
-Same contract as the compiled kernel in ``_speedups``: bitset backtracking
-over host adjacency masks.  Masks are arbitrary-width Python ints here, so
-this backend has no size limits and serves as the fallback.
-
-Both kernels walk the same search tree: they visit the same nodes in the
-same order and return the same ``(embeddings, count, expansions,
-exceeded)`` for every mode, limit and budget.  This one only does less
-Python work per node:
+Host adjacency rows are arbitrary-width Python ints, so there is no size
+limit on the host.  The search tree (which nodes are visited, in which
+order, and so the ``expansions`` counter) is fixed by the search order
+and the candidate masks; the tests pin its counters on seeded hosts and
+check every mode against ``graphs.induced_embeddings``.  Python work per
+node is kept small:
 
 * each node refines the next depth's candidate mask once, over the
   earlier assignments, and each child then ANDs in one host row or its
@@ -40,15 +38,18 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
     dominating modes a complete assignment only counts when its image set
     dominates the host.
     """
+    dominating = mode in (MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING)
+    counting = mode in (MODE_COUNT, MODE_COUNT_DOMINATING)
     if n_p == 0:
-        emb = [()] if mode in (MODE_FIND, MODE_COLLECT) else []
-        return emb, 1, 0, False
+        # The empty assignment is the one copy; its empty image set
+        # dominates only the empty host.
+        if dominating and n_h:
+            return [], 0, 0, False
+        return ([] if counting else [()]), 1, 0, False
     if n_p > n_h:
         return [], 0, 0, False
 
     full = (1 << n_h) - 1
-    dominating = mode in (MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING)
-    counting = mode in (MODE_COUNT, MODE_COUNT_DOMINATING)
     finding = mode in (MODE_FIND, MODE_FIND_DOMINATING)
     last = n_p - 1
     # Per search depth d, the depths before d - 1 whose pattern vertices
