@@ -28,7 +28,6 @@ from .logic import evaluate, is_emso, parse_formula
 from .gnp import SamplerConfig, derive_stream, sample_gnp
 from .detect import (
     DetectionResult,
-    SearchBudget,
     check_connector_property,
     exists_dominating_set_of_size,
     find_dominating_induced_W,

@@ -451,12 +451,13 @@ class Part1Row:
     existence_a: tuple[int, ...]
 
 
-def _candidate_as(gamma: int, upper: float) -> list[int]:
+def _candidate_as(gamma: int, upper: float, r: int = 4) -> list[int]:
+    """Every a >= 1 whose size s_part1(a, gamma, r) is at most upper."""
     if not math.isfinite(upper):
         raise ParameterError("candidate window bound is not finite")
     out = []
     a = 1
-    while s_part1(a, gamma) <= upper:
+    while s_part1(a, gamma, r) <= upper:
         out.append(a)
         a += 1
     return out
@@ -687,8 +688,8 @@ def window_report(
         else:
             raise ValueError(f"unknown window {window!r}")
         admissible = []
-        for a in _candidate_as(gamma, float(high_q) * fn + float(add) + 4):
-            s = a + (gamma + 1) * omega(a, r)
+        for a in _candidate_as(gamma, float(high_q) * fn + float(add) + 4, r):
+            s = s_part1(a, gamma, r)
             lo_cmp = compare_to_window_endpoint(s, low_q, n, al)
             hi_cmp = compare_to_window_endpoint(s, high_q, n, al, add=add)
             inside = (lo_cmp >= 0 and hi_cmp <= 0) if closed else (

@@ -63,15 +63,15 @@ def cmd_sample(args) -> int:
 
 def cmd_detect(args) -> int:
     g = _load_graph(args.graph)
-    budget = detect.SearchBudget(max_expansions=args.budget)
     mode = "count" if args.count else "find"
     if args.a is not None and not args.dominating:
         res = detect.find_induced_W(g, args.a, args.gamma, args.r,
-                                    mode=mode, budget=budget)
+                                    mode=mode, budget=args.budget)
     else:
         a_max = args.a if args.a is not None else args.a_max
         res = detect.find_dominating_induced_W(
-            g, args.gamma, args.r, (args.a_min, a_max), mode=mode, budget=budget
+            g, args.gamma, args.r, (args.a_min, a_max), mode=mode,
+            budget=args.budget,
         )
     record = {
         "outcome": res.outcome,

@@ -27,13 +27,6 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Resource limits for a detection run."""
-
-    max_expansions: int = DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
 class DetectionResult:
     """Outcome of a copy search."""
 
@@ -62,7 +55,7 @@ def find_induced_W(
     gamma: int,
     r: int,
     mode: str = "find",
-    budget: SearchBudget | None = None,
+    budget: int = DEFAULT_BUDGET,
     starred: bool = False,
 ) -> DetectionResult:
     """Search for induced copies of W(a) (or W*(a)) in g.
@@ -70,7 +63,6 @@ def find_induced_W(
     mode "find" stops at the first copy; "count" counts all labeled
     embeddings.
     """
-    budget = budget or SearchBudget()
     build = witness.build_W_star if starred else witness.build_W
     ws = build(a, gamma, r)
     if ws.graph.n > g.n:
@@ -78,7 +70,7 @@ def find_induced_W(
     kernel_mode = hotpath.MODE_FIND if mode == "find" else hotpath.MODE_COUNT
     res = hotpath.embed_search(
         ws.graph, g, mode=kernel_mode, order=_pattern_order(ws),
-        budget=budget.max_expansions,
+        budget=budget,
     )
     if res.exceeded:
         return DetectionResult("budget_exceeded", a=a, count=res.count,
@@ -96,18 +88,17 @@ def find_dominating_induced_W(
     r: int,
     a_range: tuple[int, int],
     mode: str = "find",
-    budget: SearchBudget | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> DetectionResult:
     """First dominating induced W(a) copy, trying a from a_range[1] down to
     a_range[0].  Domination is checked once per completed candidate, inside
     the kernel.  In "count" mode, counts dominating labeled embeddings
     summed over the range.
     """
-    budget = budget or SearchBudget()
     a_lo, a_hi = a_range
     if a_lo < 1 or a_hi < a_lo:
         raise ValueError(f"bad a_range {a_range}")
-    remaining = budget.max_expansions
+    remaining = budget
     total = 0
     expansions = 0
     exceeded = False

@@ -77,8 +77,7 @@ def run_trial(args) -> tuple[bool, int, bool]:
     cfg = gnp.SamplerConfig(n=n, p=p, seed=seed, stream=gnp.derive_stream(seed, trial))
     g = gnp.sample_gnp(cfg)
     res = detect.find_dominating_induced_W(
-        g, gamma, r, (a_min, a_max), mode="count",
-        budget=detect.SearchBudget(max_expansions=budget),
+        g, gamma, r, (a_min, a_max), mode="count", budget=budget
     )
     return bool(res), res.count, res.outcome == "budget_exceeded"
 

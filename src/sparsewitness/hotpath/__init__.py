@@ -96,7 +96,6 @@ def embed_search(
     host: Graph,
     mode: int = MODE_FIND,
     order: list[int] | None = None,
-    base: list[int] | None = None,
     limit: int | None = None,
     budget: int = DEFAULT_BUDGET,
     backend: str | None = None,
@@ -115,10 +114,9 @@ def embed_search(
         )
     if order is None:
         order = default_order(pattern)
-    if base is None:
-        base = base_masks(pattern, host)
     emb, count, expansions, exceeded = _pure.search(
-        pattern.n, pattern.bits, host.n, host.bits, order, base, mode, limit, budget
+        pattern.n, pattern.bits, host.n, host.bits, order,
+        base_masks(pattern, host), mode, limit, budget,
     )
     if exceeded and raise_on_budget:
         raise BudgetExceededError(f"search exceeded budget of {budget} expansions")

@@ -27,9 +27,9 @@ function of the current vertex count alone:
   back to that leaf (gamma+1 vertices); grow r^{omega(a)+j} new TF2
   leaves, each wired to the new TF1 end (gamma+1 vertices each).
 
-Parents for new tree leaves are chosen breadth-first among vertices one
-level up that still have fewer than r children, which reproduces the
-perfect-tree numbering.
+Tree vertices are numbered breadth-first, so vertex k > 0 of a tree hangs
+off vertex (k - 1) // r; a path is the same rule with r = 1.  New process
+leaves follow that rule too, which reproduces the perfect-tree numbering.
 """
 
 from __future__ import annotations
@@ -113,20 +113,28 @@ class RootedTree:
 
 
 class _Builder:
-    """Accumulates vertices with roles and edges; connectors are paths
-    with gamma fresh inner vertices (a direct edge when gamma == 0)."""
+    """Writes a witness graph as int adjacency rows, with one role per
+    vertex.  It starts empty or from a copy of a graph and its roles (the
+    source is never mutated); connectors are paths with gamma fresh inner
+    vertices (a direct edge when gamma == 0)."""
 
-    def __init__(self, gamma: int):
+    def __init__(
+        self, gamma: int, graph: Graph | None = None, roles: tuple[str, ...] = ()
+    ):
         self.gamma = gamma
-        self.roles: list[str] = []
-        self.edges: list[tuple[int, int]] = []
+        self.rows: list[int] = list(graph.bits) if graph is not None else []
+        self.m = graph.m if graph is not None else 0
+        self.roles: list[str] = list(roles)
 
     def vertex(self, role: str) -> int:
         self.roles.append(role)
-        return len(self.roles) - 1
+        self.rows.append(0)
+        return len(self.rows) - 1
 
     def edge(self, u: int, v: int) -> None:
-        self.edges.append((u, v))
+        self.rows[u] |= 1 << v
+        self.rows[v] |= 1 << u
+        self.m += 1
 
     def connector(self, u: int, v: int) -> None:
         prev = u
@@ -136,8 +144,43 @@ class _Builder:
             prev = w
         self.edge(prev, v)
 
+    def copy(self, g: Graph, role: str) -> range:
+        """Add a disjoint copy of g, all of one role; returns its new ids."""
+        start = len(self.rows)
+        self.rows.extend(row << start for row in g.bits)
+        self.roles.extend([role] * g.n)
+        self.m += g.m
+        return range(start, start + g.n)
+
+    def grow(self, tree: list[int], r: int, role: str) -> int:
+        """Append a vertex to a breadth-first numbered tree: rank k > 0
+        hangs off rank (k - 1) // r, so r = 1 grows a path."""
+        v = self.vertex(role)
+        if tree:
+            self.edge(tree[(len(tree) - 1) // r], v)
+        tree.append(v)
+        return v
+
+    def tree(self, k: int, r: int, role: str) -> list[int]:
+        """The perfect-tree prefix of k vertices, breadth-first."""
+        t: list[int] = []
+        for _ in range(k):
+            self.grow(t, r, role)
+        return t
+
+    def path(self, k: int, role: str) -> list[int]:
+        return self.tree(k, 1, role)
+
+    def join_by_depth(self, path: list[int], tree: list[int], r: int) -> None:
+        """Connect each tree rank, in order, to the path vertex at its depth."""
+        depth = [0] * len(tree)
+        for k, v in enumerate(tree):
+            if k:
+                depth[k] = depth[(k - 1) // r] + 1
+            self.connector(path[depth[k]], v)
+
     def graph(self) -> Graph:
-        return Graph(len(self.roles), self.edges)
+        return Graph._from_rows(self.rows, self.m)
 
 
 def gamma_product(f1: RootedTree, f2: RootedTree, gamma: int) -> Graph:
@@ -147,12 +190,8 @@ def gamma_product(f1: RootedTree, f2: RootedTree, gamma: int) -> Graph:
         raise WitnessError("gamma must be nonnegative")
     d1, d2 = f1.depths(), f2.depths()
     b = _Builder(gamma)
-    map1 = [b.vertex(ROLE_F1) for _ in range(f1.graph.n)]
-    map2 = [b.vertex(ROLE_F2) for _ in range(f2.graph.n)]
-    for u, v in f1.graph.edges():
-        b.edge(map1[u], map1[v])
-    for u, v in f2.graph.edges():
-        b.edge(map2[u], map2[v])
+    map1 = b.copy(f1.graph, ROLE_F1)
+    map2 = b.copy(f2.graph, ROLE_F2)
     for u in range(f1.graph.n):
         for v in range(f2.graph.n):
             if d1[u] == d2[v]:
@@ -179,12 +218,8 @@ def ordered_gamma_product(
         if not levels or len(levels[0]) != 1:
             raise WitnessError("order lacks a unique minimum")
     b = _Builder(gamma)
-    map1 = [b.vertex(ROLE_F1) for _ in range(f1.n)]
-    map2 = [b.vertex(ROLE_F2) for _ in range(f2.n)]
-    for u, v in f1.edges():
-        b.edge(map1[u], map1[v])
-    for u, v in f2.edges():
-        b.edge(map2[u], map2[v])
+    map1 = b.copy(f1, ROLE_F1)
+    map2 = b.copy(f2, ROLE_F2)
     for lvl1, lvl2 in zip(levels1, levels2):
         for u in lvl1:
             for v in lvl2:
@@ -215,30 +250,14 @@ class WitnessGraph:
         return "".join(f"{v} {role}\n" for v, role in enumerate(self.roles))
 
 
-def _tree_depth_of_rank(k: int, r: int) -> int:
-    # Depth of the k-th vertex (0-based, breadth-first) of a perfect r-ary tree.
-    d, level_start, level_size = 0, 0, 1
-    while k >= level_start + level_size:
-        level_start += level_size
-        level_size *= r
-        d += 1
-    return d
-
-
 def build_W(a: int, gamma: int, r: int) -> WitnessGraph:
     """Witness graph W(a): gamma-product of the path on a vertices with
     the perfect r-ary tree on omega(a) vertices."""
     _check_params(a, gamma, r)
-    w = omega(a, r)
     b = _Builder(gamma)
-    f1 = [b.vertex(ROLE_F1) for _ in range(a)]
-    f2 = [b.vertex(ROLE_F2) for _ in range(w)]
-    for i in range(a - 1):
-        b.edge(f1[i], f1[i + 1])
-    for k in range(1, w):
-        b.edge(f2[(k - 1) // r], f2[k])
-    for k in range(w):
-        b.connector(f1[_tree_depth_of_rank(k, r)], f2[k])
+    f1 = b.path(a, ROLE_F1)
+    f2 = b.tree(omega(a, r), r, ROLE_F2)
+    b.join_by_depth(f1, f2, r)
     g = b.graph()
     assert g.n == w_vertex_count(a, gamma, r)
     assert g.m == w_edge_count(a, gamma, r)
@@ -251,26 +270,15 @@ def build_W_star(a: int, gamma: int, r: int) -> WitnessGraph:
     with TF1."""
     _check_params(a, gamma, r)
     w = omega(a, r)
-    ww = omega(w, r)
     b = _Builder(gamma)
-    f1 = [b.vertex(ROLE_F1) for _ in range(a)]
-    f2 = [b.vertex(ROLE_F2) for _ in range(w)]
-    tf1 = [b.vertex(ROLE_TF1) for _ in range(w)]
-    tf2 = [b.vertex(ROLE_TF2) for _ in range(ww)]
-    for i in range(a - 1):
-        b.edge(f1[i], f1[i + 1])
-    for k in range(1, w):
-        b.edge(f2[(k - 1) // r], f2[k])
-    for i in range(w - 1):
-        b.edge(tf1[i], tf1[i + 1])
-    for k in range(1, ww):
-        b.edge(tf2[(k - 1) // r], tf2[k])
-    for k in range(w):
-        b.connector(f1[_tree_depth_of_rank(k, r)], f2[k])
-    for k in range(w):
-        b.connector(f2[k], tf1[k])
-    for k in range(ww):
-        b.connector(tf1[_tree_depth_of_rank(k, r)], tf2[k])
+    f1 = b.path(a, ROLE_F1)
+    f2 = b.tree(w, r, ROLE_F2)
+    tf1 = b.path(w, ROLE_TF1)
+    tf2 = b.tree(omega(w, r), r, ROLE_TF2)
+    b.join_by_depth(f1, f2, r)
+    for u, v in zip(f2, tf1):
+        b.connector(u, v)
+    b.join_by_depth(tf1, tf2, r)
     g = b.graph()
     assert g.n == w_star_vertex_count(a, gamma, r)
     assert g.m == w_star_edge_count(a, gamma, r)
@@ -285,8 +293,9 @@ class ProcessState:
     """Snapshot of the graph process.
 
     floor is the largest a with a completed W*(a) inside the snapshot;
-    step counts applied growth steps.  f2_depth/tf2_depth and the child
-    counters track the partially grown trees.
+    step counts applied growth steps.  f1/tf1 hold path vertices in path
+    order and f2/tf2 tree vertices in breadth-first order, so the next
+    leaf of a tree t hangs off t[(len(t) - 1) // r].
     """
 
     gamma: int
@@ -299,11 +308,6 @@ class ProcessState:
     f2: tuple[int, ...]
     tf1: tuple[int, ...]
     tf2: tuple[int, ...]
-    f2_depth: tuple[int, ...]
-    tf2_depth: tuple[int, ...]
-    f2_children: tuple[int, ...]
-    tf2_children: tuple[int, ...]
-    last_f2: int = -1
 
     def role_lines(self) -> str:
         return "".join(f"{v} {role}\n" for v, role in enumerate(self.roles))
@@ -313,28 +317,16 @@ def process_init(gamma: int, r: int) -> ProcessState:
     """Initial state: W*(1), a path on 3 * gamma + 4 vertices."""
     ws = build_W_star(1, gamma, r)
     return ProcessState(
-        gamma=gamma,
-        r=r,
-        graph=ws.graph,
-        roles=ws.roles,
-        floor=1,
-        step=0,
-        f1=ws.f1,
-        f2=ws.f2,
-        tf1=ws.tf1,
-        tf2=ws.tf2,
-        f2_depth=(0,),
-        tf2_depth=(0,),
-        f2_children=(0,),
-        tf2_children=(0,),
+        gamma, r, ws.graph, ws.roles, floor=1, step=0,
+        f1=ws.f1, f2=ws.f2, tf1=ws.tf1, tf2=ws.tf2,
     )
 
 
-def _classify(v: int, a: int, gamma: int, r: int):
+def _classify(v: int, a: int, gamma: int, r: int) -> str:
     """Map the current vertex count to the unique applicable rule."""
     base = w_star_vertex_count(a, gamma, r)
     if v == base:
-        return ("extend_f1",)
+        return "extend_f1"
     d = v - base - 1
     if d < 0 or d % (gamma + 1) != 0:
         raise ProcessError(f"vertex count {v} matches no rule at floor {a}")
@@ -344,11 +336,11 @@ def _classify(v: int, a: int, gamma: int, r: int):
     for j in range(r**a):
         width = r ** (w + j)
         if q == offset:
-            return ("extend_f2", j)
+            return "extend_f2"
         if q == offset + 1:
-            return ("extend_tf1", j)
+            return "extend_tf1"
         if offset + 2 <= q < offset + 2 + width:
-            return ("extend_tf2", j, q - offset - 2)
+            return "extend_tf2"
         offset += 2 + width
         if q < offset:
             break
@@ -360,92 +352,21 @@ def process_step(state: ProcessState) -> ProcessState:
     return the new state (states are never mutated in place)."""
     gamma, r, a = state.gamma, state.r, state.floor
     rule = _classify(state.graph.n, a, gamma, r)
-    roles = list(state.roles)
-    rows = list(state.graph.bits)
-    m = state.graph.m
+    b = _Builder(gamma, state.graph, state.roles)
     f1, f2, tf1, tf2 = list(state.f1), list(state.f2), list(state.tf1), list(state.tf2)
-    f2_depth, tf2_depth = list(state.f2_depth), list(state.tf2_depth)
-    f2_children, tf2_children = list(state.f2_children), list(state.tf2_children)
-    last_f2 = state.last_f2
-
-    def new_vertex(role: str) -> int:
-        roles.append(role)
-        rows.append(0)
-        return len(roles) - 1
-
-    def edge(u: int, v: int) -> None:
-        nonlocal m
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        m += 1
-
-    def connector(u: int, v: int) -> None:
-        prev = u
-        for _ in range(gamma):
-            w = new_vertex(ROLE_CONNECTOR)
-            edge(prev, w)
-            prev = w
-        edge(prev, v)
-
-    def bfs_first_open(ids, depths, children, want_depth):
-        for idx, vid in enumerate(ids):
-            if depths[idx] == want_depth and children[idx] < r:
-                return idx, vid
-        raise ProcessError(f"no open parent at depth {want_depth}")
-
-    kind = rule[0]
-    if kind == "extend_f1":
-        v_new = new_vertex(ROLE_F1)
-        edge(f1[-1], v_new)
-        f1.append(v_new)
-    elif kind == "extend_f2":
-        idx, parent = bfs_first_open(f2, f2_depth, f2_children, a - 1)
-        u_new = new_vertex(ROLE_F2)
-        edge(parent, u_new)
-        f2.append(u_new)
-        f2_depth.append(a)
-        f2_children[idx] += 1
-        f2_children.append(0)
-        connector(f1[-1], u_new)
-        last_f2 = u_new
-    elif kind == "extend_tf1":
-        v_new = new_vertex(ROLE_TF1)
-        edge(tf1[-1], v_new)
-        tf1.append(v_new)
-        if last_f2 < 0:
-            raise ProcessError("path extension before any tree leaf was added")
-        connector(v_new, last_f2)
-    else:  # extend_tf2
-        j = rule[1]
-        idx, parent = bfs_first_open(
-            tf2, tf2_depth, tf2_children, omega(a, r) + j - 1
-        )
-        u_new = new_vertex(ROLE_TF2)
-        edge(parent, u_new)
-        tf2.append(u_new)
-        tf2_depth.append(omega(a, r) + j)
-        tf2_children[idx] += 1
-        tf2_children.append(0)
-        connector(tf1[-1], u_new)
-
-    graph = Graph._from_rows(rows, m)
+    if rule == "extend_f1":
+        b.grow(f1, 1, ROLE_F1)
+    elif rule == "extend_f2":
+        b.connector(f1[-1], b.grow(f2, r, ROLE_F2))
+    elif rule == "extend_tf1":
+        b.connector(b.grow(tf1, 1, ROLE_TF1), f2[-1])
+    else:
+        b.connector(tf1[-1], b.grow(tf2, r, ROLE_TF2))
+    graph = b.graph()
     floor = a + 1 if graph.n == w_star_vertex_count(a + 1, gamma, r) else a
     return ProcessState(
-        gamma=gamma,
-        r=r,
-        graph=graph,
-        roles=tuple(roles),
-        floor=floor,
-        step=state.step + 1,
-        f1=tuple(f1),
-        f2=tuple(f2),
-        tf1=tuple(tf1),
-        tf2=tuple(tf2),
-        f2_depth=tuple(f2_depth),
-        tf2_depth=tuple(tf2_depth),
-        f2_children=tuple(f2_children),
-        tf2_children=tuple(tf2_children),
-        last_f2=last_f2,
+        gamma, r, graph, tuple(b.roles), floor, state.step + 1,
+        tuple(f1), tuple(f2), tuple(tf1), tuple(tf2),
     )
 
 

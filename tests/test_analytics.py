@@ -280,6 +280,39 @@ def test_window_report_part1():
         assert report.window_low <= s <= report.window_high
 
 
+@pytest.mark.parametrize("window", ["existence", "gap"])
+def test_window_report_part1_matches_brute_force_for_every_r(window):
+    # Every a <= 80 is tested against the window endpoints at 60 mpmath
+    # digits, with s(a) = a + (gamma+1)(r^a - 1)/(r - 1) written out, so a
+    # candidate bound that ignores r shows as a missing floor.
+    gamma, alpha = 13, Fraction(3, 10)
+    consts = part1_constants(alpha, gamma)
+    k = consts.k
+    if window == "existence":
+        low_q, high_q, add = consts.C1 * k, consts.C2 * k, Fraction(0)
+    else:
+        low_q, high_q, add = consts.c * k, k, consts.epsilon
+
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    nonempty = 0
+    with mpmath.workdps(60):
+        for r in (2, 3, 4):
+            for n in (10**5, 10**8, 10**12):
+                fn = mpmath.mpf(n) ** mp(alpha) * mpmath.log(n)
+                lo, hi = mp(low_q) * fn, mp(high_q) * fn + mp(add)
+                expected = []
+                for a in range(1, 81):
+                    s = a + (gamma + 1) * (r**a - 1) // (r - 1)
+                    if (lo <= s <= hi) if window == "existence" else (lo < s < hi):
+                        expected.append(a)
+                report = window_report(n, alpha, gamma, r=r, window=window)
+                assert report.admissible_a == tuple(expected), (r, n)
+                nonempty += bool(expected)
+    assert nonempty >= 3
+
+
 def test_window_report_part2():
     report = window_report(10**6, 0.6, 4, r=4, mode="part2",
                            window="existence", beta=0.25)

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from sparsewitness.detect import (
-    SearchBudget,
     check_connector_property,
     exists_dominating_set_of_size,
     find_dominating_induced_W,
@@ -93,7 +92,7 @@ def test_dominating_search_prefers_larger_a():
 
 def test_budget_exceeded_is_reported_not_raised():
     big = Graph(40, itertools.combinations(range(40), 2))
-    res = find_induced_W(big, 2, 1, 4, budget=SearchBudget(max_expansions=10))
+    res = find_induced_W(big, 2, 1, 4, budget=10)
     assert res.outcome == "budget_exceeded"
     assert not res
 

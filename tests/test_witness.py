@@ -1,10 +1,18 @@
 """Witness families, the growth process, and the parity property."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsewitness.graphs import Graph, automorphism_count, induced_embeddings
+from sparsewitness.graphs import (
+    Graph,
+    automorphism_count,
+    induced_embeddings,
+    iter_mask,
+    write_edge_list,
+)
 from sparsewitness.witness import (
     ProcessError,
     RootedTree,
@@ -194,3 +202,92 @@ def test_property_false_below_and_past_stage():
     state = process_run(2, 2, 12)
     assert state.graph.n > w_star_vertex_count(2, 2, 2)
     assert not has_gamma_r_property(state.graph, 2, 2)
+
+
+# sha256 digests recorded with the earlier edge-list builder, so they pin
+# that writing rows directly kept every vertex number, edge, role and
+# bookkeeping tuple; any change to the construction moves them.
+PROCESS_STEPS = (0, 1, 3, 10, 30, 100, 400)
+PROCESS_DIGESTS = {
+    (0, 2): "4da26ada6e7d85c789834bb7ff1046cfb946dc9250d075305e1a350b14de0bc0",
+    (1, 2): "aa59c763665c9148bad592a18b845b9ee9bc4e63a716afaddc64faee9c3ade7e",
+    (2, 2): "50d621e3683ca3e4b686cf401558c930118e96326db797abf1755be8dc056a25",
+    (1, 3): "9bbf0052fb0e7a0d6e081767d4386d9215f82819917fc9932c51e44d782db0c4",
+    (0, 4): "73effc500f7e8e531158241e4c887111d74c9a67a453548ffa5ba81cd90b2454",
+}
+BUILD_W_GRID = [(a, g, r) for a in range(1, 5) for g in range(3) for r in (2, 3, 4)]
+BUILD_W_STAR_GRID = [
+    (a, g, r)
+    for a, r in ((1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (2, 4))
+    for g in range(3)
+]
+BUILD_DIGEST = "3f4598f05590b3a0fddde6bd2c5268effb008fdf215329c52a5d131627750c4e"
+
+
+def assert_valid_rows(g):
+    """What Graph(n, edges) used to check, restated on the rows."""
+    rows = g.bits
+    assert len(rows) == g.n
+    assert 2 * g.m == sum(row.bit_count() for row in rows)
+    for u, row in enumerate(rows):
+        assert type(row) is int and row >> g.n == 0
+        assert not (row >> u) & 1
+        assert all((rows[v] >> u) & 1 for v in iter_mask(row))
+
+
+def assert_breadth_first(g, tree, r):
+    # Tree rank k hangs off rank (k - 1) // r; a path is the case r = 1.
+    for k in range(1, len(tree)):
+        assert g.has_edge(tree[k], tree[(k - 1) // r]), (k, r)
+
+
+def assert_bookkeeping(ws):
+    assert len(ws.roles) == ws.graph.n
+    assert_valid_rows(ws.graph)
+    for tree, arity in ((ws.f1, 1), (ws.f2, ws.r), (ws.tf1, 1), (ws.tf2, ws.r)):
+        assert_breadth_first(ws.graph, tree, arity)
+
+
+@pytest.mark.parametrize(
+    "gamma, r", list(PROCESS_DIGESTS), ids=[f"g{g}-r{r}" for g, r in PROCESS_DIGESTS]
+)
+def test_process_is_pinned_exactly(gamma, r):
+    h = hashlib.sha256()
+    state = process_init(gamma, r)
+    for step in range(PROCESS_STEPS[-1] + 1):
+        assert state.step == step
+        assert_bookkeeping(state)
+        if step in PROCESS_STEPS:
+            h.update(write_edge_list(state.graph).encode())
+            h.update(state.role_lines().encode())
+            h.update(repr((state.f1, state.f2, state.tf1, state.tf2,
+                           state.floor, state.step)).encode())
+        if step < PROCESS_STEPS[-1]:
+            state = process_step(state)
+    assert h.hexdigest() == PROCESS_DIGESTS[gamma, r]
+
+
+def test_builds_are_pinned_exactly():
+    h = hashlib.sha256()
+    for build, grid in ((build_W, BUILD_W_GRID), (build_W_star, BUILD_W_STAR_GRID)):
+        for params in grid:
+            ws = build(*params)
+            assert_bookkeeping(ws)
+            h.update(write_edge_list(ws.graph).encode())
+            h.update(ws.role_lines().encode())
+            h.update(repr((ws.a, ws.gamma, ws.r, ws.starred,
+                           ws.f1, ws.f2, ws.tf1, ws.tf2)).encode())
+    assert h.hexdigest() == BUILD_DIGEST
+
+
+def test_gamma_products_write_valid_rows():
+    path3 = Graph(3, [(0, 1), (1, 2)])
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for gamma in range(3):
+        g = gamma_product(RootedTree(path3, 0), RootedTree(star, 0), gamma)
+        assert_valid_rows(g)
+        # Depth pairs: 1 x 1 at depth 0 and 1 x 3 at depth 1.
+        assert (g.n, g.m) == (7 + 4 * gamma, 5 + 4 * (gamma + 1))
+        g = ordered_gamma_product(path3, [[0], [1, 2]], star, [[0], [1, 2, 3]], gamma)
+        assert_valid_rows(g)
+        assert (g.n, g.m) == (7 + 7 * gamma, 5 + 7 * (gamma + 1))
