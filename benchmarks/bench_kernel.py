@@ -2,19 +2,34 @@
 """Benchmark the induced-embedding search kernel.
 
 Runs five induced-copy counting workloads on seeded random hosts and
-prints, per workload, the search expansions, the best wall time over the
-repeats and the nanoseconds per expansion.  The expansions are fixed by
-the search tree (tests/test_hotpath.py pins them on these hosts), so the
-ns/expansion column shows the cost of each search node.
+prints two rows per workload: the labeled search, which visits every
+embedding, and the symmetry-broken search (``break_symmetry=True``),
+which visits one embedding per automorphism class.  Each row has the
+count, the search expansions, the best wall time over the repeats and
+the nanoseconds per expansion.  The expansions are fixed by the search
+tree (tests/test_hotpath.py pins the labeled ones on these hosts), so
+the ns/expansion column shows the cost of each search node.  Both rows
+must report the same count.
 
-Usage: python benchmarks/bench_kernel.py [--repeats N]
+--json PATH also writes the rows, the backend and os.cpu_count() as one
+JSON record.
+
+Usage: python benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 """
 
 import argparse
+import json
+import os
 import time
 
 from sparsewitness.gnp import SamplerConfig, sample_gnp
-from sparsewitness.hotpath import MODE_COUNT, MODE_COUNT_DOMINATING, embed_search
+from sparsewitness.hotpath import (
+    BACKEND,
+    MODE_COUNT,
+    MODE_COUNT_DOMINATING,
+    embed_search,
+    stabilizer_chain,
+)
 from sparsewitness.witness import build_W
 
 WORKLOADS = [
@@ -25,34 +40,59 @@ WORKLOADS = [
     ("W(a=2) dominating, n=40", 2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING),
     ("W(a=2,g=1) count, n=30", 2, 1, 4, 30, 0.45, MODE_COUNT),
 ]
+SEARCHES = [("labeled", False), ("symmetry-broken", True)]
 
 
-def run(pattern, host, mode, repeats):
-    """Best wall time over the repeats and the expansions the search spent."""
+def run(pattern, host, mode, repeats, break_symmetry):
+    """Best wall time over the repeats, with the count and expansions."""
     best = float("inf")
-    expansions = 0
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = embed_search(pattern, host, mode=mode, budget=10**9)
+        res = embed_search(pattern, host, mode=mode, budget=10**9,
+                           break_symmetry=break_symmetry)
         best = min(best, time.perf_counter() - t0)
-        expansions = res.expansions
-    return best, expansions
+    return best, res.count, res.expansions
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--json", metavar="PATH", help="also write the rows as JSON")
     args = ap.parse_args()
 
-    header = f"{'workload':<28}{'expansions':>12}{'ms':>12}{'ns/exp':>14}"
+    header = (f"{'workload':<28}{'search':<17}{'count':>8}{'expansions':>12}"
+              f"{'ms':>12}{'ns/exp':>10}")
     print(header)
     print("-" * len(header))
+    rows = []
     for label, a, gamma, r, n, p, mode in WORKLOADS:
         pattern = build_W(a, gamma, r).graph
         host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-        best, expansions = run(pattern, host, mode, args.repeats)
-        print(f"{label:<28}{expansions:>12}{best * 1e3:>10.2f}ms"
-              f"{best * 1e9 / max(expansions, 1):>14.1f}")
+        # Derive the conditions once, outside the timed searches.
+        automorphisms = stabilizer_chain(pattern)[1]
+        counts = set()
+        for search, break_symmetry in SEARCHES:
+            best, count, expansions = run(pattern, host, mode, args.repeats,
+                                          break_symmetry)
+            counts.add(count)
+            ns = best * 1e9 / max(expansions, 1)
+            print(f"{label:<28}{search:<17}{count:>8}{expansions:>12}"
+                  f"{best * 1e3:>10.2f}ms{ns:>10.1f}")
+            rows.append({
+                "workload": label, "search": search, "automorphisms": automorphisms,
+                "count": count, "expansions": expansions, "ms": best * 1e3,
+                "ns_per_expansion": ns,
+            })
+        if len(counts) != 1:
+            raise SystemExit(f"{label}: labeled and symmetry-broken counts differ")
+    if args.json:
+        record = {
+            "script": "benchmarks/bench_kernel.py", "repeats": args.repeats,
+            "backend": BACKEND, "cpu_count": os.cpu_count(), "rows": rows,
+        }
+        with open(args.json, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

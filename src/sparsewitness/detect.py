@@ -61,7 +61,9 @@ def find_induced_W(
     """Search for induced copies of W(a) (or W*(a)) in g.
 
     mode "find" stops at the first copy; "count" counts all labeled
-    embeddings.
+    embeddings.  The count searches one embedding per automorphism class
+    and multiplies by |Aut|, so it is still the labeled count while
+    expansions reports the smaller symmetry-broken search.
     """
     build = witness.build_W_star if starred else witness.build_W
     ws = build(a, gamma, r)
@@ -70,7 +72,7 @@ def find_induced_W(
     kernel_mode = hotpath.MODE_FIND if mode == "find" else hotpath.MODE_COUNT
     res = hotpath.embed_search(
         ws.graph, g, mode=kernel_mode, order=_pattern_order(ws),
-        budget=budget,
+        budget=budget, break_symmetry=mode == "count",
     )
     if res.exceeded:
         return DetectionResult("budget_exceeded", a=a, count=res.count,
@@ -93,7 +95,8 @@ def find_dominating_induced_W(
     """First dominating induced W(a) copy, trying a from a_range[1] down to
     a_range[0].  Domination is checked once per completed candidate, inside
     the kernel.  In "count" mode, counts dominating labeled embeddings
-    summed over the range.
+    summed over the range, each as |Aut| times one embedding per
+    automorphism class; expansions is what those searches spent.
     """
     a_lo, a_hi = a_range
     if a_lo < 1 or a_hi < a_lo:
@@ -112,7 +115,7 @@ def find_dominating_induced_W(
         )
         res = hotpath.embed_search(
             ws.graph, g, mode=kernel_mode, order=_pattern_order(ws),
-            budget=remaining,
+            budget=remaining, break_symmetry=mode == "count",
         )
         expansions += res.expansions
         remaining -= res.expansions

@@ -4,10 +4,18 @@
 the bitset backtracking kernel in ``_pure``, the one kernel backend; the
 tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
 ``backend=`` name that backend, so callers can record which one ran.
+
+With ``break_symmetry=True`` the two count modes search each automorphism
+class of embeddings once.  ``stabilizer_chain`` derives conditions
+img(v) < img(w) that exactly one embedding per class satisfies (Grochow
+and Kellis, *Network motif discovery using subgraph enumeration and
+symmetry-breaking*, RECOMB 2007), and the labeled count is |Aut| times
+the constrained count.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph, iter_mask
@@ -18,6 +26,8 @@ MODE_COUNT = _pure.MODE_COUNT
 MODE_COLLECT = _pure.MODE_COLLECT
 MODE_FIND_DOMINATING = _pure.MODE_FIND_DOMINATING
 MODE_COUNT_DOMINATING = _pure.MODE_COUNT_DOMINATING
+
+MODES = (MODE_FIND, MODE_COUNT, MODE_COLLECT, MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING)
 
 BACKEND = "pure"
 
@@ -74,6 +84,78 @@ def base_masks(pattern: Graph, host: Graph) -> list[int]:
     return masks
 
 
+def stabilizer_chain(pattern: Graph, order: list[int] | None = None):
+    """Symmetry-breaking conditions for searching pattern in this order.
+
+    Returns (smaller, automorphisms): smaller[d] is the tuple of earlier
+    search depths whose image must be smaller than the image at depth d,
+    and automorphisms is |Aut(pattern)|.  Of the |Aut| embeddings
+    f o sigma of one copy, exactly one meets every condition.  A
+    condition that follows from two others (img(u) < img(v) < img(w)) is
+    left out, since it prunes nothing more.
+
+    The conditions come from a stabilizer chain, so the group is never
+    listed.  The order is walked and each vertex v becomes a base point in
+    turn; while the earlier base points are fixed, v's orbit is found by
+    find-mode self-searches of the pattern, with the base points pinned to
+    themselves and v pinned to a candidate w.  Each automorphism found
+    merges orbits, so a w already merged with v, or with a w that failed,
+    needs no search.  Every other w of the orbit comes later in the order
+    and gets the condition img(v) < img(w).  |Aut| is the product of the
+    orbit sizes (orbit-stabilizer).  Results are cached per (pattern,
+    order).
+    """
+    if order is None:
+        order = default_order(pattern)
+    return _stabilizer_chain(tuple(pattern.bits), tuple(order))
+
+
+@functools.lru_cache(maxsize=256)
+def _stabilizer_chain(bits: tuple[int, ...], order: tuple[int, ...]):
+    n = len(bits)
+    degree = [row.bit_count() for row in bits]
+    pins = [sum(1 << w for w in range(n) if degree[w] == degree[v]) for v in range(n)]
+    smaller = [[] for _ in range(n)]
+    automorphisms = 1
+    for d, v in enumerate(order):
+        parent = list(range(n))  # union-find over the orbits found so far
+
+        def root(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        rejected = []
+        for w in order[d + 1:]:
+            if degree[w] != degree[v] or root(w) == root(v):
+                continue
+            if any(root(x) == root(w) for x in rejected):
+                continue
+            masks = list(pins)
+            masks[v] = 1 << w
+            found, _, _, exceeded = _pure.search(
+                n, bits, n, bits, order, masks, MODE_FIND, None, DEFAULT_BUDGET
+            )
+            if exceeded:
+                raise BudgetExceededError(
+                    f"automorphism search exceeded budget of {DEFAULT_BUDGET} expansions"
+                )
+            if not found:
+                rejected.append(w)
+                continue
+            for u, image in enumerate(found[0]):
+                parent[root(u)] = root(image)
+        orbit = [e for e in range(d + 1, n) if root(order[e]) == root(v)]
+        for e in orbit:
+            smaller[e].append(d)
+        automorphisms *= len(orbit) + 1
+        pins[v] = 1 << v
+    reduced = tuple(
+        tuple(j for j in js if not any(j in smaller[k] for k in js)) for js in smaller
+    )
+    return reduced, automorphisms
+
+
 class SearchResult:
     __slots__ = ("embeddings", "count", "expansions", "exceeded", "backend")
 
@@ -100,12 +182,22 @@ def embed_search(
     budget: int = DEFAULT_BUDGET,
     backend: str | None = None,
     raise_on_budget: bool = False,
+    break_symmetry: bool = False,
 ) -> SearchResult:
     """Run the kernel on Graph inputs, preparing masks and search order.
 
-    limit caps the copies MODE_COLLECT gathers; None means no cap.
-    backend must be None or a name from available_backends().
+    order must be a permutation of range(pattern.n); None picks
+    default_order.  limit caps the copies MODE_COLLECT gathers; None means
+    no cap.  backend must be None or a name from available_backends().
+
+    break_symmetry (count modes only) searches one embedding per
+    automorphism class under the stabilizer_chain conditions.  count is
+    still the labeled count, |Aut| times the constrained count, and
+    expansions is what the constrained search spent.  When the budget is
+    exceeded, count is |Aut| times the partial constrained count.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be None or at least 1, got {limit}")
     if backend not in (None, *available_backends()):
@@ -114,10 +206,18 @@ def embed_search(
         )
     if order is None:
         order = default_order(pattern)
+    elif sorted(order) != list(range(pattern.n)):
+        raise ValueError(f"order must be a permutation of range({pattern.n}), got {order}")
+    smaller, automorphisms = None, 1
+    if break_symmetry:
+        if mode not in (MODE_COUNT, MODE_COUNT_DOMINATING):
+            raise ValueError("break_symmetry needs MODE_COUNT or MODE_COUNT_DOMINATING")
+        smaller, automorphisms = stabilizer_chain(pattern, order)
     emb, count, expansions, exceeded = _pure.search(
         pattern.n, pattern.bits, host.n, host.bits, order,
-        base_masks(pattern, host), mode, limit, budget,
+        base_masks(pattern, host), mode, limit, budget, smaller,
     )
+    count *= automorphisms
     if exceeded and raise_on_budget:
         raise BudgetExceededError(f"search exceeded budget of {budget} expansions")
     return SearchResult(emb, count, expansions, exceeded, BACKEND)

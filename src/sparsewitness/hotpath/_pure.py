@@ -15,6 +15,14 @@ node is kept small:
 * leaves are handled in their parent, and in the dominating modes a
   closed-neighbourhood cover of the path replaces the per-leaf domination
   scan.
+
+Optional symmetry-breaking conditions (``smaller``) name, per depth, the
+earlier depths whose image must be the smaller host vertex.  Each is one
+mask, ``-(2 << image)``, that keeps only larger vertices: a node ANDs the
+masks of depths before its own into the next depth's candidate mask, and
+each child ANDs in the mask of its own image.  So both leaf batches see
+the last depth's conditions.  Without conditions the search tree is
+unchanged.
 """
 
 MODE_FIND = 0
@@ -24,7 +32,8 @@ MODE_FIND_DOMINATING = 3
 MODE_COUNT_DOMINATING = 4
 
 
-def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, budget):
+def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, budget,
+           smaller=None):
     """Backtracking search for induced copies of the pattern in the host.
 
     pattern_masks: pattern adjacency rows as bitmasks over pattern vertices.
@@ -32,6 +41,10 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
     simple graph: no row contains its own vertex).
     order: permutation of pattern vertices giving the assignment order.
     base_masks: per pattern vertex, bitmask of allowed host images.
+    smaller: None, or per search depth a tuple of earlier depths whose
+    image must be smaller than the image at that depth.  With conditions
+    that keep one embedding per automorphism class (see
+    ``hotpath.stabilizer_chain``) a count mode counts the classes.
 
     Returns (embeddings, count, expansions, exceeded) where embeddings[i] is
     a tuple indexed by *pattern vertex* (not search position).  In the two
@@ -65,6 +78,15 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
             (t if row >> order[j] & 1 else a).append(j)
         touch.append(t)
         apart.append(a)
+    # Per depth d, the conditions of ``smaller`` split as touch/apart are:
+    # the depths before d - 1 whose image is a lower bound (lower), and
+    # whether depth d - 1 is one (lower_parent).
+    lower = [()] * n_p
+    lower_parent = [False] * n_p
+    if smaller is not None:
+        for d, js in enumerate(smaller):
+            lower[d] = tuple(j for j in js if j < d - 1)
+            lower_parent[d] = d - 1 in js
     # A vertex set dominates iff the union of its closed neighbourhoods
     # covers the host.
     closed = [row | (1 << v) for v, row in enumerate(host_masks)] if dominating else None
@@ -132,6 +154,8 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
         pre = base_masks[order[nxt]] & ~pre
         for j in touch[nxt]:
             pre &= rows[j]
+        for j in lower[nxt]:
+            pre &= -(2 << assign[j])
         if not pre:
             # No candidate at this depth has a child: charge them all.
             expansions += cand.bit_count()
@@ -141,6 +165,7 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
                 return True
             return False
         adjacent = pattern_masks[order[nxt]] >> order[k] & 1
+        bounded = lower_parent[nxt]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -151,6 +176,8 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
             v = low.bit_length() - 1
             row = host_masks[v]
             child = pre & row if adjacent else pre & ~(row | low)
+            if bounded:
+                child &= -(low << 1)
             if not child:
                 continue
             assign[k] = v

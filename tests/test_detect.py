@@ -14,7 +14,7 @@ from sparsewitness.detect import (
     wilson_interval,
 )
 from sparsewitness.graphs import Graph, induced_embeddings, is_dominating
-from sparsewitness.witness import build_W
+from sparsewitness.witness import build_W, build_W_star
 
 
 def random_graph(n, p, rnd):
@@ -52,6 +52,25 @@ def test_find_induced_W_count_matches_oracle():
             oracle = induced_embeddings(pat, g)
             res = find_induced_W(g, a, gamma, 4, mode="count")
             assert res.count == len(oracle), (trial, a, gamma)
+
+
+def test_count_modes_are_labeled_counts():
+    # "count" searches one embedding per automorphism class and multiplies
+    # by |Aut| (240 for W(2, 0, 4)); it must still equal the labeled count.
+    rnd = random.Random(17)
+    star = build_W_star(1, 1, 2).graph
+    hosts = [build_W(2, 0, 4).graph, star] + [
+        random_graph(rnd.randint(6, 11), rnd.choice([0.3, 0.5]), rnd) for _ in range(30)
+    ]
+    for g in hosts:
+        expected = sum(
+            is_dominating(g, e)
+            for a in (1, 2) for e in induced_embeddings(build_W(a, 0, 4).graph, g)
+        )
+        res = find_dominating_induced_W(g, 0, 4, (1, 2), mode="count")
+        assert res.count == expected
+        res = find_induced_W(g, 1, 1, 2, mode="count", starred=True)
+        assert res.count == len(induced_embeddings(star, g))
 
 
 def test_found_embeddings_revalidate():

@@ -3,8 +3,9 @@
 Every mode is checked against ``graphs.induced_embeddings`` (filtered by
 ``is_dominating`` in the dominating modes), on fixed and hypothesis-drawn
 instances and at the exact budget boundary; pinned counters fix the
-search tree on seeded hosts.  Tests that take ``backend`` run on each name
-``available_backends()`` lists.
+search tree on seeded hosts, with and without symmetry breaking, whose
+|Aut| is checked against ``graphs.automorphism_count``.  Tests that take
+``backend`` run on each name ``available_backends()`` lists.
 """
 
 import itertools
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 
 from sparsewitness import gnp
 from sparsewitness.gnp import SamplerConfig, sample_gnp
-from sparsewitness.graphs import Graph, induced_embeddings, is_dominating
+from sparsewitness.graphs import (
+    Graph,
+    automorphism_count,
+    induced_embeddings,
+    is_dominating,
+)
 from sparsewitness.hotpath import (
     BACKEND,
     MODE_COLLECT,
@@ -27,6 +33,7 @@ from sparsewitness.hotpath import (
     available_backends,
     default_order,
     embed_search,
+    stabilizer_chain,
 )
 from sparsewitness.witness import build_W, build_W_star
 
@@ -131,6 +138,41 @@ def test_unknown_backend_is_rejected():
             embed_search(pat, host, backend=name)
 
 
+def test_unknown_mode_is_rejected():
+    host = Graph(5, [(i, i + 1) for i in range(4)])
+    pat = Graph(3, [(0, 1), (1, 2)])
+    for mode in (7, -1, None):
+        with pytest.raises(ValueError, match="unknown mode"):
+            embed_search(pat, host, mode=mode)
+
+
+@pytest.mark.parametrize("order", [
+    pytest.param([0, 0, 1], id="repeated"),
+    pytest.param([0, 1], id="short"),
+    pytest.param([0, 1, 2, 3], id="long"),
+    pytest.param([0, 1, 3], id="out-of-range"),
+])
+def test_order_must_be_a_permutation(order):
+    # P_3 in P_5: a repeated vertex used to count 6, a short order to
+    # raise IndexError inside the search.
+    host = Graph(5, [(i, i + 1) for i in range(4)])
+    pat = Graph(3, [(0, 1), (1, 2)])
+    for mode in MODES:
+        with pytest.raises(ValueError, match="permutation"):
+            embed_search(pat, host, mode=mode, order=order)
+        if mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
+            with pytest.raises(ValueError, match="permutation"):
+                embed_search(pat, host, mode=mode, order=order, break_symmetry=True)
+
+
+def test_break_symmetry_needs_a_count_mode():
+    host = Graph(5, [(i, i + 1) for i in range(4)])
+    pat = Graph(3, [(0, 1), (1, 2)])
+    for mode in (MODE_FIND, MODE_COLLECT, MODE_FIND_DOMINATING):
+        with pytest.raises(ValueError, match="break_symmetry"):
+            embed_search(pat, host, mode=mode, break_symmetry=True)
+
+
 def test_default_order_breaks_degree_ties_by_index():
     # Neighbours of equal degree are queued in ascending vertex index.
     assert default_order(build_W_star(2, 2, 2).graph) == [
@@ -166,12 +208,19 @@ PINNED_MC_GRID = [
     pytest.param(25, 7, 1, 480, 14823, id="n25"),
     pytest.param(40, 7, 0, 480, 262536, id="n40"),
 ]
+# The same hosts searched with break_symmetry=True: one embedding per
+# automorphism class (|Aut| = 240), so the count is 240 x 2 classes.
+PINNED_MC_GRID_BROKEN = [
+    pytest.param(25, 7, 1, 480, 1762, id="n25"),
+    pytest.param(40, 7, 0, 480, 10467, id="n40"),
+]
 
 
-def _assert_pinned(pattern, host, mode, order, backend, count, expansions):
+def _assert_pinned(pattern, host, mode, order, backend, count, expansions,
+                   break_symmetry=False):
     for budget in (expansions - 1, expansions, expansions + 1):
         res = embed_search(pattern, host, mode=mode, order=order, budget=budget,
-                           backend=backend)
+                           backend=backend, break_symmetry=break_symmetry)
         exceeded = budget < expansions
         assert (res.count, res.expansions, res.exceeded) == (count, expansions, exceeded)
 
@@ -195,6 +244,110 @@ def test_pinned_counters_mc_grid_hosts(backend, n, seed, trial, count, expansion
     order = default_order(ws.graph, start=ws.f2[0])
     _assert_pinned(ws.graph, host, MODE_COUNT_DOMINATING, order, backend, count,
                    expansions)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n, seed, trial, count, expansions", PINNED_MC_GRID_BROKEN)
+def test_pinned_symmetry_broken_counters_mc_grid_hosts(backend, n, seed, trial, count,
+                                                       expansions):
+    ws = build_W(2, 0, 4)
+    host = sample_gnp(SamplerConfig(
+        n=n, p=n ** -0.3, seed=seed, stream=gnp.derive_stream(seed, trial)
+    ))
+    order = default_order(ws.graph, start=ws.f2[0])
+    _assert_pinned(ws.graph, host, MODE_COUNT_DOMINATING, order, backend, count,
+                   expansions, break_symmetry=True)
+
+
+WITNESSES = (
+    [(build_W, a, gamma, r) for a in (1, 2) for gamma in (0, 1, 2) for r in (2, 3, 4)]
+    + [(build_W_star, 1, gamma, r) for gamma in (0, 1, 2) for r in (2, 3, 4)]
+    + [(build_W_star, 2, 0, 2)]
+)
+
+
+@pytest.mark.parametrize("build, a, gamma, r", WITNESSES)
+def test_stabilizer_chain_counts_automorphisms(build, a, gamma, r):
+    ws = build(a, gamma, r)
+    expected = automorphism_count(ws.graph)
+    orders = [None, default_order(ws.graph, start=ws.f2[0]),
+              list(range(ws.graph.n))[::-1]]
+    for order in orders:
+        smaller, automorphisms = stabilizer_chain(ws.graph, order)
+        assert automorphisms == expected
+        assert len(smaller) == ws.graph.n
+        assert all(j < d for d, js in enumerate(smaller) for j in js)
+
+
+def _complete(n):
+    return Graph(n, itertools.combinations(range(n), 2))
+
+
+def _cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+SYMMETRIC_PATTERNS = [
+    build_W(2, 0, 4).graph,                   # K_{2,5}, |Aut| = 240
+    _cycle(4), _cycle(5), _cycle(7),
+    _complete(1), _complete(3), _complete(5),
+    Graph(2, []), Graph(4, []), Graph(6, []),  # edgeless
+    Graph(5, [(0, 1), (1, 2)]),               # P_3 plus two isolated vertices
+    Graph(6, [(0, 1), (2, 3), (4, 5)]),       # perfect matching
+    Graph(7, [(0, i) for i in range(1, 6)]),  # star K_{1,5} plus an isolate
+]
+
+
+@st.composite
+def symmetric_instances(draw):
+    if draw(st.booleans()):
+        pattern = draw(st.sampled_from(SYMMETRIC_PATTERNS))
+    else:
+        n_p = draw(st.integers(0, 7))
+        pattern = Graph(n_p, [
+            e for e in itertools.combinations(range(n_p), 2) if draw(st.booleans())
+        ])
+    n_h = draw(st.integers(0, 10))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    edges = {e for e in itertools.combinations(range(n_h), 2) if rnd.random() < p}
+    if pattern.n <= n_h and draw(st.booleans()):
+        # Plant one induced copy of the pattern, so counts are not all 0.
+        image = rnd.sample(range(n_h), pattern.n)
+        edges = {(u, v) for u, v in edges if not (u in image and v in image)}
+        edges |= {tuple(sorted((image[u], image[v]))) for u, v in pattern.edges()}
+    order = draw(st.permutations(range(pattern.n)))
+    return pattern, Graph(n_h, sorted(edges)), list(order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_instances(), st.sampled_from([MODE_COUNT, MODE_COUNT_DOMINATING]))
+def test_symmetry_broken_count_matches_oracle(instance, mode):
+    pattern, host, order = instance
+    oracle = induced_embeddings(pattern, host)
+    if mode == MODE_COUNT_DOMINATING:
+        oracle = [e for e in oracle if is_dominating(host, e)]
+    plain = embed_search(pattern, host, mode=mode, order=order, budget=10**9)
+    broken = embed_search(pattern, host, mode=mode, order=order, budget=10**9,
+                          break_symmetry=True)
+    automorphisms = stabilizer_chain(pattern, order)[1]
+    assert automorphisms == automorphism_count(pattern)
+    assert broken.count == plain.count == len(oracle)
+    assert broken.embeddings == []
+    assert not broken.exceeded
+    # The constrained search tree is a subtree of the labeled one.
+    assert broken.expansions <= plain.expansions
+
+    e = broken.expansions
+    for budget in sorted({e // 2, max(e - 1, 0), e, e + 1}):
+        res = embed_search(pattern, host, mode=mode, order=order, budget=budget,
+                           break_symmetry=True)
+        if budget >= e:
+            assert (res.count, res.expansions, res.exceeded) == (broken.count, e, False)
+        else:
+            assert res.exceeded and res.expansions > budget
+            # A partial count is still |Aut| times whole classes.
+            assert res.count <= broken.count and res.count % automorphisms == 0
 
 
 @st.composite
