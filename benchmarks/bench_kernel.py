@@ -2,14 +2,16 @@
 """Benchmark the induced-embedding search kernel.
 
 Runs five induced-copy counting workloads on seeded random hosts and
-prints two rows per workload: the labeled search, which visits every
-embedding, and the symmetry-broken search (``break_symmetry=True``),
-which visits one embedding per automorphism class.  Each row has the
-count, the search expansions, the best wall time over the repeats and
-the nanoseconds per expansion.  The expansions are fixed by the search
-tree (tests/test_hotpath.py pins the labeled ones on these hosts), so
-the ns/expansion column shows the cost of each search node.  Both rows
-must report the same count.
+prints two rows per workload: the labeled search straight from the
+kernel, which visits every embedding, and ``embed_search``, whose count
+modes visit one embedding per automorphism class where a condition
+bounds a depth before the last (its expansions include the stabilizer
+chain's, which is cached after the first call).  Each row has the count,
+the expansions, the best wall time over the repeats and the nanoseconds
+per expansion.  The expansions are fixed by the search tree
+(tests/test_hotpath.py pins both rows on these hosts), so the ns/expansion
+column shows the cost of each search node.  Both rows must report the
+same count.
 
 --json PATH also writes the rows, the backend and os.cpu_count() as one
 JSON record.
@@ -27,6 +29,9 @@ from sparsewitness.hotpath import (
     BACKEND,
     MODE_COUNT,
     MODE_COUNT_DOMINATING,
+    _pure,
+    base_masks,
+    default_order,
     embed_search,
     stabilizer_chain,
 )
@@ -40,18 +45,32 @@ WORKLOADS = [
     ("W(a=2) dominating, n=40", 2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING),
     ("W(a=2,g=1) count, n=30", 2, 1, 4, 30, 0.45, MODE_COUNT),
 ]
-SEARCHES = [("labeled", False), ("symmetry-broken", True)]
 
 
-def run(pattern, host, mode, repeats, break_symmetry):
+def labeled(pattern, host, mode):
+    _, count, expansions, _ = _pure.search(
+        pattern.n, pattern.bits, host.n, host.bits, default_order(pattern),
+        base_masks(pattern, host), mode, None, 10**9,
+    )
+    return count, expansions
+
+
+def count_mode(pattern, host, mode):
+    res = embed_search(pattern, host, mode=mode, budget=10**9)
+    return res.count, res.expansions
+
+
+SEARCHES = [("labeled", labeled), ("embed_search", count_mode)]
+
+
+def run(search, pattern, host, mode, repeats):
     """Best wall time over the repeats, with the count and expansions."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        res = embed_search(pattern, host, mode=mode, budget=10**9,
-                           break_symmetry=break_symmetry)
+        count, expansions = search(pattern, host, mode)
         best = min(best, time.perf_counter() - t0)
-    return best, res.count, res.expansions
+    return best, count, expansions
 
 
 def main() -> int:
@@ -71,20 +90,19 @@ def main() -> int:
         # Derive the conditions once, outside the timed searches.
         automorphisms = stabilizer_chain(pattern)[1]
         counts = set()
-        for search, break_symmetry in SEARCHES:
-            best, count, expansions = run(pattern, host, mode, args.repeats,
-                                          break_symmetry)
+        for name, search in SEARCHES:
+            best, count, expansions = run(search, pattern, host, mode, args.repeats)
             counts.add(count)
             ns = best * 1e9 / max(expansions, 1)
-            print(f"{label:<28}{search:<17}{count:>8}{expansions:>12}"
+            print(f"{label:<28}{name:<17}{count:>8}{expansions:>12}"
                   f"{best * 1e3:>10.2f}ms{ns:>10.1f}")
             rows.append({
-                "workload": label, "search": search, "automorphisms": automorphisms,
+                "workload": label, "search": name, "automorphisms": automorphisms,
                 "count": count, "expansions": expansions, "ms": best * 1e3,
                 "ns_per_expansion": ns,
             })
         if len(counts) != 1:
-            raise SystemExit(f"{label}: labeled and symmetry-broken counts differ")
+            raise SystemExit(f"{label}: labeled and embed_search counts differ")
     if args.json:
         record = {
             "script": "benchmarks/bench_kernel.py", "repeats": args.repeats,

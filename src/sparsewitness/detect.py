@@ -61,9 +61,8 @@ def find_induced_W(
     """Search for induced copies of W(a) (or W*(a)) in g.
 
     mode "find" stops at the first copy; "count" counts all labeled
-    embeddings.  The count searches one embedding per automorphism class
-    and multiplies by |Aut|, so it is still the labeled count while
-    expansions reports the smaller symmetry-broken search.
+    embeddings, searching one per automorphism class where that prunes
+    (see hotpath.embed_search).
     """
     build = witness.build_W_star if starred else witness.build_W
     ws = build(a, gamma, r)
@@ -72,7 +71,7 @@ def find_induced_W(
     kernel_mode = hotpath.MODE_FIND if mode == "find" else hotpath.MODE_COUNT
     res = hotpath.embed_search(
         ws.graph, g, mode=kernel_mode, order=_pattern_order(ws),
-        budget=budget, break_symmetry=mode == "count",
+        budget=budget,
     )
     if res.exceeded:
         return DetectionResult("budget_exceeded", a=a, count=res.count,
@@ -95,8 +94,8 @@ def find_dominating_induced_W(
     """First dominating induced W(a) copy, trying a from a_range[1] down to
     a_range[0].  Domination is checked once per completed candidate, inside
     the kernel.  In "count" mode, counts dominating labeled embeddings
-    summed over the range, each as |Aut| times one embedding per
-    automorphism class; expansions is what those searches spent.
+    summed over the range, as in find_induced_W; expansions is what those
+    searches spent.
     """
     a_lo, a_hi = a_range
     if a_lo < 1 or a_hi < a_lo:
@@ -115,7 +114,7 @@ def find_dominating_induced_W(
         )
         res = hotpath.embed_search(
             ws.graph, g, mode=kernel_mode, order=_pattern_order(ws),
-            budget=remaining, break_symmetry=mode == "count",
+            budget=remaining,
         )
         expansions += res.expansions
         remaining -= res.expansions

@@ -5,8 +5,8 @@ the bitset backtracking kernel in ``_pure``, the one kernel backend; the
 tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
 ``backend=`` name that backend, so callers can record which one ran.
 
-With ``break_symmetry=True`` the two count modes search each automorphism
-class of embeddings once.  ``stabilizer_chain`` derives conditions
+The two count modes search each automorphism class of embeddings once
+when that prunes the tree.  ``stabilizer_chain`` derives conditions
 img(v) < img(w) that exactly one embedding per class satisfies (Grochow
 and Kellis, *Network motif discovery using subgraph enumeration and
 symmetry-breaking*, RECOMB 2007), and the labeled count is |Aut| times
@@ -15,7 +15,6 @@ the constrained count.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 
 from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph, iter_mask
@@ -84,76 +83,110 @@ def base_masks(pattern: Graph, host: Graph) -> list[int]:
     return masks
 
 
-def stabilizer_chain(pattern: Graph, order: list[int] | None = None):
+def stabilizer_chain(pattern: Graph, order: list[int] | None = None,
+                     budget: int = DEFAULT_BUDGET):
     """Symmetry-breaking conditions for searching pattern in this order.
 
-    Returns (smaller, automorphisms): smaller[d] is the tuple of earlier
-    search depths whose image must be smaller than the image at depth d,
-    and automorphisms is |Aut(pattern)|.  Of the |Aut| embeddings
-    f o sigma of one copy, exactly one meets every condition.  A
-    condition that follows from two others (img(u) < img(v) < img(w)) is
-    left out, since it prunes nothing more.
+    Returns (smaller, automorphisms, expansions): smaller[d] is the tuple
+    of earlier search depths whose image must be smaller than the image at
+    depth d, automorphisms is |Aut(pattern)|, and expansions is what the
+    derivation's self-searches spent.  Of the |Aut| embeddings f o sigma
+    of one copy, exactly one meets every condition.  A condition that
+    follows from two others is left out.
 
     The conditions come from a stabilizer chain, so the group is never
     listed.  The order is walked and each vertex v becomes a base point in
-    turn; while the earlier base points are fixed, v's orbit is found by
-    find-mode self-searches of the pattern, with the base points pinned to
-    themselves and v pinned to a candidate w.  Each automorphism found
-    merges orbits, so a w already merged with v, or with a w that failed,
-    needs no search.  Every other w of the orbit comes later in the order
-    and gets the condition img(v) < img(w).  |Aut| is the product of the
-    orbit sizes (orbit-stabilizer).  Results are cached per (pattern,
-    order).
+    turn.  While the earlier base points are fixed, v's orbit is found by
+    one find-mode self-search of the pattern per later vertex w of v's
+    degree, with the base points pinned to themselves and v pinned to w.
+    Each w in the orbit gets the condition img(v) < img(w).  |Aut| is the
+    product of the orbit sizes (orbit-stabilizer).  Results are cached per
+    (pattern, order).
+
+    Raises BudgetExceededError when the self-searches together need more
+    than budget expansions.
     """
     if order is None:
         order = default_order(pattern)
-    return _stabilizer_chain(tuple(pattern.bits), tuple(order))
+    chain = _chain(tuple(pattern.bits), tuple(order), budget)
+    if chain is None:
+        raise BudgetExceededError(
+            f"automorphism search exceeded budget of {budget} expansions"
+        )
+    return chain
 
 
-@functools.lru_cache(maxsize=256)
-def _stabilizer_chain(bits: tuple[int, ...], order: tuple[int, ...]):
+# (pattern rows, order) -> (smaller, automorphisms, expansions) of a
+# finished derivation, or (None, None, cap) for one that needed more than
+# cap expansions.
+_CHAINS: dict = {}
+
+
+def _chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int):
+    """The stabilizer chain, or None when deriving it needs more than
+    budget expansions.  Which one is returned depends only on the
+    derivation's cost, not on what is cached."""
+    key = (bits, order)
+    hit = _CHAINS.get(key)
+    if hit is None or (hit[0] is None and hit[2] < budget):
+        if len(_CHAINS) >= 256:
+            _CHAINS.clear()
+        hit = _CHAINS[key] = _derive_chain(bits, order, budget)
+    smaller, _, expansions = hit
+    return hit if smaller is not None and expansions <= budget else None
+
+
+def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int):
     n = len(bits)
     degree = [row.bit_count() for row in bits]
     pins = [sum(1 << w for w in range(n) if degree[w] == degree[v]) for v in range(n)]
     smaller = [[] for _ in range(n)]
     automorphisms = 1
+    spent = 0
     for d, v in enumerate(order):
-        parent = list(range(n))  # union-find over the orbits found so far
-
-        def root(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        rejected = []
-        for w in order[d + 1:]:
-            if degree[w] != degree[v] or root(w) == root(v):
-                continue
-            if any(root(x) == root(w) for x in rejected):
+        self_order = _pinned_first(bits, order[:d + 1])
+        orbit = 1
+        for e in range(d + 1, n):
+            w = order[e]
+            if degree[w] != degree[v]:
                 continue
             masks = list(pins)
             masks[v] = 1 << w
-            found, _, _, exceeded = _pure.search(
-                n, bits, n, bits, order, masks, MODE_FIND, None, DEFAULT_BUDGET
+            found, _, expansions, exceeded = _pure.search(
+                n, bits, n, bits, self_order, masks, MODE_FIND, None, budget - spent
             )
+            spent += expansions
             if exceeded:
-                raise BudgetExceededError(
-                    f"automorphism search exceeded budget of {DEFAULT_BUDGET} expansions"
-                )
-            if not found:
-                rejected.append(w)
-                continue
-            for u, image in enumerate(found[0]):
-                parent[root(u)] = root(image)
-        orbit = [e for e in range(d + 1, n) if root(order[e]) == root(v)]
-        for e in orbit:
-            smaller[e].append(d)
-        automorphisms *= len(orbit) + 1
+                return None, None, budget
+            if found:
+                smaller[e].append(d)
+                orbit += 1
+        automorphisms *= orbit
         pins[v] = 1 << v
+    # A condition that follows from two others (img(u) < img(v) < img(w))
+    # prunes nothing more; leaving it out saves mask ANDs.
     reduced = tuple(
         tuple(j for j in js if not any(j in smaller[k] for k in js)) for js in smaller
     )
-    return reduced, automorphisms
+    return reduced, automorphisms, spent
+
+
+def _pinned_first(bits: tuple[int, ...], pinned: tuple[int, ...]) -> list[int]:
+    """Self-search order: the pinned vertices, then each time the vertex
+    with the most neighbours already placed (ties: the lowest index).  A
+    pin that no automorphism extends then fails near the top of the tree;
+    in the search order itself, W(3, 0, 4)'s default order places sixteen
+    mutually non-adjacent vertices before their neighbours and such a
+    self-search runs past 10**8 expansions."""
+    order = list(pinned)
+    placed = sum(1 << v for v in pinned)
+    rest = [v for v in range(len(bits)) if not placed >> v & 1]
+    while rest:
+        v = max(rest, key=lambda u: (bits[u] & placed).bit_count())
+        rest.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    return order
 
 
 class SearchResult:
@@ -182,7 +215,6 @@ def embed_search(
     budget: int = DEFAULT_BUDGET,
     backend: str | None = None,
     raise_on_budget: bool = False,
-    break_symmetry: bool = False,
 ) -> SearchResult:
     """Run the kernel on Graph inputs, preparing masks and search order.
 
@@ -190,11 +222,16 @@ def embed_search(
     default_order.  limit caps the copies MODE_COLLECT gathers; None means
     no cap.  backend must be None or a name from available_backends().
 
-    break_symmetry (count modes only) searches one embedding per
-    automorphism class under the stabilizer_chain conditions.  count is
-    still the labeled count, |Aut| times the constrained count, and
-    expansions is what the constrained search spent.  When the budget is
-    exceeded, count is |Aut| times the partial constrained count.
+    The two count modes first derive the stabilizer_chain of the pattern
+    in this order.  When a condition bounds a depth before the last one,
+    they search one embedding per automorphism class and report count as
+    |Aut| times the constrained count, still the labeled count; otherwise
+    they search every embedding.  expansions is the derivation's plus the
+    search's, and the derivation is charged on every call although it runs
+    once per (pattern, order), so budget bounds both and the result never
+    depends on the cache.  When the budget is exceeded, count is the
+    partial count so far (a multiple of |Aut| in a constrained search),
+    and 0 if the budget ran out during the derivation.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -208,16 +245,22 @@ def embed_search(
         order = default_order(pattern)
     elif sorted(order) != list(range(pattern.n)):
         raise ValueError(f"order must be a permutation of range({pattern.n}), got {order}")
-    smaller, automorphisms = None, 1
-    if break_symmetry:
-        if mode not in (MODE_COUNT, MODE_COUNT_DOMINATING):
-            raise ValueError("break_symmetry needs MODE_COUNT or MODE_COUNT_DOMINATING")
-        smaller, automorphisms = stabilizer_chain(pattern, order)
-    emb, count, expansions, exceeded = _pure.search(
-        pattern.n, pattern.bits, host.n, host.bits, order,
-        base_masks(pattern, host), mode, limit, budget, smaller,
-    )
-    count *= automorphisms
+    smaller, automorphisms, derived = None, 1, 0
+    if mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
+        # None: the derivation alone needs more than the budget.
+        chain = _chain(tuple(pattern.bits), tuple(order), budget)
+        conditions, group, derived = chain or ((), 1, budget + 1)
+        if any(conditions[:-1]):
+            smaller, automorphisms = conditions, group
+    if derived > budget:
+        emb, count, expansions, exceeded = [], 0, derived, True
+    else:
+        emb, count, expansions, exceeded = _pure.search(
+            pattern.n, pattern.bits, host.n, host.bits, order,
+            base_masks(pattern, host), mode, limit, budget - derived, smaller,
+        )
+        count *= automorphisms
+        expansions += derived
     if exceeded and raise_on_budget:
         raise BudgetExceededError(f"search exceeded budget of {budget} expansions")
     return SearchResult(emb, count, expansions, exceeded, BACKEND)

@@ -3,9 +3,10 @@
 Every mode is checked against ``graphs.induced_embeddings`` (filtered by
 ``is_dominating`` in the dominating modes), on fixed and hypothesis-drawn
 instances and at the exact budget boundary; pinned counters fix the
-search tree on seeded hosts, with and without symmetry breaking, whose
-|Aut| is checked against ``graphs.automorphism_count``.  Tests that take
-``backend`` run on each name ``available_backends()`` lists.
+search tree on seeded hosts, both the kernel's labeled one and the count
+modes' symmetry-broken one, whose |Aut| is checked against
+``graphs.automorphism_count``.  Tests that take ``backend`` run on each
+name ``available_backends()`` lists.
 """
 
 import itertools
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsewitness import gnp
+from sparsewitness import detect, gnp
 from sparsewitness.gnp import SamplerConfig, sample_gnp
 from sparsewitness.graphs import (
+    BudgetExceededError,
     Graph,
     automorphism_count,
     induced_embeddings,
@@ -30,7 +32,9 @@ from sparsewitness.hotpath import (
     MODE_COUNT_DOMINATING,
     MODE_FIND,
     MODE_FIND_DOMINATING,
+    _pure,
     available_backends,
+    base_masks,
     default_order,
     embed_search,
     stabilizer_chain,
@@ -160,17 +164,6 @@ def test_order_must_be_a_permutation(order):
     for mode in MODES:
         with pytest.raises(ValueError, match="permutation"):
             embed_search(pat, host, mode=mode, order=order)
-        if mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
-            with pytest.raises(ValueError, match="permutation"):
-                embed_search(pat, host, mode=mode, order=order, break_symmetry=True)
-
-
-def test_break_symmetry_needs_a_count_mode():
-    host = Graph(5, [(i, i + 1) for i in range(4)])
-    pat = Graph(3, [(0, 1), (1, 2)])
-    for mode in (MODE_FIND, MODE_COLLECT, MODE_FIND_DOMINATING):
-        with pytest.raises(ValueError, match="break_symmetry"):
-            embed_search(pat, host, mode=mode, break_symmetry=True)
 
 
 def test_default_order_breaks_degree_ties_by_index():
@@ -188,9 +181,10 @@ def test_collect_limit():
     assert len(res.embeddings) == 4
 
 
-# (count, expansions) of the complete search, pinned from the kernel that
-# walked the search tree one candidate at a time.  Any kernel must visit the
-# same nodes in the same order, so these stay exact at every budget.
+# (count, expansions) of the complete labeled search, pinned from the
+# kernel that walked the search tree one candidate at a time.  Any kernel
+# must visit the same nodes in the same order, so these stay exact at every
+# budget.
 PINNED_BENCH = [
     # (a, gamma, r, host n, host p, mode, count, expansions); the hosts
     # are those of benchmarks/bench_kernel.py (seed 2024, default order).
@@ -208,55 +202,116 @@ PINNED_MC_GRID = [
     pytest.param(25, 7, 1, 480, 14823, id="n25"),
     pytest.param(40, 7, 0, 480, 262536, id="n40"),
 ]
-# The same hosts searched with break_symmetry=True: one embedding per
-# automorphism class (|Aut| = 240), so the count is 240 x 2 classes.
-PINNED_MC_GRID_BROKEN = [
-    pytest.param(25, 7, 1, 480, 1762, id="n25"),
-    pytest.param(40, 7, 0, 480, 10467, id="n40"),
+# The same hosts searched by embed_search, whose expansions are the
+# stabilizer chain's (3 for P_3, 77 for W(2) = K_{2,5}, 277 for W(2, 1, 4))
+# plus the search's.  P_3's only condition bounds the last depth, so it is
+# searched labeled; the W patterns (|Aut| = 240) one embedding per class.
+PINNED_BENCH_COUNT_MODE = [
+    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, 11150, 3 + 12182, id="P3-count-n60"),
+    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, 32916, 3 + 35204, id="P3-count-n120"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, 21600, 77 + 13243, id="W2-count-n40"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, 5520, 77 + 13243,
+                 id="W2-dominating-n40"),
+    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, 0, 277 + 5019, id="W2g1-count-n30"),
+]
+PINNED_MC_GRID_COUNT_MODE = [
+    pytest.param(25, 7, 1, 480, 77 + 1762, id="n25"),
+    pytest.param(40, 7, 0, 480, 77 + 10467, id="n40"),
 ]
 
 
-def _assert_pinned(pattern, host, mode, order, backend, count, expansions,
-                   break_symmetry=False):
+def _kernel(pattern, host, mode, order, budget):
+    """The labeled search, straight from the kernel (no conditions)."""
+    order = default_order(pattern) if order is None else order
+    _, count, expansions, exceeded = _pure.search(
+        pattern.n, pattern.bits, host.n, host.bits, order, base_masks(pattern, host),
+        mode, None, budget,
+    )
+    return count, expansions, exceeded
+
+
+def _embed(pattern, host, mode, order, budget):
+    res = embed_search(pattern, host, mode=mode, order=order, budget=budget)
+    return res.count, res.expansions, res.exceeded
+
+
+def _assert_pinned(search, pattern, host, mode, order, count, expansions):
     for budget in (expansions - 1, expansions, expansions + 1):
-        res = embed_search(pattern, host, mode=mode, order=order, budget=budget,
-                           backend=backend, break_symmetry=break_symmetry)
-        exceeded = budget < expansions
-        assert (res.count, res.expansions, res.exceeded) == (count, expansions, exceeded)
+        assert search(pattern, host, mode, order, budget) == (
+            count, expansions, budget < expansions)
 
 
+def _mc_grid_host(n, seed, trial):
+    return sample_gnp(SamplerConfig(
+        n=n, p=n ** -0.3, seed=seed, stream=gnp.derive_stream(seed, trial)
+    ))
+
+
+def _mc_grid_order(ws):
+    return default_order(ws.graph, start=ws.f2[0])
+
+
+# ``backend`` names the kernel in ``_pure``, the one backend.
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions", PINNED_BENCH)
 def test_pinned_counters_bench_kernel_hosts(backend, a, gamma, r, n, p, mode, count,
                                             expansions):
     pattern = build_W(a, gamma, r).graph
     host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-    _assert_pinned(pattern, host, mode, None, backend, count, expansions)
+    _assert_pinned(_kernel, pattern, host, mode, None, count, expansions)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n, seed, trial, count, expansions", PINNED_MC_GRID)
 def test_pinned_counters_mc_grid_hosts(backend, n, seed, trial, count, expansions):
     ws = build_W(2, 0, 4)
-    host = sample_gnp(SamplerConfig(
-        n=n, p=n ** -0.3, seed=seed, stream=gnp.derive_stream(seed, trial)
-    ))
-    order = default_order(ws.graph, start=ws.f2[0])
-    _assert_pinned(ws.graph, host, MODE_COUNT_DOMINATING, order, backend, count,
-                   expansions)
+    _assert_pinned(_kernel, ws.graph, _mc_grid_host(n, seed, trial),
+                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n, seed, trial, count, expansions", PINNED_MC_GRID_BROKEN)
-def test_pinned_symmetry_broken_counters_mc_grid_hosts(backend, n, seed, trial, count,
+@pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions",
+                         PINNED_BENCH_COUNT_MODE)
+def test_pinned_count_mode_counters_bench_kernel_hosts(a, gamma, r, n, p, mode, count,
+                                                       expansions):
+    pattern = build_W(a, gamma, r).graph
+    host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
+    _assert_pinned(_embed, pattern, host, mode, None, count, expansions)
+
+
+@pytest.mark.parametrize("n, seed, trial, count, expansions", PINNED_MC_GRID_COUNT_MODE)
+def test_pinned_symmetry_broken_counters_mc_grid_hosts(n, seed, trial, count,
                                                        expansions):
     ws = build_W(2, 0, 4)
-    host = sample_gnp(SamplerConfig(
-        n=n, p=n ** -0.3, seed=seed, stream=gnp.derive_stream(seed, trial)
-    ))
-    order = default_order(ws.graph, start=ws.f2[0])
-    _assert_pinned(ws.graph, host, MODE_COUNT_DOMINATING, order, backend, count,
-                   expansions, break_symmetry=True)
+    _assert_pinned(_embed, ws.graph, _mc_grid_host(n, seed, trial),
+                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions)
+
+
+def test_derivation_over_budget_is_reported_not_raised():
+    # The chain of K_{2,5} costs 77 expansions.  Below that no budget is
+    # left for the search: the count modes report it exceeded, whether or
+    # not the chain is cached.  The reversed order is used nowhere else, so
+    # the first call here derives it.
+    ws = build_W(2, 0, 4)
+    host = _mc_grid_host(25, 7, 1)
+    order = list(range(ws.graph.n))[::-1]
+    for budget in (0, 40, 76, 10**9, 76):
+        for mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
+            res = embed_search(ws.graph, host, mode=mode, order=order, budget=budget)
+            if budget < 77:
+                assert (res.count, res.expansions, res.exceeded) == (0, budget + 1, True)
+                with pytest.raises(BudgetExceededError):
+                    embed_search(ws.graph, host, mode=mode, order=order, budget=budget,
+                                 raise_on_budget=True)
+            else:
+                assert res.count == _kernel(ws.graph, host, mode, order, 10**9)[0]
+                assert not res.exceeded
+        if budget < 77:
+            with pytest.raises(BudgetExceededError):
+                stabilizer_chain(ws.graph, order, budget=budget)
+        else:
+            assert stabilizer_chain(ws.graph, order, budget=budget)[1:] == (240, 77)
+    res = detect.find_dominating_induced_W(host, 0, 4, (2, 2), mode="count", budget=76)
+    assert (res.outcome, res.count, res.expansions) == ("budget_exceeded", 0, 77)
 
 
 WITNESSES = (
@@ -273,10 +328,22 @@ def test_stabilizer_chain_counts_automorphisms(build, a, gamma, r):
     orders = [None, default_order(ws.graph, start=ws.f2[0]),
               list(range(ws.graph.n))[::-1]]
     for order in orders:
-        smaller, automorphisms = stabilizer_chain(ws.graph, order)
+        smaller, automorphisms, _ = stabilizer_chain(ws.graph, order)
         assert automorphisms == expected
         assert len(smaller) == ws.graph.n
         assert all(j < d for d, js in enumerate(smaller) for j in js)
+
+
+def test_stabilizer_chain_of_W3_needs_no_group_listing():
+    # W(3, 0, 4): four groups of four twins, permuted within each group and
+    # the groups among themselves, so |Aut| = 24**4 * 24.  In the default
+    # order sixteen twins precede their neighbours; self-searches in that
+    # order ran past 10**8 expansions.
+    ws = build_W(3, 0, 4)
+    for order in (None, default_order(ws.graph, start=ws.f2[0])):
+        _, automorphisms, expansions = stabilizer_chain(ws.graph, order, budget=10**4)
+        assert automorphisms == 24**5
+        assert expansions <= 10**4
 
 
 def _complete(n):
@@ -327,27 +394,31 @@ def test_symmetry_broken_count_matches_oracle(instance, mode):
     oracle = induced_embeddings(pattern, host)
     if mode == MODE_COUNT_DOMINATING:
         oracle = [e for e in oracle if is_dominating(host, e)]
-    plain = embed_search(pattern, host, mode=mode, order=order, budget=10**9)
-    broken = embed_search(pattern, host, mode=mode, order=order, budget=10**9,
-                          break_symmetry=True)
-    automorphisms = stabilizer_chain(pattern, order)[1]
+    smaller, automorphisms, derived = stabilizer_chain(pattern, order)
     assert automorphisms == automorphism_count(pattern)
-    assert broken.count == plain.count == len(oracle)
-    assert broken.embeddings == []
-    assert not broken.exceeded
+    labeled = _kernel(pattern, host, mode, order, 10**9)
+    _, classes, broken, _ = _pure.search(
+        pattern.n, pattern.bits, host.n, host.bits, order, base_masks(pattern, host),
+        mode, None, 10**9, smaller,
+    )
+    assert automorphisms * classes == labeled[0] == len(oracle)
     # The constrained search tree is a subtree of the labeled one.
-    assert broken.expansions <= plain.expansions
+    assert broken <= labeled[1]
 
-    e = broken.expansions
-    for budget in sorted({e // 2, max(e - 1, 0), e, e + 1}):
-        res = embed_search(pattern, host, mode=mode, order=order, budget=budget,
-                           break_symmetry=True)
+    constrained = any(smaller[:-1])
+    res = embed_search(pattern, host, mode=mode, order=order, budget=10**9)
+    e = derived + (broken if constrained else labeled[1])
+    assert (res.count, res.expansions, res.exceeded) == (len(oracle), e, False)
+    assert res.embeddings == []
+    unit = automorphisms if constrained else 1
+    for budget in sorted({e // 2, max(e - 1, 0), e, e + 1, max(derived - 1, 0)}):
+        res = embed_search(pattern, host, mode=mode, order=order, budget=budget)
         if budget >= e:
-            assert (res.count, res.expansions, res.exceeded) == (broken.count, e, False)
+            assert (res.count, res.expansions, res.exceeded) == (len(oracle), e, False)
         else:
             assert res.exceeded and res.expansions > budget
             # A partial count is still |Aut| times whole classes.
-            assert res.count <= broken.count and res.count % automorphisms == 0
+            assert res.count <= len(oracle) and res.count % unit == 0
 
 
 @st.composite
