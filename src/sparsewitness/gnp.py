@@ -2,10 +2,20 @@
 
 Randomness is counter-based: each (seed, stream) pair keys its own Philox
 generator, so trials are reproducible regardless of execution order or
-parallelism.  Below p ~ 10/n a geometric pair-skipping path avoids touching
-all C(n, 2) pairs; it draws from the same keyed generator and is
-distributionally equivalent to the dense path (asserted in tests), though
-not bit-identical to it.
+parallelism.  Both paths build the adjacency rows with numpy, without a
+Python step per pair:
+
+- the dense path draws one uniform per pair, scatters the hits into the
+  upper triangle of a bool matrix, symmetrises it and packs each row
+  into an int (p = 1 takes this path with no draw);
+- below p ~ 10/n a geometric pair-skipping path avoids touching all
+  C(n, 2) pairs: each batch of gaps becomes edge positions through one
+  cumulative sum.
+
+Both produce the same graphs, bit for bit, as the earlier per-pair loops
+did (pinned in tests).  The skipping path draws from the same keyed
+generator and is distributionally equivalent to the dense path (asserted
+in tests), though not bit-identical to it.
 """
 
 from __future__ import annotations
@@ -56,13 +66,19 @@ def _rng(cfg: SamplerConfig) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_arrays(n: int):
-    return np.triu_indices(n, k=1)
+def _upper_triangle(n: int) -> np.ndarray:
+    """Read-only n x n bool mask of the pairs u < v.  Boolean indexing
+    visits it in row-major order, which is the lexicographic pair order
+    of the draws."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _pair_of_index(k: np.ndarray, n: int):
     """Invert lexicographic pair indexing: k-th pair (u, v), u < v."""
-    # Row u starts at index u*n - u*(u+1)/2 - u... solve via quadratic.
+    # Row u starts at index u(2n - u - 1)/2: the row of k is the floor of
+    # the smaller root of u(2n - u - 1)/2 = k.
     kk = k.astype(np.float64)
     u = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * kk)) / 2).astype(np.int64)
     start = u * (2 * n - u - 1) // 2
@@ -80,28 +96,41 @@ def sample_gnp(cfg: SamplerConfig) -> Graph:
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n, [])
-    rng = _rng(cfg)
     if p == 1.0:
-        iu, ju = _pair_arrays(n)
-        return Graph.from_arrays(n, iu, ju)
+        return _dense_graph(n, True, total)
+    rng = _rng(cfg)
     if p < SPARSE_FACTOR / n:
         return _sample_sparse(rng, n, p, total)
-    iu, ju = _pair_arrays(n)
     hit = rng.random(total) < p
-    return Graph.from_arrays(n, iu[hit], ju[hit])
+    return _dense_graph(n, hit, int(np.count_nonzero(hit)))
+
+
+def _dense_graph(n: int, hit, m: int) -> Graph:
+    """Rows from the pair flags in lexicographic order (or one flag for all
+    pairs): scatter them into the upper triangle of a bool matrix,
+    symmetrise, and pack each row into a little-endian Python int."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[_upper_triangle(n)] = hit
+    adj = adj | adj.T
+    data = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    width = len(data) // n
+    rows = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return Graph._from_rows(rows, m)
 
 
 def _sample_sparse(rng: np.random.Generator, n: int, p: float, total: int) -> Graph:
-    """Skip between edges with geometric gaps instead of flipping every pair."""
-    positions = []
+    """Skip between edges with geometric gaps instead of flipping every pair
+    (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005)."""
+    chunks = []
     cursor = -1
     batch = max(16, int(total * p * 1.5) + 8)
     while cursor < total:
-        gaps = rng.geometric(p, size=batch)
-        for gap in gaps:
-            cursor += int(gap)
-            if cursor >= total:
-                break
-            positions.append(cursor)
-    iu, ju = _pair_of_index(np.asarray(positions, dtype=np.int64), n)
+        # The cursor starts at -1, so a gap above total ends the walk
+        # whatever its size; clipping there keeps the cumulative sum far
+        # from int64 overflow when p is tiny.
+        gaps = np.minimum(rng.geometric(p, size=batch), total + 1)
+        ends = cursor + np.cumsum(gaps)
+        chunks.append(ends[ends < total])
+        cursor = int(ends[-1])
+    iu, ju = _pair_of_index(np.concatenate(chunks), n)
     return Graph.from_arrays(n, iu, ju)

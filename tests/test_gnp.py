@@ -1,18 +1,20 @@
-"""Seeded random graph sampler: determinism, stream separation, and
-distributional checks against the Binomial edge-count law."""
+"""Seeded random graph sampler: determinism, stream separation, pinned
+sample digests, pair indexing, and distributional checks against the
+Binomial edge-count law."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from sparsewitness.gnp import (
     SamplerConfig,
+    _pair_of_index,
     derive_stream,
     sample_gnp,
     splitmix64,
 )
-
-scipy_stats = pytest.importorskip("scipy.stats")
 
 
 def edges_of(g):
@@ -86,6 +88,7 @@ def test_edge_count_distribution_sparse_path():
 
 
 def _chi_square_against_binomial(counts, pairs, p, trials):
+    scipy_stats = pytest.importorskip("scipy.stats")
     dist = scipy_stats.binom(pairs, p)
     # Ten equiprobable bins by binomial quantiles.
     qs = [dist.ppf(k / 10) for k in range(1, 10)]
@@ -125,3 +128,95 @@ def test_rows_match_edge_list(n, p):
         assert all(type(row) is int for row in g.bits)
         assert rows == g.bits
         assert len(edges) == g.m
+
+
+def _configs(n_values, p_values, seed, streams):
+    return [SamplerConfig(n=n, p=p, seed=seed, stream=s)
+            for n in n_values for p in p_values for s in streams]
+
+
+# Each case hashes (n, m, rows) of every graph it samples.  The digests were
+# recorded with the scalar sampler (one Python step per geometric gap, one
+# per edge when building rows on either path), before the numpy row build
+# replaced it, so they pin that the rewrite kept every stream and draw.
+PINNED_SAMPLES = {
+    "dense-50": (
+        _configs([50], [0.2], 1, range(20)),
+        "d9603d5671f37e60746e8b10bb544727fb0ba3cbcf651e090df9b2866b079bf0",
+    ),
+    "dense-80": (
+        _configs([80], [0.3], 2, range(10)),
+        "ff2e61d79fbde8137413c4e5c2dc83d250bc2f4a84766448f68175f88fe52254",
+    ),
+    "sparse-2000": (
+        _configs([2000], [0.002], 3, range(3)),
+        "99b562480807544ec6347885906f0172ed6de43b6281e75cecb7415239976b0b",
+    ),
+    "sparse-300": (
+        _configs([300], [0.01], 4, range(20)),
+        "a03abdf494cb1222e9e1658640f5fa697aa249a41110b418d8ccde0c696d7de8",
+    ),
+    # Mostly empty graphs: the mean gap is longer than all 44,850 pairs.
+    "sparse-300-tiny-p": (
+        _configs([300], [1e-5], 5, range(20)),
+        "860b652b38d756877445d22abaf7ed65f337fc616e5a58631817c541da7c6559",
+    ),
+    "p0": (
+        _configs([0, 1, 5, 50], [0.0], 6, range(2)),
+        "ddc1e47ad3f9c5569383753f6a10abdaeebf5a10ee0cf9cc5a0276fd7617bf35",
+    ),
+    "p1": (
+        _configs([0, 1, 2, 3, 5, 50, 64, 65], [1.0], 7, range(2)),
+        "d2747ceb6a93b3ca6c323096bf8457409061ad9a4aa94726ec4562021dd24e0b",
+    ),
+    "tiny-n": (
+        _configs([0, 1, 2, 3], [0.3, 0.7], 8, range(5)),
+        "afd3a545e495b09e9ef5f7b6ce3b6b2f0acf3c3f709ecde42ec8f1bdbc0993a8",
+    ),
+    # Rows of 63, 64 and 65 bits, on the sparse and the dense path.
+    "row-width": (
+        _configs([63, 64, 65], [0.05, 0.3], 9, range(4)),
+        "56f256dfacfddcbafc9e4a1509792b34a55eaf9fe2b6c9a82b6b15adc10082dd",
+    ),
+    # G(20, 0.0315) draws geometric gaps in batches of 16; streams 3187
+    # and 6242 hold 16 and 17 edges, so their walks need a second batch.
+    "second-batch": (
+        _configs([20], [0.0315], 5, [3187, 6242, 0]),
+        "a5f79b098096c32e89473e34820264459d13e542fed3f904063b2633269c2c93",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
+def test_pinned_sample_digests(case):
+    cfgs, expected = PINNED_SAMPLES[case]
+    digest = hashlib.sha256()
+    graphs = [sample_gnp(cfg) for cfg in cfgs]
+    for g in graphs:
+        digest.update(repr((g.n, g.m, g.bits)).encode())
+    assert digest.hexdigest() == expected
+    if case == "sparse-300-tiny-p":
+        assert min(g.m for g in graphs) == 0 < max(g.m for g in graphs)
+    if case == "second-batch":
+        assert [g.m for g in graphs[:2]] == [16, 17]
+
+
+def test_pair_of_index_matches_triu_indices():
+    for n in range(301):
+        iu, ju = np.triu_indices(n, k=1)
+        u, v = _pair_of_index(np.arange(iu.size, dtype=np.int64), n)
+        assert np.array_equal(u, iu) and np.array_equal(v, ju), n
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**6, 10**7])
+def test_pair_of_index_at_row_ends_for_large_n(n):
+    # Row u holds the n - 1 - u pairs from index u(2n - u - 1)/2 on.  At a
+    # row's first and last index the float square root is closest to
+    # picking the neighbouring row.
+    rows = np.random.default_rng(n).integers(0, n - 1, size=2000)
+    u = np.unique(np.concatenate([[0, 1, n - 3, n - 2], rows])).astype(np.int64)
+    first = u * (2 * n - u - 1) // 2
+    last = first + (n - 2 - u)
+    for k, v in ((first, u + 1), (last, np.full_like(u, n - 1))):
+        got_u, got_v = _pair_of_index(k, n)
+        assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
