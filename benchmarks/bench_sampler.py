@@ -20,17 +20,15 @@ one JSON record.
 Usage: python benchmarks/bench_sampler.py [--rounds N] [--before SRC] [--json PATH]
 """
 
-import argparse
 import hashlib
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import alternate
+
 CONFIGS = [
     # (label, n, p, streams per pass)
     ("dense G(50, 0.2)", 50, 0.2, 2000),
@@ -62,43 +60,13 @@ def child():
     print(json.dumps(out))
 
 
-def round_in(src):
-    """Run one round in a fresh interpreter importing from ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, __file__, "--child"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
-def commit_of(src):
-    done = subprocess.run(["git", "-C", str(src), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
-
-
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--before", metavar="SRC", help="also time the package under SRC")
-    ap.add_argument("--json", metavar="PATH", help="also write the record as JSON")
-    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
+    args = alternate.parse_args()
     if args.child:
         child()
         return 0
 
-    trees = {"after": SRC}
-    if args.before:
-        trees = {"before": Path(args.before).resolve(), "after": SRC}
-    rounds = {side: [] for side in trees}
-    for i in range(args.rounds):
-        # Alternate which tree runs first, so drift in the host's speed
-        # falls on both sides.
-        order = list(trees) if i % 2 == 0 else list(reversed(trees))
-        for side in order:
-            rounds[side].append(round_in(trees[side]))
+    trees, rounds = alternate.run_rounds(__file__, args.before, args.rounds)
 
     header = f"{'config':<24}{'side':<8}{'median us':>11}  rounds (us)"
     print(header)
@@ -123,12 +91,10 @@ def main() -> int:
             "script": "benchmarks/bench_sampler.py", "rounds": args.rounds,
             "passes": PASSES, "seed": SEED, "cpu_count": os.cpu_count(),
             "python": sys.version.split()[0], "numpy": rounds["after"][0]["numpy"],
-            "before_commit": commit_of(trees["before"]) if args.before else None,
+            "before_commit": alternate.commit_of(trees["before"]) if args.before else None,
             "rows": rows,
         }
-        with open(args.json, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        alternate.write_json(args.json, record)
     return 0
 
 

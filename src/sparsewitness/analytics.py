@@ -173,7 +173,15 @@ def f(x: float, alpha: float) -> float:
 
 
 def inverse_f(target: float, alpha: float, rtol: float = 1e-12) -> float:
-    """Unique x >= 1 with f(x) = target, by bisection."""
+    """Unique x >= 1 with f(x) = target, by float bisection on f.
+
+    The bracket is narrowed until its width is at most rtol times its low
+    end (or until floats cannot split it).  f is evaluated in floats, so
+    the result is an estimate good to about rtol plus a few ulps; the
+    exact floor search takes it only as a seed.
+    """
+    if not math.isfinite(target):
+        raise ValueError("target must be finite")
     if target < 0:
         raise ValueError("target must be nonnegative")
     if target == 0:
@@ -182,18 +190,15 @@ def inverse_f(target: float, alpha: float, rtol: float = 1e-12) -> float:
     while f(hi, alpha) < target:
         hi *= 2.0
     lo = max(1.0, hi / 2.0)
-    with mpmath.workdps(40):
-        a, b = mpmath.mpf(lo), mpmath.mpf(hi)
-        al = mpmath.mpf(repr(alpha))
-        for _ in range(200):
-            mid = (a + b) / 2
-            if mid**al * mpmath.log(mid) < target:
-                a = mid
-            else:
-                b = mid
-            if b - a <= rtol * a:
-                break
-        return float((a + b) / 2)
+    while hi - lo > rtol * lo:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        if f(mid, alpha) < target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +208,52 @@ def _iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def _iv_f(x: int, alpha: Fraction):
-    xv = iv.mpf(x)
-    ln = iv.log(xv)
-    return iv.exp(_iv_fraction(alpha) * ln) * ln
+class _Comparer:
+    """Decides signs of s - (q * f(x) + add) for one alpha.
+
+    The interval enclosure of f(x) is computed once per (x, precision) and
+    kept by this object.  One is made per public call and dropped with it,
+    so no result or cost depends on earlier calls.
+    """
+
+    def __init__(self, alpha: Fraction):
+        self.alpha = alpha
+        self._f: dict[tuple[int, int], object] = {}
+
+    def _enclose_f(self, x: int, prec: int):
+        # Called with iv.prec == prec.
+        fx = self._f.get((x, prec))
+        if fx is None:
+            ln = iv.log(iv.mpf(x))
+            fx = self._f[x, prec] = iv.exp(_iv_fraction(self.alpha) * ln) * ln
+        return fx
+
+    def compare(
+        self, s: Fraction, q: Fraction, x: int, add: Fraction = Fraction(0)
+    ) -> int:
+        if x < 1:
+            raise ValueError("endpoint argument x must be >= 1")
+        if x == 1 or q == 0:
+            return (s > add) - (s < add)
+        # s - (q f(x) + add) = q ((s - add) / q - f(x)): one rational against
+        # the enclosure of f(x), with the sign flipped when q < 0.
+        t = (s - add) / q
+        sign = 1 if q > 0 else -1
+        saved = iv.prec
+        try:
+            for prec in _PRECISIONS:
+                iv.prec = prec
+                fx = self._enclose_f(x, prec)
+                tv = _iv_fraction(t)
+                if tv.b < fx.a:
+                    return -sign
+                if tv.a > fx.b:
+                    return sign
+        finally:
+            iv.prec = saved
+        raise UndecidableComparisonError(
+            f"comparison of {s} against {q}*f({x})+{add} undecided at max precision"
+        )
 
 
 def compare_to_window_endpoint(
@@ -215,29 +262,13 @@ def compare_to_window_endpoint(
     """Sign of s - (q * f(x) + add) with s rational, decided rigorously.
 
     f(1) = 0 makes the endpoint rational and the comparison exact; for
-    x >= 2 intervals are escalated until they separate.
+    x >= 2 the single rational (s - add) / q is placed against an
+    enclosure of f(x) (the sign flipped when q < 0), with intervals
+    escalated until they separate.  Each call encloses f(x) at most once
+    per precision; the window reports and sequences share one enclosure
+    per x and precision across all comparisons of one call.
     """
-    s = _as_fraction(s)
-    alpha = _as_fraction(alpha)
-    if x < 1:
-        raise ValueError("endpoint argument x must be >= 1")
-    if x == 1 or q == 0:
-        return (s > add) - (s < add)
-    saved = iv.prec
-    try:
-        for prec in _PRECISIONS:
-            iv.prec = prec
-            endpoint = _iv_fraction(q) * _iv_f(x, alpha) + _iv_fraction(add)
-            sv = _iv_fraction(s)
-            if sv.b < endpoint.a:
-                return -1
-            if sv.a > endpoint.b:
-                return 1
-    finally:
-        iv.prec = saved
-    raise UndecidableComparisonError(
-        f"comparison of {s} against {q}*f({x})+{add} undecided at max precision"
-    )
+    return _Comparer(_as_fraction(alpha)).compare(_as_fraction(s), q, x, add)
 
 
 def _iroot(x: int, p: int) -> int:
@@ -405,7 +436,7 @@ def part1_constants(
     return Part1Constants(alpha, gamma, k, c, epsilon, C1, C2, C)
 
 
-def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
+def _floor_of_f_preimage(target: Fraction, cmp: _Comparer) -> int:
     """Largest integer m with f(m) <= target (target > 0).
 
     The float inverse only seeds the search: from it, steps that double
@@ -416,9 +447,9 @@ def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
     """
 
     def at_most(x: int) -> bool:
-        return compare_to_window_endpoint(target, Fraction(1), x, alpha) >= 0
+        return cmp.compare(target, Fraction(1), x) >= 0
 
-    x = max(1, int(inverse_f(float(target), float(alpha))))
+    x = max(1, int(inverse_f(float(target), float(cmp.alpha))))
     step = 1
     if at_most(x):
         lo, hi = x, x + 1
@@ -481,21 +512,20 @@ def sequence_part1(
         raise ParameterError("part 1 requires gamma > 9")
     consts = part1_constants(alpha, gamma, C1, C2, C, c, epsilon)
     al, k = consts.alpha, consts.k
+    cmp = _Comparer(al)
 
     m_target = Fraction(4**i, 9) / (1 - al)
-    m_i = _floor_of_f_preimage(m_target, al)
+    m_i = _floor_of_f_preimage(m_target, cmp)
     n_target = Fraction(s_part1(i, gamma)) / (consts.C * k)
-    n_i = _floor_of_f_preimage(n_target, al)
+    n_i = _floor_of_f_preimage(n_target, cmp)
 
     # Gap certificate: open window around f(m_i).
     upper_est = float(k) * f(m_i, float(al)) + float(consts.epsilon)
     violators = []
     for a in _candidate_as(gamma, upper_est * 1.01 + 4):
         s = s_part1(a, gamma)
-        below = compare_to_window_endpoint(s, consts.c * k, m_i, al) <= 0
-        above = (
-            compare_to_window_endpoint(s, k, m_i, al, add=consts.epsilon) >= 0
-        )
+        below = cmp.compare(s, consts.c * k, m_i) <= 0
+        above = cmp.compare(s, k, m_i, consts.epsilon) >= 0
         if not (below or above):
             violators.append(a)
 
@@ -504,8 +534,8 @@ def sequence_part1(
     inside = []
     for a in _candidate_as(gamma, high_est * 1.01 + 4):
         s = s_part1(a, gamma)
-        ge_low = compare_to_window_endpoint(s, consts.C1 * k, n_i, al) >= 0
-        le_high = compare_to_window_endpoint(s, consts.C2 * k, n_i, al) <= 0
+        ge_low = cmp.compare(s, consts.C1 * k, n_i) >= 0
+        le_high = cmp.compare(s, consts.C2 * k, n_i) <= 0
         if ge_low and le_high:
             inside.append(a)
 
@@ -572,13 +602,6 @@ def _power_leq(v: int, x: int, beta: Fraction) -> bool:
     return v**beta.denominator <= x**beta.numerator
 
 
-def _growth_exceeds(
-    v: int, x: int, k: Fraction, alpha: Fraction, epsilon: Fraction
-) -> bool:
-    """v > k * x^alpha * ln x + epsilon, decided by escalating intervals."""
-    return compare_to_window_endpoint(v, k, x, alpha, add=epsilon) > 0
-
-
 def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2Row:
     """Witness pair (n_i, m_i) for the part-2 floors a1 = 2i (even, for
     n_i) and a2 = 2i + 1 (odd, for m_i), with the log-space certificates
@@ -593,6 +616,7 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2R
     a1, a2 = 2 * i, 2 * i + 1
     n_i = _part2_value(a1, gamma, r, beta)
     m_i = _part2_value(a2, gamma, r, beta)
+    cmp = _Comparer(alpha)
 
     def certificate(a: int, x: int) -> Part2Certificate:
         v_now = w_star_vertex_count(a, gamma, r)
@@ -600,7 +624,7 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2R
         return Part2Certificate(
             a=a,
             size_ok=_power_leq(v_now, x, beta),
-            growth_ok=_growth_exceeds(v_next, x, k, alpha, epsilon),
+            growth_ok=cmp.compare(v_next, k, x, epsilon) > 0,
         )
 
     def log_of(x: int) -> float:
@@ -687,11 +711,12 @@ def window_report(
             closed = False
         else:
             raise ValueError(f"unknown window {window!r}")
+        cmp = _Comparer(al)
         admissible = []
         for a in _candidate_as(gamma, float(high_q) * fn + float(add) + 4, r):
             s = s_part1(a, gamma, r)
-            lo_cmp = compare_to_window_endpoint(s, low_q, n, al)
-            hi_cmp = compare_to_window_endpoint(s, high_q, n, al, add=add)
+            lo_cmp = cmp.compare(s, low_q, n)
+            hi_cmp = cmp.compare(s, high_q, n, add)
             inside = (lo_cmp >= 0 and hi_cmp <= 0) if closed else (
                 lo_cmp > 0 and hi_cmp < 0
             )

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 from . import analytics, detect, experiment, gnp, hotpath, logic, witness
 from .graphs import read_edge_list, write_edge_list
@@ -64,6 +65,7 @@ def cmd_sample(args) -> int:
 def cmd_detect(args) -> int:
     g = _load_graph(args.graph)
     mode = "count" if args.count else "find"
+    start = time.perf_counter()
     if args.a is not None and not args.dominating:
         res = detect.find_induced_W(g, args.a, args.gamma, args.r,
                                     mode=mode, budget=args.budget)
@@ -73,12 +75,14 @@ def cmd_detect(args) -> int:
             g, args.gamma, args.r, (args.a_min, a_max), mode=mode,
             budget=args.budget,
         )
+    elapsed_ms = (time.perf_counter() - start) * 1e3
     record = {
         "outcome": res.outcome,
         "a": res.a,
         "count": res.count,
         "expansions": res.expansions,
         "backend": hotpath.BACKEND,
+        "elapsed_ms": round(elapsed_ms, 3),
         "embedding": list(res.embedding) if res.embedding else None,
     }
     print(json.dumps(record))

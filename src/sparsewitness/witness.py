@@ -331,29 +331,23 @@ def _classify(v: int, a: int, gamma: int, r: int) -> str:
     if d < 0 or d % (gamma + 1) != 0:
         raise ProcessError(f"vertex count {v} matches no rule at floor {a}")
     q = d // (gamma + 1)
-    w = omega(a, r)
-    offset = 0  # 2*j + sum of r^(omega(a)+t) for t < j
-    for j in range(r**a):
-        width = r ** (w + j)
-        if q == offset:
-            return "extend_f2"
-        if q == offset + 1:
-            return "extend_tf1"
-        if offset + 2 <= q < offset + 2 + width:
+    # Sub-round j spans 2 + r^(omega(a)+j) slots of q: F2, TF1, then TF2.
+    offset, width = 0, r ** omega(a, r)
+    for _ in range(r**a):
+        if q < offset + 2:
+            return "extend_f2" if q == offset else "extend_tf1"
+        if q < offset + 2 + width:
             return "extend_tf2"
         offset += 2 + width
-        if q < offset:
-            break
+        width *= r
     raise ProcessError(f"vertex count {v} matches no rule at floor {a}")
 
 
-def process_step(state: ProcessState) -> ProcessState:
-    """Apply the unique growth rule for the current vertex count and
-    return the new state (states are never mutated in place)."""
-    gamma, r, a = state.gamma, state.r, state.floor
-    rule = _classify(state.graph.n, a, gamma, r)
-    b = _Builder(gamma, state.graph, state.roles)
-    f1, f2, tf1, tf2 = list(state.f1), list(state.f2), list(state.tf1), list(state.tf2)
+def _grow_step(b: _Builder, trees: tuple[list[int], ...], floor: int, r: int) -> int:
+    """Apply the unique growth rule for the builder's vertex count to b
+    and to the f1, f2, tf1, tf2 lists in trees; returns the new floor."""
+    f1, f2, tf1, tf2 = trees
+    rule = _classify(len(b.rows), floor, b.gamma, r)
     if rule == "extend_f1":
         b.grow(f1, 1, ROLE_F1)
     elif rule == "extend_f2":
@@ -362,19 +356,53 @@ def process_step(state: ProcessState) -> ProcessState:
         b.connector(b.grow(tf1, 1, ROLE_TF1), f2[-1])
     else:
         b.connector(tf1[-1], b.grow(tf2, r, ROLE_TF2))
-    graph = b.graph()
-    floor = a + 1 if graph.n == w_star_vertex_count(a + 1, gamma, r) else a
+    if len(b.rows) == w_star_vertex_count(floor + 1, b.gamma, r):
+        return floor + 1
+    return floor
+
+
+def _snapshot(
+    b: _Builder, trees: tuple[list[int], ...], floor: int, r: int, step: int
+) -> ProcessState:
+    f1, f2, tf1, tf2 = trees
     return ProcessState(
-        gamma, r, graph, tuple(b.roles), floor, state.step + 1,
+        b.gamma, r, b.graph(), tuple(b.roles), floor, step,
         tuple(f1), tuple(f2), tuple(tf1), tuple(tf2),
     )
 
 
+def _builder_of(state: ProcessState) -> tuple[_Builder, tuple[list[int], ...]]:
+    """A builder and bookkeeping lists copied from state (never shared)."""
+    trees = (list(state.f1), list(state.f2), list(state.tf1), list(state.tf2))
+    return _Builder(state.gamma, state.graph, state.roles), trees
+
+
+def process_step(state: ProcessState) -> ProcessState:
+    """Apply the unique growth rule for the current vertex count and
+    return the new state (states are never mutated in place).
+
+    A step copies the whole state into a builder, so it costs time linear
+    in the graph size; process_run grows many steps without the copies.
+    """
+    b, trees = _builder_of(state)
+    floor = _grow_step(b, trees, state.floor, state.r)
+    return _snapshot(b, trees, floor, state.r, state.step + 1)
+
+
 def process_run(gamma: int, r: int, steps: int) -> ProcessState:
+    """The state after `steps` growth steps from process_init(gamma, r).
+
+    Equal to folding process_step `steps` times, but every step is applied
+    to one builder and one set of bookkeeping lists, and a single state is
+    built at the end, so a run costs time linear in its step count (plus
+    the row writes themselves) instead of one copy of the graph per step.
+    """
     state = process_init(gamma, r)
+    b, trees = _builder_of(state)
+    floor = state.floor
     for _ in range(steps):
-        state = process_step(state)
-    return state
+        floor = _grow_step(b, trees, floor, r)
+    return _snapshot(b, trees, floor, r, steps)
 
 
 @dataclass(frozen=True)

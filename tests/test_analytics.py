@@ -1,11 +1,13 @@
 """Log-space analytics and the exact non-convergence certificates."""
 
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsewitness import analytics
@@ -92,6 +94,12 @@ def test_f_and_inverse_roundtrip():
     assert f(1.0, 0.3) == 0.0
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_inverse_f_rejects_non_finite_targets(target):
+    with pytest.raises(ValueError):
+        inverse_f(target, 0.3)
+
+
 def test_compare_to_window_endpoint_exact_cases():
     # s vs q * x^alpha ln x + add, decided with outward interval arithmetic.
     # At x = e^... pick a rational-friendly case: alpha such that the
@@ -101,6 +109,34 @@ def test_compare_to_window_endpoint_exact_cases():
     assert compare_to_window_endpoint(1, Fraction(10), 100, al) < 0
     # q = 0 makes the endpoint just `add`: exact rational branch.
     assert compare_to_window_endpoint(5, Fraction(0), 100, al, add=Fraction(5)) == 0
+
+
+def _mp_fraction(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=10**15),
+    alpha=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                       max_denominator=100),
+    q=st.fractions(min_value=-50, max_value=50, max_denominator=1000).filter(bool),
+    add=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000),
+    den=st.integers(min_value=1, max_value=10**6),
+    offset=st.integers(min_value=-3, max_value=3),
+)
+def test_compare_to_window_endpoint_matches_mpmath(x, alpha, q, add, den, offset):
+    # s is drawn within a few 1/den of the endpoint q f(x) + add, on either
+    # side, so the comparison is close but not a tie (f(x) is
+    # transcendental for x >= 2); 60 digits decide it independently.
+    with mpmath.workdps(60):
+        fx = mpmath.power(x, _mp_fraction(alpha)) * mpmath.log(x)
+        endpoint = _mp_fraction(q) * fx + _mp_fraction(add)
+        s = Fraction(int(mpmath.floor(endpoint * den)) + offset, den)
+        diff = _mp_fraction(s) - endpoint
+        assume(abs(diff) > mpmath.mpf(10) ** -40 * (1 + abs(endpoint)))
+        want = 1 if diff > 0 else -1
+    assert compare_to_window_endpoint(s, q, x, alpha, add=add) == want
 
 
 # ------------------------------------------------- expectation formulas
@@ -311,6 +347,89 @@ def test_window_report_part1_matches_brute_force_for_every_r(window):
                 assert report.admissible_a == tuple(expected), (r, n)
                 nonempty += bool(expected)
     assert nonempty >= 3
+
+
+# perfbench's grow-certify grid: n = 10^2 .. 10^12 in quarter decades.
+PIN_GRID = [round(10 ** (k / 4)) for k in range(8, 49)]
+# sha256 digests of the rows below, recorded with the window comparisons
+# that enclosed f(x) once per comparison and placed three rationals each
+# (and the 40-digit mpmath seed of the floor search); every field of every
+# row is covered, integers as hex.
+ANALYTICS_DIGESTS = {
+    ("window", "part1", 2, "existence"): "eb6d633f5bff60c9b603c7616bd0599ec0e6fc7e353b13755db6c4b04c70d3a4",
+    ("window", "part1", 2, "gap"): "ecbf4fa4fe75d09a654b8da34a965fffb84f2bd8271e150def5c6d13e09e3028",
+    ("window", "part1", 3, "existence"): "a598e1e21f85840802c37d0e18c9c3e18122e60b966a6f7ddba8da360804b472",
+    ("window", "part1", 3, "gap"): "8caf92cb29ab922865ec421cb30873c0f09ab8d0ac6435be4cc5795eb0b73544",
+    ("window", "part1", 4, "existence"): "099e218e4386dc36ee1185fca7500a375bc3135b08ca9fd8fdf45f0ea810d970",
+    ("window", "part1", 4, "gap"): "b3eca24713dd3a8e95a5a218fc10e0e71b812fefa4bde2a60ffc37ef88fb1498",
+    ("window", "part2", 2): "70df7d24fc894e03429a814e2fc3b1e17d49c464f76ea402b1a213bab8efd65c",
+    ("window", "part2", 4): "85beef3e3a9d149c0eee5bf0c24f07b8f90426ff1e198967b1eb15dbbaa823bd",
+    ("part1", 10): "389e6d7e1af382ea437cfbeaa7ed58c503efee5befdbe8d9e72bdc0c9e37b11f",
+    ("part1", 13): "4a0059128fb5c13ff9a9f120055dd649b3e2a5ae73382f05e0ec3b3c7da4d327",
+    ("part2", 2): "492b83356475eff2c0c6d45c0145df813ab4b3084af22afca29a098ebc888a70",
+    ("part2", 4): "aa56c248c2f98b3071ec20d5d0581af3909f7a60f4e100bd8c88ba07029bf140",
+}
+
+
+def _canon(x):
+    # Part-2 floors have far more digits than int repr allows.
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            _canon(getattr(x, fld.name)) for fld in dataclasses.fields(x)
+        )
+    if isinstance(x, tuple):
+        return tuple(_canon(v) for v in x)
+    if type(x) is int:
+        return hex(x)
+    return x
+
+
+def _pinned_rows(key):
+    if key[:2] == ("window", "part1"):
+        _, _, r, window = key
+        return [window_report(n, 0.3, 10, r=r, window=window) for n in PIN_GRID]
+    if key[:2] == ("window", "part2"):
+        return [window_report(n, 0.6, 4, r=key[2], mode="part2", beta=0.25)
+                for n in PIN_GRID]
+    if key[0] == "part1":
+        return [sequence_part1(i, 0.3, key[1]) for i in range(3, 13)]
+    # r = 4 stops at i = 3: at i = 8 its floors have about 10^9 digits.
+    return [sequence_part2(i, 0.6, 0.25, 4, key[1])
+            for i in range(1, 9 if key[1] == 2 else 4)]
+
+
+@pytest.mark.parametrize(
+    "key", list(ANALYTICS_DIGESTS), ids=["-".join(map(str, k)) for k in ANALYTICS_DIGESTS]
+)
+def test_analytics_rows_are_pinned_exactly(key):
+    h = hashlib.sha256()
+    for row in _pinned_rows(key):
+        h.update(repr(_canon(row)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == ANALYTICS_DIGESTS[key]
+
+
+@pytest.mark.parametrize("window", ["existence", "gap"])
+def test_window_report_encloses_f_once_per_precision(monkeypatch, window):
+    # One call compares every candidate floor against both endpoints at
+    # the same n, so it needs one enclosure of f(n) per precision level;
+    # an identical second call does the same work again (nothing is kept
+    # between calls).
+    precisions = []
+    real_log = analytics.iv.log
+
+    def counting_log(x):
+        precisions.append(analytics.iv.prec)
+        return real_log(x)
+
+    monkeypatch.setattr(analytics.iv, "log", counting_log)
+    for n in (10**4, 10**8, 10**12):
+        report = window_report(n, 0.3, 10, r=2, window=window)
+        first, precisions[:] = list(precisions), []
+        assert first and len(first) == len(set(first)), (n, first)
+        assert window_report(n, 0.3, 10, r=2, window=window) == report
+        assert precisions == first
+        precisions.clear()
 
 
 def test_window_report_part2():

@@ -48,6 +48,12 @@ def test_process(tmp_path, capsys):
     assert g.n == w_star_vertex_count(2, 2, 2)
 
 
+def assert_elapsed_ms(record):
+    # Wall time of the search alone, in milliseconds.
+    elapsed = record["elapsed_ms"]
+    assert isinstance(elapsed, float) and 0 <= elapsed < 60_000
+
+
 def test_sample_and_detect_roundtrip(tmp_path, capsys):
     graph_file = tmp_path / "g.edges"
     code, out, _ = run(capsys, "sample", "--n", "25", "--p", "0.4",
@@ -59,6 +65,7 @@ def test_sample_and_detect_roundtrip(tmp_path, capsys):
     record = json.loads(out)
     assert record["outcome"] in ("found", "none", "budget_exceeded")
     assert code == (0 if record["outcome"] == "found" else 1)
+    assert_elapsed_ms(record)
 
 
 def test_sample_requires_p_or_alpha(capsys):
@@ -76,6 +83,7 @@ def test_detect_dominating(tmp_path, capsys):
     record = json.loads(out)
     assert code == 0 and record["outcome"] == "found" and record["a"] == 2
     assert record["backend"] == hotpath.BACKEND
+    assert_elapsed_ms(record)
 
 
 def test_evaluate(tmp_path, capsys):

@@ -267,6 +267,38 @@ def test_process_is_pinned_exactly(gamma, r):
     assert h.hexdigest() == PROCESS_DIGESTS[gamma, r]
 
 
+def _state_key(state):
+    return (state.gamma, state.r, state.graph.n, state.graph.m, state.graph.bits,
+            state.roles, state.floor, state.step,
+            state.f1, state.f2, state.tf1, state.tf2)
+
+
+@pytest.mark.parametrize(
+    "gamma, r", list(PROCESS_DIGESTS), ids=[f"g{g}-r{r}" for g, r in PROCESS_DIGESTS]
+)
+def test_process_run_matches_folded_steps(gamma, r):
+    # process_run grows one builder in place; it must equal process_step
+    # folded the same number of times, at 0 and 1 steps, at every step
+    # where the floor changes (and the one before it), and at 400.
+    init = process_init(gamma, r)
+    init_key = _state_key(init)
+    folded = [init]
+    for _ in range(PROCESS_STEPS[-1]):
+        folded.append(process_step(folded[-1]))
+    changes = [s for s in range(1, len(folded)) if folded[s].floor != folded[s - 1].floor]
+    assert changes, "400 steps should complete at least one stage"
+    counts = sorted({0, 1, PROCESS_STEPS[-1]} | set(changes) | {s - 1 for s in changes})
+    for steps in counts:
+        run = process_run(gamma, r, steps)
+        assert _state_key(run) == _state_key(folded[steps]), steps
+    # Two runs never share a row list, and neither touches process_init's.
+    a, b = process_run(gamma, r, 50), process_run(gamma, r, 50)
+    assert a.graph.bits is not b.graph.bits
+    assert a.graph.bits is not init.graph.bits
+    assert _state_key(a) == _state_key(b)
+    assert _state_key(init) == _state_key(process_init(gamma, r)) == init_key
+
+
 def test_builds_are_pinned_exactly():
     h = hashlib.sha256()
     for build, grid in ((build_W, BUILD_W_GRID), (build_W_star, BUILD_W_STAR_GRID)):
