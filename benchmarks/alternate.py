@@ -5,14 +5,19 @@ prints the round as one JSON line.  ``run_rounds`` starts those rounds in
 fresh interpreters, alternating between the package under ``--before SRC``
 (a ``src`` directory, say of a clone of an earlier commit) and the one
 beside the scripts, so both are timed by the same code on the same
-machine.
+machine.  ``time_groups`` and ``group_main`` are the child and the parent
+of scripts that time groups of calls and compare a digest of what the
+calls return.
 """
 
 import argparse
+import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -63,3 +68,71 @@ def write_json(path, record):
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
+
+
+def time_groups(groups, passes):
+    """One round over groups, a list of (label, [(function, args, kwargs),
+    ...], summary).  Each group runs once to warm up, then ``passes``
+    times; the group's row is its median pass in microseconds per call
+    and a sha256 over repr(summary(result)) of every call.  Prints the
+    round as one JSON line with the kernel backend."""
+    from sparsewitness import hotpath
+
+    out = {"backend": hotpath.BACKEND}
+    for label, calls, summary in groups:
+        for fn, args, kwargs in calls:  # warm imports and lazy set-up
+            fn(*args, **kwargs)
+        times = []
+        for _ in range(passes):
+            t0 = time.perf_counter()
+            results = [fn(*args, **kwargs) for fn, args, kwargs in calls]
+            times.append((time.perf_counter() - t0) / len(calls) * 1e6)
+        digest = hashlib.sha256()
+        for res in results:
+            digest.update(repr(summary(res)).encode())
+        out[label] = {"us": statistics.median(times), "calls": len(calls),
+                      "sha256": digest.hexdigest()}
+    print(json.dumps(out))
+
+
+def group_main(script, child, passes):
+    """The parent side of a ``time_groups`` script: run the rounds, print
+    one table row per group and side, abort if the trees' digests differ,
+    and write the --json record."""
+    args = parse_args()
+    if args.child:
+        child()
+        return 0
+
+    trees, rounds = run_rounds(script, args.before, args.rounds)
+
+    header = f"{'group':<26}{'side':<8}{'median us/call':>15}  rounds (us/call)"
+    print(header)
+    print("-" * len(header))
+    rows = []
+    labels = [k for k in rounds["after"][0] if k != "backend"]
+    for label in labels:
+        digests = {r[label]["sha256"] for side in trees for r in rounds[side]}
+        if len(digests) != 1:
+            raise SystemExit(f"{label}: the trees return different outputs")
+        row = {"group": label, "calls_per_pass": rounds["after"][0][label]["calls"],
+               "sha256": digests.pop()}
+        for side in trees:
+            us = [r[label]["us"] for r in rounds[side]]
+            row[side] = {"median_us": statistics.median(us), "rounds_us": us}
+            print(f"{label:<26}{side:<8}{statistics.median(us):>15.1f}  "
+                  + " ".join(f"{x:.1f}" for x in us))
+        if "before" in row:
+            row["after_over_before"] = row["after"]["median_us"] / row["before"]["median_us"]
+        rows.append(row)
+    if args.json:
+        record = {
+            "script": f"benchmarks/{Path(script).name}", "rounds": args.rounds,
+            "passes": passes, "cpu_count": os.cpu_count(),
+            "python": sys.version.split()[0],
+            "backend": {side: rounds[side][0]["backend"] for side in trees},
+            "before_commit": commit_of(trees["before"]) if args.before else None,
+            "rows": rows,
+        }
+        write_json(args.json, record)
+    return 0

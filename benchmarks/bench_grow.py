@@ -28,12 +28,6 @@ Usage: python benchmarks/bench_grow.py [--rounds N] [--before SRC] [--json PATH]
 """
 
 import dataclasses
-import hashlib
-import json
-import os
-import statistics
-import sys
-import time
 
 import alternate
 
@@ -42,7 +36,8 @@ PASSES = 5
 
 
 def groups():
-    """(label, [(function, args, kwargs), ...]) for every timed group."""
+    """(label, [(function, args, kwargs), ...], summary) for every timed
+    group."""
     from sparsewitness import analytics, witness
 
     process = [(witness.process_run, (g, r, steps), {})
@@ -53,11 +48,11 @@ def groups():
     window2 = [(analytics.window_report, (n, 0.6, 4), {"r": 2, "mode": "part2", "beta": 0.25})
                for n in GRID]
     return [
-        ("process_run", process),
-        ("sequence_part1", part1),
-        ("sequence_part2", part2),
-        ("window_report part1", window1),
-        ("window_report part2", window2),
+        ("process_run", process, canon),
+        ("sequence_part1", part1, canon),
+        ("sequence_part2", part2, canon),
+        ("window_report part1", window1, canon),
+        ("window_report part2", window2, canon),
     ]
 
 
@@ -80,64 +75,8 @@ def canon(x):
 
 def child():
     """One round: time every group in this interpreter."""
-    from sparsewitness import hotpath
-
-    out = {"backend": hotpath.BACKEND}
-    for label, calls in groups():
-        for fn, args, kwargs in calls:  # warm imports and lazy set-up
-            fn(*args, **kwargs)
-        times = []
-        for _ in range(PASSES):
-            t0 = time.perf_counter()
-            results = [fn(*args, **kwargs) for fn, args, kwargs in calls]
-            times.append((time.perf_counter() - t0) / len(calls) * 1e6)
-        digest = hashlib.sha256()
-        for res in results:
-            digest.update(repr(canon(res)).encode())
-        out[label] = {"us": statistics.median(times), "calls": len(calls),
-                      "sha256": digest.hexdigest()}
-    print(json.dumps(out))
-
-
-def main() -> int:
-    args = alternate.parse_args()
-    if args.child:
-        child()
-        return 0
-
-    trees, rounds = alternate.run_rounds(__file__, args.before, args.rounds)
-
-    header = f"{'group':<22}{'side':<8}{'median us/call':>15}  rounds (us/call)"
-    print(header)
-    print("-" * len(header))
-    rows = []
-    labels = [k for k in rounds["after"][0] if k != "backend"]
-    for label in labels:
-        digests = {r[label]["sha256"] for side in trees for r in rounds[side]}
-        if len(digests) != 1:
-            raise SystemExit(f"{label}: the trees return different outputs")
-        row = {"group": label, "calls_per_pass": rounds["after"][0][label]["calls"],
-               "sha256": digests.pop()}
-        for side in trees:
-            us = [r[label]["us"] for r in rounds[side]]
-            row[side] = {"median_us": statistics.median(us), "rounds_us": us}
-            print(f"{label:<22}{side:<8}{statistics.median(us):>15.1f}  "
-                  + " ".join(f"{x:.1f}" for x in us))
-        if "before" in row:
-            row["after_over_before"] = row["after"]["median_us"] / row["before"]["median_us"]
-        rows.append(row)
-    if args.json:
-        record = {
-            "script": "benchmarks/bench_grow.py", "rounds": args.rounds,
-            "passes": PASSES, "cpu_count": os.cpu_count(),
-            "python": sys.version.split()[0],
-            "backend": {side: rounds[side][0]["backend"] for side in trees},
-            "before_commit": alternate.commit_of(trees["before"]) if args.before else None,
-            "rows": rows,
-        }
-        alternate.write_json(args.json, record)
-    return 0
+    alternate.time_groups(groups(), PASSES)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(alternate.group_main(__file__, child, PASSES))

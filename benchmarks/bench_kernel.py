@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the induced-embedding search kernel.
 
-Runs five induced-copy counting workloads on seeded random hosts and
-prints two rows per workload: the labeled search straight from the
-kernel, which visits every embedding, and ``embed_search``, whose count
-modes visit one embedding per automorphism class where a condition
-bounds a depth before the last (its expansions include the stabilizer
-chain's, which is cached after the first call).  Each row has the count,
-the expansions, the best wall time over the repeats and the nanoseconds
-per expansion.  The expansions are fixed by the search tree
-(tests/test_hotpath.py pins both rows on these hosts), so the ns/expansion
+Runs five induced-copy counting workloads and three find workloads on
+seeded random hosts and prints two rows per workload: the labeled search
+straight from the kernel, which visits every embedding, and
+``embed_search``, whose count and find modes visit one embedding per
+automorphism class where a condition bounds a depth before the last (its
+expansions include the stabilizer chain's, which is cached after the
+first call).  The host of the W(3) find workloads has no copy, so those
+searches walk their whole tree.  Each row has the count, the expansions,
+the best wall time over the repeats and the nanoseconds per expansion.
+The expansions are fixed by the search tree (tests/test_hotpath.py pins
+both rows of the count workloads on these hosts), so the ns/expansion
 column shows the cost of each search node.  Both rows must report the
 same count.
 
@@ -29,6 +31,8 @@ from sparsewitness.hotpath import (
     BACKEND,
     MODE_COUNT,
     MODE_COUNT_DOMINATING,
+    MODE_FIND,
+    MODE_FIND_DOMINATING,
     _pure,
     base_masks,
     default_order,
@@ -44,6 +48,9 @@ WORKLOADS = [
     ("W(a=2) count, n=40", 2, 0, 4, 40, 0.35, MODE_COUNT),
     ("W(a=2) dominating, n=40", 2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING),
     ("W(a=2,g=1) count, n=30", 2, 1, 4, 30, 0.45, MODE_COUNT),
+    ("W(a=2) find, n=40", 2, 0, 4, 40, 0.35, MODE_FIND),
+    ("W(a=3) find, n=40", 3, 0, 4, 40, 0.35, MODE_FIND),
+    ("W(a=3) find-dominating, n=40", 3, 0, 4, 40, 0.35, MODE_FIND_DOMINATING),
 ]
 
 
@@ -55,12 +62,12 @@ def labeled(pattern, host, mode):
     return count, expansions
 
 
-def count_mode(pattern, host, mode):
+def embedded(pattern, host, mode):
     res = embed_search(pattern, host, mode=mode, budget=10**9)
     return res.count, res.expansions
 
 
-SEARCHES = [("labeled", labeled), ("embed_search", count_mode)]
+SEARCHES = [("labeled", labeled), ("embed_search", embedded)]
 
 
 def run(search, pattern, host, mode, repeats):
@@ -79,7 +86,7 @@ def main() -> int:
     ap.add_argument("--json", metavar="PATH", help="also write the rows as JSON")
     args = ap.parse_args()
 
-    header = (f"{'workload':<28}{'search':<17}{'count':>8}{'expansions':>12}"
+    header = (f"{'workload':<32}{'search':<17}{'count':>8}{'expansions':>12}"
               f"{'ms':>12}{'ns/exp':>10}")
     print(header)
     print("-" * len(header))
@@ -94,7 +101,7 @@ def main() -> int:
             best, count, expansions = run(search, pattern, host, mode, args.repeats)
             counts.add(count)
             ns = best * 1e9 / max(expansions, 1)
-            print(f"{label:<28}{name:<17}{count:>8}{expansions:>12}"
+            print(f"{label:<32}{name:<17}{count:>8}{expansions:>12}"
                   f"{best * 1e3:>10.2f}ms{ns:>10.1f}")
             rows.append({
                 "workload": label, "search": name, "automorphisms": automorphisms,

@@ -15,7 +15,7 @@ comparisons (the part-2 power inequalities) are done on exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import mpmath
@@ -439,17 +439,23 @@ def part1_constants(
 def _floor_of_f_preimage(target: Fraction, cmp: _Comparer) -> int:
     """Largest integer m with f(m) <= target (target > 0).
 
-    The float inverse only seeds the search: from it, steps that double
-    each time gallop outward until f(lo) <= target < f(hi) is established,
-    and the bracket is then bisected.  Every probe is decided rigorously,
-    so the float error costs O(log |error|) comparisons.  f(1) = 0 makes
-    lo = 1 a valid lower end without a probe.
+    An estimate only seeds the search: from it, steps that double each
+    time gallop outward until f(lo) <= target < f(hi) is established, and
+    the bracket is then bisected.  Every probe is decided rigorously, so
+    the seed's error costs O(log |error|) comparisons.  f(1) = 0 makes
+    lo = 1 a valid lower end without a probe.  The seed is the float
+    inverse, or, for targets whose preimage lies beyond the float range,
+    _big_seed.
     """
 
     def at_most(x: int) -> bool:
         return cmp.compare(target, Fraction(1), x) >= 0
 
-    x = max(1, int(inverse_f(float(target), float(cmp.alpha))))
+    try:
+        seed = inverse_f(float(target), float(cmp.alpha))
+    except OverflowError:  # float(target) itself overflows
+        seed = math.inf
+    x = max(1, int(seed)) if math.isfinite(seed) else _big_seed(target, cmp.alpha)
     step = 1
     if at_most(x):
         lo, hi = x, x + 1
@@ -468,6 +474,25 @@ def _floor_of_f_preimage(target: Fraction, cmp: _Comparer) -> int:
         else:
             hi = mid
     return lo
+
+
+def _big_seed(target: Fraction, alpha: Fraction) -> int:
+    """An integer near the preimage x of target under f, for targets too
+    large for the float inverse.  With L = ln x, f(x) = target reads
+    alpha L + ln L = ln target; Newton's method solves it at a working
+    precision set by the target's bit length, 64 bits beyond the bits of
+    x, so the seed is off by a few units at most."""
+    bits = target.numerator.bit_length() - target.denominator.bit_length() + 1
+    with mpmath.workprec(int(bits / float(alpha)) + 64):
+        ln_t = mpmath.log(target.numerator) - mpmath.log(target.denominator)
+        a = mpmath.mpf(alpha.numerator) / alpha.denominator
+        L = ln_t / a
+        for _ in range(100):
+            step = (a * L + mpmath.log(L) - ln_t) / (a + 1 / L)
+            L -= step
+            if abs(step) < mpmath.eps * L:
+                break
+        return int(mpmath.floor(mpmath.exp(L)))
 
 
 @dataclass(frozen=True)
@@ -589,6 +614,20 @@ class Part2Row:
     a2: int
     n_certificate: Part2Certificate
     m_certificate: Part2Certificate
+
+    def __repr__(self) -> str:
+        # n_i and m_i grow doubly exponentially in i; past a few hundred
+        # digits (and past the int-to-str limit) only their size is shown.
+        shown = ", ".join(
+            f"{f.name}={_brief(getattr(self, f.name))}" for f in fields(self)
+        )
+        return f"Part2Row({shown})"
+
+
+def _brief(x) -> str:
+    if type(x) is int and x.bit_length() > 1000:
+        return f"<int of {x.bit_length()} bits>"
+    return repr(x)
 
 
 def _part2_value(a: int, gamma: int, r: int, beta: Fraction) -> int:

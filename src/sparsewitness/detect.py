@@ -61,8 +61,9 @@ def find_induced_W(
     """Search for induced copies of W(a) (or W*(a)) in g.
 
     mode "find" stops at the first copy; "count" counts all labeled
-    embeddings, searching one per automorphism class where that prunes
-    (see hotpath.embed_search).
+    embeddings.  Both search one embedding per automorphism class where
+    that prunes (see hotpath.embed_search), so the embedding "find"
+    reports is the first class representative in the search order.
     """
     build = witness.build_W_star if starred else witness.build_W
     ws = build(a, gamma, r)

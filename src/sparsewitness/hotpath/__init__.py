@@ -5,12 +5,17 @@ the bitset backtracking kernel in ``_pure``, the one kernel backend; the
 tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
 ``backend=`` name that backend, so callers can record which one ran.
 
-The two count modes search each automorphism class of embeddings once
-when that prunes the tree.  ``stabilizer_chain`` derives conditions
-img(v) < img(w) that exactly one embedding per class satisfies (Grochow
-and Kellis, *Network motif discovery using subgraph enumeration and
-symmetry-breaking*, RECOMB 2007), and the labeled count is |Aut| times
-the constrained count.
+Every mode but labeled collection searches each automorphism class of
+embeddings once when that prunes the tree.  ``stabilizer_chain`` derives
+conditions img(v) < img(w) that exactly one embedding per class
+satisfies (Grochow and Kellis, *Network motif discovery using subgraph
+enumeration and symmetry-breaking*, RECOMB 2007).  The count modes
+report |Aut| times the constrained count, the labeled count; the find
+modes answer yes or no as the labeled search would, since every copy has
+a class representative and domination depends on the image set alone.
+``MODE_COLLECT`` with ``fixing`` returns one embedding per class of the
+automorphisms that fix the given pattern vertices: one per image set
+and image of those vertices.
 """
 
 from __future__ import annotations
@@ -84,31 +89,35 @@ def base_masks(pattern: Graph, host: Graph) -> list[int]:
 
 
 def stabilizer_chain(pattern: Graph, order: list[int] | None = None,
-                     budget: int = DEFAULT_BUDGET):
+                     budget: int = DEFAULT_BUDGET, fixing: tuple[int, ...] = ()):
     """Symmetry-breaking conditions for searching pattern in this order.
 
     Returns (smaller, automorphisms, expansions): smaller[d] is the tuple
     of earlier search depths whose image must be smaller than the image at
-    depth d, automorphisms is |Aut(pattern)|, and expansions is what the
-    derivation's self-searches spent.  Of the |Aut| embeddings f o sigma
-    of one copy, exactly one meets every condition.  A condition that
-    follows from two others is left out.
+    depth d, automorphisms is the order of the group of automorphisms that
+    fix every vertex of fixing (|Aut(pattern)| when fixing is empty), and
+    expansions is what the derivation's self-searches spent.  Of the
+    embeddings f o sigma of one copy, sigma in that group, exactly one
+    meets every condition.  A condition that follows from two others is
+    left out.
 
     The conditions come from a stabilizer chain, so the group is never
-    listed.  The order is walked and each vertex v becomes a base point in
-    turn.  While the earlier base points are fixed, v's orbit is found by
-    one find-mode self-search of the pattern per later vertex w of v's
-    degree, with the base points pinned to themselves and v pinned to w.
-    Each w in the orbit gets the condition img(v) < img(w).  |Aut| is the
-    product of the orbit sizes (orbit-stabilizer).  Results are cached per
-    (pattern, order).
+    listed.  The base is the fixed vertices, then the rest of the order.
+    Each vertex v becomes a base point in turn.  The fixed vertices are
+    only pinned to themselves.  For every later v, while the earlier base
+    points are pinned, v's orbit is found by one find-mode self-search of
+    the pattern per later vertex w of v's degree, with v pinned to w.
+    Each w in the orbit gets the condition img(v) < img(w); w is after v
+    in the search order too, so every condition bounds a later depth from
+    below.  The group order is the product of the orbit sizes
+    (orbit-stabilizer).  Results are cached per (pattern, order, fixing).
 
     Raises BudgetExceededError when the self-searches together need more
     than budget expansions.
     """
     if order is None:
         order = default_order(pattern)
-    chain = _chain(tuple(pattern.bits), tuple(order), budget)
+    chain = _chain(tuple(pattern.bits), tuple(order), budget, _fixed(pattern, fixing))
     if chain is None:
         raise BudgetExceededError(
             f"automorphism search exceeded budget of {budget} expansions"
@@ -116,38 +125,53 @@ def stabilizer_chain(pattern: Graph, order: list[int] | None = None,
     return chain
 
 
-# (pattern rows, order) -> (smaller, automorphisms, expansions) of a
-# finished derivation, or (None, None, cap) for one that needed more than
-# cap expansions.
+def _fixed(pattern: Graph, fixing) -> tuple[int, ...]:
+    fixing = tuple(fixing)
+    if len(set(fixing)) != len(fixing) or not all(0 <= v < pattern.n for v in fixing):
+        raise ValueError(
+            f"fixing must list distinct vertices of range({pattern.n}), got {fixing}"
+        )
+    return fixing
+
+
+# (pattern rows, order, fixing) -> (smaller, automorphisms, expansions) of
+# a finished derivation, or (None, None, cap) for one that needed more
+# than cap expansions.
 _CHAINS: dict = {}
 
 
-def _chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int):
+def _chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int,
+           fixing: tuple[int, ...]):
     """The stabilizer chain, or None when deriving it needs more than
     budget expansions.  Which one is returned depends only on the
     derivation's cost, not on what is cached."""
-    key = (bits, order)
+    key = (bits, order, fixing)
     hit = _CHAINS.get(key)
     if hit is None or (hit[0] is None and hit[2] < budget):
         if len(_CHAINS) >= 256:
             _CHAINS.clear()
-        hit = _CHAINS[key] = _derive_chain(bits, order, budget)
+        hit = _CHAINS[key] = _derive_chain(bits, order, budget, fixing)
     smaller, _, expansions = hit
     return hit if smaller is not None and expansions <= budget else None
 
 
-def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int):
+def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int,
+                  fixing: tuple[int, ...]):
     n = len(bits)
+    base = fixing + tuple(v for v in order if v not in fixing)
     degree = [row.bit_count() for row in bits]
     pins = [sum(1 << w for w in range(n) if degree[w] == degree[v]) for v in range(n)]
-    smaller = [[] for _ in range(n)]
+    for v in fixing:
+        pins[v] = 1 << v
+    smaller = [[] for _ in range(n)]  # per base position
     automorphisms = 1
     spent = 0
-    for d, v in enumerate(order):
-        self_order = _pinned_first(bits, order[:d + 1])
+    for d in range(len(fixing), n):
+        v = base[d]
+        self_order = _pinned_first(bits, base[:d + 1])
         orbit = 1
         for e in range(d + 1, n):
-            w = order[e]
+            w = base[e]
             if degree[w] != degree[v]:
                 continue
             masks = list(pins)
@@ -168,7 +192,13 @@ def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int):
     reduced = tuple(
         tuple(j for j in js if not any(j in smaller[k] for k in js)) for js in smaller
     )
-    return reduced, automorphisms, spent
+    # Base positions to search depths.  Conditions join non-fixed vertices
+    # only, which the base keeps in search order.
+    depth = {v: d for d, v in enumerate(order)}
+    by_depth = [()] * n
+    for e, js in enumerate(reduced):
+        by_depth[depth[base[e]]] = tuple(depth[base[j]] for j in js)
+    return tuple(by_depth), automorphisms, spent
 
 
 def _pinned_first(bits: tuple[int, ...], pinned: tuple[int, ...]) -> list[int]:
@@ -215,6 +245,7 @@ def embed_search(
     budget: int = DEFAULT_BUDGET,
     backend: str | None = None,
     raise_on_budget: bool = False,
+    fixing: tuple[int, ...] | None = None,
 ) -> SearchResult:
     """Run the kernel on Graph inputs, preparing masks and search order.
 
@@ -222,16 +253,26 @@ def embed_search(
     default_order.  limit caps the copies MODE_COLLECT gathers; None means
     no cap.  backend must be None or a name from available_backends().
 
-    The two count modes first derive the stabilizer_chain of the pattern
-    in this order.  When a condition bounds a depth before the last one,
-    they search one embedding per automorphism class and report count as
-    |Aut| times the constrained count, still the labeled count; otherwise
-    they search every embedding.  expansions is the derivation's plus the
-    search's, and the derivation is charged on every call although it runs
-    once per (pattern, order), so budget bounds both and the result never
-    depends on the cache.  When the budget is exceeded, count is the
-    partial count so far (a multiple of |Aut| in a constrained search),
-    and 0 if the budget ran out during the derivation.
+    Every mode but MODE_COLLECT without fixing first derives the
+    stabilizer_chain of the pattern in this order.  When a condition
+    bounds a depth before the last one, the count and find modes search
+    one embedding per automorphism class; otherwise they search every
+    embedding.  The count modes report count as |Aut| times the
+    constrained count, still the labeled count.  The find modes answer as
+    the labeled search does, but the embedding they return may differ.
+
+    fixing applies to MODE_COLLECT only.  None collects every labeled
+    embedding.  A tuple of distinct pattern vertices collects one
+    embedding per class of the automorphisms that fix each of them, so
+    exactly one per (image set, images of fixing); () gives one per image
+    set.
+
+    expansions is the derivation's plus the search's, and the derivation
+    is charged on every call although it runs once per (pattern, order,
+    fixing), so budget bounds both and the result never depends on the
+    cache.  When the budget is exceeded, count is the partial count so
+    far (a multiple of |Aut| in a constrained count), and 0 if the budget
+    ran out during the derivation.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -241,17 +282,25 @@ def embed_search(
         raise ValueError(
             f"unknown backend {backend!r}; available: {', '.join(available_backends())}"
         )
+    if fixing is not None:
+        if mode != MODE_COLLECT:
+            raise ValueError("fixing applies to MODE_COLLECT only")
+        fixing = _fixed(pattern, fixing)
     if order is None:
         order = default_order(pattern)
     elif sorted(order) != list(range(pattern.n)):
         raise ValueError(f"order must be a permutation of range({pattern.n}), got {order}")
     smaller, automorphisms, derived = None, 1, 0
-    if mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
+    if mode != MODE_COLLECT or fixing is not None:
         # None: the derivation alone needs more than the budget.
-        chain = _chain(tuple(pattern.bits), tuple(order), budget)
+        chain = _chain(tuple(pattern.bits), tuple(order), budget, fixing or ())
         conditions, group, derived = chain or ((), 1, budget + 1)
-        if any(conditions[:-1]):
-            smaller, automorphisms = conditions, group
+        # Collection keeps one embedding per class wherever the conditions
+        # fall; the other modes use them only where they prune.
+        if fixing is not None or any(conditions[:-1]):
+            smaller = conditions
+            if mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
+                automorphisms = group
     if derived > budget:
         emb, count, expansions, exceeded = [], 0, derived, True
     else:

@@ -194,4 +194,7 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
         descend(0, base_masks[order[0]], 0, 0)
     else:
         leaves(base_masks[order[0]], 0)
+    # descend's closure holds descend itself; unbinding it lets the search
+    # state be freed on return instead of at the next cyclic collection.
+    descend = None
     return embeddings, count, expansions, exceeded

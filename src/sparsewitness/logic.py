@@ -1,5 +1,6 @@
 """FO/EMSO formulas over graphs: AST, text DSL parser, and a brute-force
-evaluator with builtin atomic predicates.
+evaluator with builtin atomic predicates (set quantifiers under an @isoW
+guard range over witness copies only).
 
 Grammar (binary connectives associate right; binding gets looser downward):
 
@@ -708,11 +709,52 @@ def is_emso(node) -> bool:
     return True
 
 
+def _isoW_guarded(node: ExistsSet, builtins: dict):
+    """psi when node is EXSET X (@isoW(X) & psi) or EXSET X (psi & @isoW(X))
+    with the default @isoW, else None."""
+    body = node.body
+    if not isinstance(body, And) or builtins.get("isoW", (None, None))[1] is not builtin_isoW:
+        return None
+    guard = BuiltinAtom("isoW", (node.var,))
+    if body.left == guard:
+        return body.right
+    if body.right == guard:
+        return body.left
+    return None
+
+
+def _witness_copies(ctx: EvalContext):
+    """The vertex masks X on which @isoW(X) holds: the image sets of the
+    induced W(a) copies in the host, for every a that fits, one per copy.
+    Each a's search is charged to the budget before its copies are
+    yielded."""
+    a = 1
+    while witness.w_vertex_count(a, ctx.gamma, ctx.r) <= ctx.g.n:
+        pattern = witness.build_W(a, ctx.gamma, ctx.r)
+        res = hotpath.embed_search(
+            pattern.graph, ctx.g, mode=hotpath.MODE_COLLECT, budget=ctx.remaining,
+            raise_on_budget=True, fixing=(),
+        )
+        ctx.charge(res.expansions)
+        for emb in res.embeddings:
+            yield mask_of(emb)
+        a += 1
+
+
 def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4,
              builtins: dict | None = None) -> bool:
-    """Truth of phi on g by exhaustive enumeration: vertex quantifiers
-    range over 0..n-1, set quantifiers over all 2^n subsets in rank order.
-    Each quantifier instantiation charges one unit of budget."""
+    """Truth of phi on g by enumeration: vertex quantifiers range over
+    0..n-1, set quantifiers over all 2^n subsets in rank order.  Each
+    quantifier instantiation charges one unit of budget.
+
+    A set quantifier guarded by the default @isoW, EXSET X (@isoW(X) & psi)
+    or EXSET X (psi & @isoW(X)), ranges over the witness copies instead:
+    the image sets of induced W(a) copies, found by the kernel one per
+    copy, are exactly the sets on which the guard holds, so the verdict is
+    the exhaustive one.  The budget is charged each copy search's
+    expansions and one unit per copy tried, so it runs out at other points
+    than the exhaustive enumeration's.
+    """
     builtins = builtins or BUILTINS
     ctx = EvalContext(g, budget, gamma, r)
 
@@ -757,9 +799,14 @@ def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4,
                     return False
             return True
         if isinstance(node, ExistsSet):
-            for mask in range(1 << g.n):
+            psi = _isoW_guarded(node, builtins)
+            if psi is None:
+                body, masks = node.body, range(1 << g.n)
+            else:
+                body, masks = psi, _witness_copies(ctx)
+            for mask in masks:
                 ctx.charge()
-                if ev(node.body, fo, {**so, node.var: mask}):
+                if ev(body, fo, {**so, node.var: mask}):
                     return True
             return False
         raise TypeError(f"unknown AST node {node!r}")

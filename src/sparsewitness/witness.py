@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_BUDGET, Graph, iter_mask
+from .graphs import DEFAULT_BUDGET, Graph, iter_mask, mask_of
 from . import hotpath
 
 ROLE_F1 = "F1"
@@ -426,26 +426,21 @@ def has_gamma_r_property(
 
     Any induced copy of W*(a) is a valid endpoint of a process chain (all
     process edges touch new vertices only), so only the extension check
-    varies over copies.
+    varies over copies, and it depends only on the copy's image set and
+    the image of the F1 path end.  The kernel collects one embedding per
+    such pair (hotpath.embed_search with fixing), so each is checked
+    once.  budget bounds each a's search, symmetry derivation included.
     """
     a = 2
-    seen: set[tuple[frozenset[int], int]] = set()
     while w_star_vertex_count(a, gamma, r) <= g.n:
         ws = build_W_star(a, gamma, r)
+        va = ws.f1[-1]
         res = hotpath.embed_search(
             ws.graph, g, mode=hotpath.MODE_COLLECT, budget=budget,
-            raise_on_budget=True,
+            raise_on_budget=True, fixing=(va,),
         )
-        va = ws.f1[-1]
         for emb in res.embeddings:
-            image = frozenset(emb)
-            key = (image, emb[va])
-            if key in seen:
-                continue
-            seen.add(key)
-            mask = 0
-            for v in image:
-                mask |= 1 << v
+            mask = mask_of(emb)
             target = 1 << emb[va]
             extendable = any(
                 g.bits[w] & mask == target

@@ -275,6 +275,24 @@ def test_part1_floors_pinned_gamma10(monkeypatch, estimate):
     assert len(calls) == 2 * (len(PART1_FLOORS_GAMMA10) + 1)
 
 
+@pytest.mark.parametrize("target", [
+    # sequence_part1(170, 0.3, 13)'s m_i target: finite as a float, but its
+    # preimage (about 2**1093) is not.
+    pytest.param(Fraction(4**170, 9) / Fraction(7, 10), id="preimage-beyond-floats"),
+    # float(target) itself overflows.
+    pytest.param(Fraction(10**400, 7), id="target-beyond-floats"),
+])
+def test_floor_of_f_preimage_beyond_float_range(target):
+    # The float inverse has no finite seed here; the floor must still be
+    # exact, checked at a precision above the preimage's bit length,
+    # independently of the interval comparisons the search uses.
+    m = analytics._floor_of_f_preimage(target, analytics._Comparer(Fraction(3, 10)))
+    assert m.bit_length() > 1024
+    with mpmath.workprec(2 * m.bit_length()):
+        t = mpmath.mpf(target.numerator) / target.denominator
+        assert _f_mp(m) <= t < _f_mp(m + 1)
+
+
 def test_part1_certificates_hold_for_gamma13_large_i():
     for i in range(9, 13):
         row = sequence_part1(i, 0.3, 13)
@@ -295,6 +313,20 @@ def test_part2_fails_for_r2_but_holds_for_r4():
         assert row.n_certificate.a == 2 * i
         assert row.m_certificate.a == 2 * i + 1
         assert row.log_n_i < row.log_m_i
+
+
+def test_part2_row_repr_shows_bit_lengths_of_huge_integers():
+    # At r = 4, i = 3, m_i has 43,692 bits (about 13,000 digits), past the
+    # 4,300-digit limit on int-to-str conversion, and n_i 10,924; small
+    # fields print as they are.
+    row = sequence_part2(3, 0.6, 0.25, 4, 4)
+    text = repr(row)
+    assert f"n_i=<int of {row.n_i.bit_length()} bits>" in text
+    assert f"m_i=<int of {row.m_i.bit_length()} bits>" in text
+    assert text.startswith("Part2Row(i=3, ") and "a1=6, a2=7" in text
+    assert repr(row.n_certificate) in text
+    small = sequence_part2(1, 0.6, 0.25, 4, 2)
+    assert f"n_i={small.n_i!r}" in repr(small)
 
 
 def test_part2_parameter_validation():

@@ -5,10 +5,13 @@ Every mode is checked against ``graphs.induced_embeddings`` (filtered by
 instances and at the exact budget boundary; pinned counters fix the
 search tree on seeded hosts, both the kernel's labeled one and the count
 modes' symmetry-broken one, whose |Aut| is checked against
-``graphs.automorphism_count``.  Tests that take ``backend`` run on each
+``graphs.automorphism_count``.  The symmetry-broken find modes and
+collection with ``fixing`` are checked against the oracle grouped by
+class key.  Tests that take ``backend`` run on each
 name ``available_backends()`` lists.
 """
 
+import collections
 import itertools
 import random
 
@@ -479,3 +482,107 @@ def test_kernel_matches_oracle_at_budget_boundary(instance, mode, limit):
                 assert res.expansions == budget + 1
             assert res.count <= exact.count
             assert res.embeddings == exact.embeddings[: len(res.embeddings)]
+
+
+def _meets(smaller, order, emb):
+    """emb satisfies every condition img(order[j]) < img(order[d])."""
+    return all(emb[order[j]] < emb[order[d]] for d, js in enumerate(smaller) for j in js)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_instances(), st.sampled_from([MODE_FIND, MODE_FIND_DOMINATING]))
+def test_symmetry_broken_find_matches_oracle(instance, mode):
+    pattern, host, order = instance
+    oracle = induced_embeddings(pattern, host)
+    if mode == MODE_FIND_DOMINATING:
+        oracle = [e for e in oracle if is_dominating(host, e)]
+    smaller, _, derived = stabilizer_chain(pattern, order)
+    # Grouped by image set, the class key of the whole group, every copy
+    # has exactly one embedding that meets the conditions.
+    met = collections.Counter(frozenset(e) for e in oracle if _meets(smaller, order, e))
+    assert met == collections.Counter({frozenset(e) for e in oracle})
+
+    labeled = _kernel(pattern, host, mode, order, 10**9)
+    res = embed_search(pattern, host, mode=mode, order=order, budget=10**9)
+    assert (res.count > 0) == (labeled[0] > 0) == bool(oracle)
+    assert res.count == len(res.embeddings) == min(len(oracle), 1)
+    assert not res.exceeded
+    constrained = any(smaller[:-1])
+    if res.embeddings:
+        assert res.embeddings[0] in oracle
+        if constrained:
+            assert _meets(smaller, order, res.embeddings[0])
+    # The derivation is charged on every call, cached or not.
+    searched = _pure.search(
+        pattern.n, pattern.bits, host.n, host.bits, order, base_masks(pattern, host),
+        mode, None, 10**9, smaller if constrained else None,
+    )[2]
+    assert res.expansions == derived + searched
+    if derived:
+        res = embed_search(pattern, host, mode=mode, order=order, budget=derived - 1)
+        assert (res.count, res.expansions, res.exceeded) == (0, derived, True)
+
+
+@st.composite
+def fixing_instances(draw):
+    pattern, host, order = draw(symmetric_instances())
+    fixing = draw(st.lists(st.integers(0, pattern.n - 1), unique=True, max_size=3)
+                  if pattern.n else st.just([]))
+    return pattern, host, order, tuple(fixing)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixing_instances())
+def test_collect_with_fixing_returns_one_embedding_per_class(instance):
+    # Two embeddings differ by an automorphism that fixes every vertex of
+    # fixing iff they have the same image set and the same images of
+    # fixing, so that pair is the class key.
+    pattern, host, order, fixing = instance
+    oracle = induced_embeddings(pattern, host)
+
+    def key(emb):
+        return frozenset(emb), tuple(emb[v] for v in fixing)
+
+    res = embed_search(pattern, host, mode=MODE_COLLECT, order=order, fixing=fixing,
+                       budget=10**9)
+    keys = collections.Counter(map(key, res.embeddings))
+    assert keys == collections.Counter({key(e) for e in oracle})
+    assert set(res.embeddings) <= set(oracle)
+    assert (res.count, res.exceeded) == (len(res.embeddings), False)
+    # Each class holds |group| labeled embeddings.
+    _, group, derived = stabilizer_chain(pattern, order, fixing=fixing)
+    assert group * len(keys) == len(oracle)
+    if not fixing:
+        assert group == automorphism_count(pattern)
+    # The labeled contract is unchanged without fixing.
+    labeled = embed_search(pattern, host, mode=MODE_COLLECT, order=order, budget=10**9)
+    assert sorted(labeled.embeddings) == sorted(oracle)
+    # Budget boundary: the derivation and the search share the budget.
+    e = res.expansions
+    assert e >= derived
+    for budget in sorted({max(e - 1, 0), e}):
+        part = embed_search(pattern, host, mode=MODE_COLLECT, order=order,
+                            fixing=fixing, budget=budget)
+        if budget == e:
+            assert (part.embeddings, part.expansions, part.exceeded) == (
+                res.embeddings, e, False)
+        else:
+            assert part.exceeded and part.expansions == budget + 1
+            assert part.embeddings == res.embeddings[: len(part.embeddings)]
+
+
+def test_collect_fixing_is_checked():
+    host = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    pat = Graph(3, [(0, 1), (1, 2)])
+    for fixing in ((0, 0), (3,), (-1,)):
+        with pytest.raises(ValueError, match="fixing must list distinct vertices"):
+            embed_search(pat, host, mode=MODE_COLLECT, fixing=fixing)
+    for mode in (MODE_FIND, MODE_COUNT, MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING):
+        with pytest.raises(ValueError, match="MODE_COLLECT only"):
+            embed_search(pat, host, mode=mode, fixing=())
+    # P_3 in P_4: four labeled embeddings, two image sets, and the middle
+    # vertex's image tells the two embeddings of each image set apart.
+    assert len(embed_search(pat, host, mode=MODE_COLLECT).embeddings) == 4
+    assert len(embed_search(pat, host, mode=MODE_COLLECT, fixing=()).embeddings) == 2
+    assert len(embed_search(pat, host, mode=MODE_COLLECT, fixing=(1,)).embeddings) == 2
+    assert len(embed_search(pat, host, mode=MODE_COLLECT, fixing=(0,)).embeddings) == 4

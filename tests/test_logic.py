@@ -1,15 +1,24 @@
 """Formula DSL: parser, binding checks, and the evaluator's semantics."""
 
-import pytest
+import itertools
+import random
 
-from sparsewitness.graphs import Graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparsewitness import detect, gnp
+from sparsewitness.graphs import BudgetExceededError, Graph
 from sparsewitness.logic import (
+    BUILTINS,
     BindingError,
     FormulaSyntaxError,
+    builtin_isoW,
     evaluate,
     is_emso,
     parse_formula,
 )
+from sparsewitness.witness import build_W, w_vertex_count
 
 
 def path(n):
@@ -147,3 +156,114 @@ def test_evaluate_agrees_with_brute_force_domination():
             for comb in itertools.combinations(range(n), k)
         )
         assert evaluate(g, phi) == expect
+
+
+# ------------------------------------------- set quantifiers under @isoW
+
+# An @isoW that is not the default builtin makes the evaluator enumerate
+# every subset, the reference for the guarded path.
+EXHAUSTIVE = {**BUILTINS, "isoW": (("s",), lambda ctx, X: builtin_isoW(ctx, X))}
+
+# (gamma, r) with W(1) and W(2) of at most 10 vertices.
+SMALL_WITNESSES = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]
+
+
+@st.composite
+def psi(draw, bound=(), depth=0):
+    """A formula in X built from @max, membership and adjacency atoms,
+    with at most two nested vertex quantifiers."""
+    kinds = ["max"] + (["member", "adjacent"] if bound else [])
+    if depth < 3:
+        kinds += ["not", "and", "or"] + (["exists", "forall"] if len(bound) < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "max":
+        return "@max(X)"
+    if kind == "member":
+        return f"{draw(st.sampled_from(bound))} in X"
+    if kind == "adjacent":
+        return f"{draw(st.sampled_from(bound))} ~ {draw(st.sampled_from(bound))}"
+    if kind == "not":
+        return f"!({draw(psi(bound, depth + 1))})"
+    if kind in ("and", "or"):
+        op = "&" if kind == "and" else "|"
+        return f"({draw(psi(bound, depth + 1))}) {op} ({draw(psi(bound, depth + 1))})"
+    var = f"v{len(bound)}"
+    quantifier = "EX" if kind == "exists" else "ALL"
+    return f"{quantifier} {var} ({draw(psi(bound + (var,), depth + 1))})"
+
+
+@st.composite
+def guarded_instances(draw):
+    gamma, r = draw(st.sampled_from(SMALL_WITNESSES))
+    n = draw(st.integers(0, 10))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6]))
+    edges = {e for e in itertools.combinations(range(n), 2) if rnd.random() < p}
+    fits = [a for a in (1, 2) if w_vertex_count(a, gamma, r) <= n]
+    if fits and draw(st.booleans()):
+        # Plant an induced W(a) copy, so the guard holds somewhere.
+        pattern = build_W(draw(st.sampled_from(fits)), gamma, r).graph
+        image = rnd.sample(range(n), pattern.n)
+        edges = {(u, v) for u, v in edges if not (u in image and v in image)}
+        edges |= {tuple(sorted((image[u], image[v]))) for u, v in pattern.edges()}
+    body = draw(psi())
+    text = draw(st.sampled_from([f"EXSET X (@isoW(X) & {body})",
+                                 f"EXSET X (({body}) & @isoW(X))"]))
+    return Graph(n, sorted(edges)), text, gamma, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(guarded_instances())
+def test_guarded_set_quantifier_matches_exhaustive(instance):
+    g, text, gamma, r = instance
+    guarded = evaluate(g, parse_formula(text), gamma=gamma, r=r)
+    exhaustive = evaluate(g, parse_formula(text, EXHAUSTIVE), gamma=gamma, r=r,
+                          builtins=EXHAUSTIVE)
+    assert guarded == exhaustive
+
+
+def test_guarded_set_quantifier_visits_each_copy_once():
+    # K_{3,3} at gamma = 0, r = 2: W(1) is an edge and W(2) is K_{2,3}
+    # (|Aut| = 12).  Nine edges and six induced K_{2,3}s, each tried once.
+    g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    sizes = []
+
+    def spy(ctx, X):
+        sizes.append(bin(X).count("1"))
+        return False
+
+    builtins = {**BUILTINS, "spy": (("s",), spy)}
+    phi = parse_formula("EXSET X (@isoW(X) & @spy(X))", builtins)
+    assert not evaluate(g, phi, gamma=0, r=2, builtins=builtins)
+    assert sorted(sizes) == [2] * 9 + [5] * 6
+
+
+def test_guarded_set_quantifier_runs_on_the_budget():
+    # Every copy in K_{3,3} dominates, so all of them are tried.
+    g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    phi = parse_formula("EXSET X (@isoW(X) & ! @max(X))")
+    assert not evaluate(g, phi, gamma=0, r=2)
+    with pytest.raises(BudgetExceededError):
+        evaluate(g, phi, gamma=0, r=2, budget=10)
+
+
+def _mc_grid_host(n, seed, trial):
+    return gnp.sample_gnp(gnp.SamplerConfig(
+        n=n, p=n ** -0.3, seed=seed, stream=gnp.derive_stream(seed, trial)))
+
+
+def test_dominating_witness_sentence_matches_detect_on_mc_grid_hosts():
+    # Criterion 4's logic-detect equivalence in the Monte Carlo grid's
+    # regime (n = 25 and 40, p = n^-0.3), where the 2^n subsets cannot be
+    # enumerated: every W(a) that fits the host is searched by both.
+    phi = parse_formula("EXSET X (@isoW(X) & @max(X))")
+    verdicts = set()
+    for n in (25, 40):
+        a_max = max(a for a in range(1, 5) if w_vertex_count(a, 0, 4) <= n)
+        for trial in range(6):
+            g = _mc_grid_host(n, 7, trial)
+            via_logic = evaluate(g, phi, gamma=0, r=4)
+            via_detect = bool(detect.find_dominating_induced_W(g, 0, 4, (1, a_max)))
+            assert via_logic == via_detect, (n, trial)
+            verdicts.add(via_logic)
+    assert verdicts == {False, True}

@@ -13,6 +13,7 @@ from sparsewitness.graphs import (
     iter_mask,
     write_edge_list,
 )
+from sparsewitness.hotpath import MODE_COLLECT, embed_search
 from sparsewitness.witness import (
     ProcessError,
     RootedTree,
@@ -202,6 +203,49 @@ def test_property_false_below_and_past_stage():
     state = process_run(2, 2, 12)
     assert state.graph.n > w_star_vertex_count(2, 2, 2)
     assert not has_gamma_r_property(state.graph, 2, 2)
+
+
+def _labeled_keys(g, gamma, r, a):
+    """(image set, image of the F1 path end) of every labeled embedding of
+    W*(a) in g, from the unconstrained kernel collection."""
+    ws = build_W_star(a, gamma, r)
+    res = embed_search(ws.graph, g, mode=MODE_COLLECT)
+    return {(frozenset(e), e[ws.f1[-1]]) for e in res.embeddings}
+
+
+def _labeled_property(g, gamma, r):
+    """The parity property over every labeled embedding, as a reference."""
+    a = 2
+    while w_star_vertex_count(a, gamma, r) <= g.n:
+        for image, end in _labeled_keys(g, gamma, r, a):
+            mask = sum(1 << v for v in image)
+            if not any(g.bits[w] & mask == 1 << end
+                       for w in range(g.n) if not mask >> w & 1):
+                return True
+        a += 2
+    return False
+
+
+@pytest.mark.parametrize("gamma, r", [(0, 2), (1, 2), (2, 2)])
+def test_property_checks_each_copy_once_on_process_stages(gamma, r):
+    # From the completed W*(2) stage on: the fixing collection sees every
+    # (image, image of the F1 path end) key of the labeled collection
+    # exactly once, and the verdicts agree.
+    start = next(s for s in range(200)
+                 if process_run(gamma, r, s).graph.n >= w_star_vertex_count(2, gamma, r))
+    verdicts = []
+    for steps in range(start, start + 4):
+        g = process_run(gamma, r, steps).graph
+        ws = build_W_star(2, gamma, r)
+        va = ws.f1[-1]
+        res = embed_search(ws.graph, g, mode=MODE_COLLECT, fixing=(va,))
+        keys = [(frozenset(e), e[va]) for e in res.embeddings]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _labeled_keys(g, gamma, r, 2)
+        verdict = has_gamma_r_property(g, gamma, r)
+        assert bool(verdict) == _labeled_property(g, gamma, r)
+        verdicts.append(bool(verdict))
+    assert verdicts[0] and not verdicts[-1]
 
 
 # sha256 digests recorded with the earlier edge-list builder, so they pin
