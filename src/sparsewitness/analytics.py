@@ -444,8 +444,9 @@ def _floor_of_f_preimage(target: Fraction, cmp: _Comparer) -> int:
     the bracket is then bisected.  Every probe is decided rigorously, so
     the seed's error costs O(log |error|) comparisons.  f(1) = 0 makes
     lo = 1 a valid lower end without a probe.  The seed is the float
-    inverse, or, for targets whose preimage lies beyond the float range,
-    _big_seed.
+    inverse, or _big_seed where that inverse is not finite or reaches
+    2**53: past it a float no longer holds every integer, and the float
+    seed's error, so the gallop, grows with the preimage.
     """
 
     def at_most(x: int) -> bool:
@@ -455,7 +456,7 @@ def _floor_of_f_preimage(target: Fraction, cmp: _Comparer) -> int:
         seed = inverse_f(float(target), float(cmp.alpha))
     except OverflowError:  # float(target) itself overflows
         seed = math.inf
-    x = max(1, int(seed)) if math.isfinite(seed) else _big_seed(target, cmp.alpha)
+    x = max(1, int(seed)) if seed < 2**53 else _big_seed(target, cmp.alpha)
     step = 1
     if at_most(x):
         lo, hi = x, x + 1

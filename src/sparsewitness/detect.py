@@ -1,10 +1,16 @@
 """Detection of induced witness copies, dominating sets, and connector
 structure in host graphs.
 
-All searches run on the hotpath kernel; the search order anchors on the
-r-ary tree root of the pattern (its rarest high-degree vertex) and then
-expands breadth-first, which keeps every prefix of the pattern connected.
-Path patterns (a = 1) start from a path endpoint instead.
+All searches run on the hotpath kernel.  The search order anchors on the
+r-ary tree root f2[0] of the pattern (its rarest high-degree vertex) and
+then expands breadth-first, which keeps every prefix of the pattern
+connected, with one exception: in W(a) with a >= 2 and gamma = 0 the
+path vertex f1[1] comes second, before the root's children.  It is
+adjacent to each of them, so each child is bounded by two host rows
+instead of one, and in W(2) = K_{2,5} the kernel's domination look-ahead
+applies at depth 1.  For gamma >= 1, f1[1] reaches the tree only through
+connectors and the breadth-first order stays.  Path patterns (a = 1)
+start from a path endpoint instead.
 """
 
 from __future__ import annotations
@@ -46,7 +52,13 @@ def _pattern_order(ws: witness.WitnessGraph) -> list[int]:
         g = ws.graph
         start = next(v for v in range(g.n) if g.degree(v) == 1)
         return hotpath.default_order(g, start=start)
-    return hotpath.default_order(ws.graph, start=ws.f2[0])
+    order = hotpath.default_order(ws.graph, start=ws.f2[0])
+    if ws.a >= 2 and ws.gamma == 0 and not ws.starred:
+        # f1[1] is adjacent to every child of the root: placed second, it
+        # bounds each of them by two rows instead of one.
+        order.remove(ws.f1[1])
+        order.insert(1, ws.f1[1])
+    return order
 
 
 def find_induced_W(

@@ -14,7 +14,20 @@ node is kept small:
   are charged in one step;
 * leaves are handled in their parent, and in the dominating modes a
   closed-neighbourhood cover of the path replaces the per-leaf domination
-  scan.
+  scan;
+* the dominating modes look ahead (Haralick and Elliott's forward
+  checking, applied to domination): at a look-ahead depth, a child whose
+  still-open images leave some host vertex outside the path's cover
+  without a closed neighbour has no dominating leaf, and its subtree is
+  skipped.  The open images are the child's mask for the next depth and,
+  for each later depth, its base mask within the rows of its placed
+  neighbours.  Depth k is a look-ahead depth when every depth from k + 2
+  on has at least two pattern neighbours among the depths up to k, one
+  of them k itself; with a single row per depth the open images cover
+  nearly the whole host, and the check costs more than it prunes.  The
+  rule depends on the order alone.  A skipped child is still charged its
+  one expansion, so a dominating search tree is a subtree of the
+  MODE_COUNT tree for the same order and conditions.
 
 Optional symmetry-breaking conditions (``smaller``) name, per depth, the
 earlier depths whose image must be the smaller host vertex.  Each is one
@@ -49,7 +62,9 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
     Returns (embeddings, count, expansions, exceeded) where embeddings[i] is
     a tuple indexed by *pattern vertex* (not search position).  In the two
     dominating modes a complete assignment only counts when its image set
-    dominates the host.
+    dominates the host, and subtrees that cannot dominate are skipped (see
+    the module docstring), so they spend at most the expansions of the
+    same search in MODE_COUNT.
     """
     dominating = mode in (MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING)
     counting = mode in (MODE_COUNT, MODE_COUNT_DOMINATING)
@@ -90,6 +105,22 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
     # A vertex set dominates iff the union of its closed neighbourhoods
     # covers the host.
     closed = [row | (1 << v) for v, row in enumerate(host_masks)] if dominating else None
+    # Per depth k, None, or for a look-ahead depth (see the module
+    # docstring) the depths d >= k + 2 grouped by their placed neighbours,
+    # the depths <= k they touch: (the union of the group's base masks,
+    # those depths).
+    ahead = [None] * n_p
+    if dominating:
+        for k in range(n_p - 2):
+            groups = {}
+            for d in range(k + 2, n_p):
+                row = pattern_masks[order[d]]
+                placed = tuple(j for j in range(k + 1) if row >> order[j] & 1)
+                if len(placed) < 2 or placed[-1] != k:
+                    break
+                groups[placed] = groups.get(placed, 0) | base_masks[order[d]]
+            else:
+                ahead[k] = [(mask, placed) for placed, mask in groups.items()]
 
     assign = [0] * n_p
     rows = [0] * n_p  # host adjacency row of each assigned image
@@ -144,6 +175,33 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
                 return True
         return False
 
+    def cannot_dominate(groups, child, used, cover):
+        # True when some host vertex outside cover has no closed neighbour
+        # among the images still open to the later depths: the child mask
+        # for the next depth, and for each group of depths after it (see
+        # ahead) their base masks within the rows of their placed
+        # neighbours.
+        images = child
+        for mask, placed in groups:
+            for j in placed:
+                mask &= rows[j]
+            images |= mask
+        images &= ~used
+        missing = full & ~cover
+        if images.bit_count() < missing.bit_count():
+            reach = 0
+            while images:
+                low = images & -images
+                images ^= low
+                reach |= closed[low.bit_length() - 1]
+            return missing & ~reach != 0
+        while missing:
+            low = missing & -missing
+            missing ^= low
+            if not closed[low.bit_length() - 1] & images:
+                return True
+        return False
+
     def descend(k, cand, used, cover):
         # cand: the candidates at depth k < last; used: images of depths < k.
         nonlocal expansions, exceeded
@@ -166,6 +224,7 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
             return False
         adjacent = pattern_masks[order[nxt]] >> order[k] & 1
         bounded = lower_parent[nxt]
+        groups = ahead[k]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -183,6 +242,8 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
             assign[k] = v
             rows[k] = row
             child_cover = cover | closed[v] if dominating else 0
+            if groups is not None and cannot_dominate(groups, child, used | low, child_cover):
+                continue
             if nxt == last:
                 if leaves(child, child_cover):
                     return True

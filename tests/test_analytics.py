@@ -293,6 +293,22 @@ def test_floor_of_f_preimage_beyond_float_range(target):
         assert _f_mp(m) <= t < _f_mp(m + 1)
 
 
+@pytest.mark.parametrize("i", [20, 60, 150])
+def test_part1_floors_past_float_integers_meet_their_definition(i):
+    # Both preimages lie past 2**53, where the floor search seeds from
+    # _big_seed.  Each floor must be the largest m with f(m) <= target.
+    alpha = Fraction(3, 10)
+    consts = part1_constants(alpha, 13)
+    row = sequence_part1(i, alpha, 13)
+    for m, target in (
+        (row.m_i, Fraction(4**i, 9) / (1 - alpha)),
+        (row.n_i, Fraction(s_part1(i, 13)) / (consts.C * consts.k)),
+    ):
+        assert m > 2**53
+        assert compare_to_window_endpoint(target, Fraction(1), m, alpha) >= 0
+        assert compare_to_window_endpoint(target, Fraction(1), m + 1, alpha) < 0
+
+
 def test_part1_certificates_hold_for_gamma13_large_i():
     for i in range(9, 13):
         row = sequence_part1(i, 0.3, 13)

@@ -7,7 +7,9 @@ search tree on seeded hosts, both the kernel's labeled one and the count
 modes' symmetry-broken one, whose |Aut| is checked against
 ``graphs.automorphism_count``.  The symmetry-broken find modes and
 collection with ``fixing`` are checked against the oracle grouped by
-class key.  Tests that take ``backend`` run on each
+class key.  The dominating modes' look-ahead is checked against the
+oracle on seeded witness hosts, and its tree against the count mode's
+tree.  Tests that take ``backend`` run on each
 name ``available_backends()`` lists.
 """
 
@@ -184,42 +186,54 @@ def test_collect_limit():
     assert len(res.embeddings) == 4
 
 
-# (count, expansions) of the complete labeled search, pinned from the
-# kernel that walked the search tree one candidate at a time.  Any kernel
-# must visit the same nodes in the same order, so these stay exact at every
+# (count, expansions, before) of the complete labeled search.  before is
+# what the search spent without the domination look-ahead, pinned from the
+# kernel that walked the search tree one candidate at a time.  The
+# non-dominating modes still visit exactly those nodes, so there
+# expansions equals before.  The dominating modes also skip subtrees whose
+# open images cannot cover the host, so their tree can only shrink and
+# before bounds it from above.  Counts and expansions stay exact at every
 # budget.
 PINNED_BENCH = [
-    # (a, gamma, r, host n, host p, mode, count, expansions); the hosts
-    # are those of benchmarks/bench_kernel.py (seed 2024, default order).
-    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, 11150, 12182, id="P3-count-n60"),
-    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, 32916, 35204, id="P3-count-n120"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, 21600, 328268, id="W2-count-n40"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, 5520, 328268,
+    # (a, gamma, r, host n, host p, mode, count, expansions, before); the
+    # hosts are those of benchmarks/bench_kernel.py (seed 2024, default
+    # order).
+    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, 11150, 12182, 12182, id="P3-count-n60"),
+    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, 32916, 35204, 35204, id="P3-count-n120"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, 21600, 328268, 328268, id="W2-count-n40"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, 5520, 230684, 328268,
                  id="W2-dominating-n40"),
-    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, 0, 78068, id="W2g1-count-n30"),
+    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, 0, 78068, 78068, id="W2g1-count-n30"),
 ]
 PINNED_MC_GRID = [
-    # (n, experiment seed, trial, count, expansions): one trial host of
-    # the Monte Carlo grid at alpha = 0.3, searched for W(2), gamma = 0,
-    # r = 4 in count-dominating mode from the tree root.
-    pytest.param(25, 7, 1, 480, 14823, id="n25"),
-    pytest.param(40, 7, 0, 480, 262536, id="n40"),
+    # (n, experiment seed, trial, count, expansions, before): one trial
+    # host of the Monte Carlo grid at alpha = 0.3, searched for W(2),
+    # gamma = 0, r = 4 in count-dominating mode in the breadth-first order
+    # from the tree root (the grid itself places f1[1] second, see
+    # detect._pattern_order).
+    pytest.param(25, 7, 1, 480, 13551, 14823, id="n25"),
+    pytest.param(40, 7, 0, 480, 150912, 262536, id="n40"),
 ]
 # The same hosts searched by embed_search, whose expansions are the
 # stabilizer chain's (3 for P_3, 77 for W(2) = K_{2,5}, 277 for W(2, 1, 4))
-# plus the search's.  P_3's only condition bounds the last depth, so it is
-# searched labeled; the W patterns (|Aut| = 240) one embedding per class.
+# plus the search's, and before again is their sum without the look-ahead.
+# P_3's only condition bounds the last depth, so it is searched labeled;
+# the W patterns (|Aut| = 240) one embedding per class.
 PINNED_BENCH_COUNT_MODE = [
-    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, 11150, 3 + 12182, id="P3-count-n60"),
-    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, 32916, 3 + 35204, id="P3-count-n120"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, 21600, 77 + 13243, id="W2-count-n40"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, 5520, 77 + 13243,
+    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, 11150, 3 + 12182, 3 + 12182,
+                 id="P3-count-n60"),
+    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, 32916, 3 + 35204, 3 + 35204,
+                 id="P3-count-n120"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, 21600, 77 + 13243, 77 + 13243,
+                 id="W2-count-n40"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, 5520, 77 + 12185, 77 + 13243,
                  id="W2-dominating-n40"),
-    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, 0, 277 + 5019, id="W2g1-count-n30"),
+    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, 0, 277 + 5019, 277 + 5019,
+                 id="W2g1-count-n30"),
 ]
 PINNED_MC_GRID_COUNT_MODE = [
-    pytest.param(25, 7, 1, 480, 77 + 1762, id="n25"),
-    pytest.param(40, 7, 0, 480, 77 + 10467, id="n40"),
+    pytest.param(25, 7, 1, 480, 77 + 1748, 77 + 1762, id="n25"),
+    pytest.param(40, 7, 0, 480, 77 + 9294, 77 + 10467, id="n40"),
 ]
 
 
@@ -238,7 +252,8 @@ def _embed(pattern, host, mode, order, budget):
     return res.count, res.expansions, res.exceeded
 
 
-def _assert_pinned(search, pattern, host, mode, order, count, expansions):
+def _assert_pinned(search, pattern, host, mode, order, count, expansions, before):
+    assert expansions <= before
     for budget in (expansions - 1, expansions, expansions + 1):
         assert search(pattern, host, mode, order, budget) == (
             count, expansions, budget < expansions)
@@ -256,37 +271,39 @@ def _mc_grid_order(ws):
 
 # ``backend`` names the kernel in ``_pure``, the one backend.
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions", PINNED_BENCH)
+@pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions, before",
+                         PINNED_BENCH)
 def test_pinned_counters_bench_kernel_hosts(backend, a, gamma, r, n, p, mode, count,
-                                            expansions):
+                                            expansions, before):
     pattern = build_W(a, gamma, r).graph
     host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-    _assert_pinned(_kernel, pattern, host, mode, None, count, expansions)
+    _assert_pinned(_kernel, pattern, host, mode, None, count, expansions, before)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n, seed, trial, count, expansions", PINNED_MC_GRID)
-def test_pinned_counters_mc_grid_hosts(backend, n, seed, trial, count, expansions):
+@pytest.mark.parametrize("n, seed, trial, count, expansions, before", PINNED_MC_GRID)
+def test_pinned_counters_mc_grid_hosts(backend, n, seed, trial, count, expansions, before):
     ws = build_W(2, 0, 4)
     _assert_pinned(_kernel, ws.graph, _mc_grid_host(n, seed, trial),
-                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions)
+                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions, before)
 
 
-@pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions",
+@pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions, before",
                          PINNED_BENCH_COUNT_MODE)
 def test_pinned_count_mode_counters_bench_kernel_hosts(a, gamma, r, n, p, mode, count,
-                                                       expansions):
+                                                       expansions, before):
     pattern = build_W(a, gamma, r).graph
     host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-    _assert_pinned(_embed, pattern, host, mode, None, count, expansions)
+    _assert_pinned(_embed, pattern, host, mode, None, count, expansions, before)
 
 
-@pytest.mark.parametrize("n, seed, trial, count, expansions", PINNED_MC_GRID_COUNT_MODE)
+@pytest.mark.parametrize("n, seed, trial, count, expansions, before",
+                         PINNED_MC_GRID_COUNT_MODE)
 def test_pinned_symmetry_broken_counters_mc_grid_hosts(n, seed, trial, count,
-                                                       expansions):
+                                                       expansions, before):
     ws = build_W(2, 0, 4)
     _assert_pinned(_embed, ws.graph, _mc_grid_host(n, seed, trial),
-                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions)
+                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions, before)
 
 
 def test_derivation_over_budget_is_reported_not_raised():
@@ -317,6 +334,75 @@ def test_derivation_over_budget_is_reported_not_raised():
     assert (res.outcome, res.count, res.expansions) == ("budget_exceeded", 0, 77)
 
 
+def _planted_host(pattern, n, p, seed):
+    """A host on n vertices whose first pattern.n induce the pattern, every
+    other pair an edge with probability p: at p = 1/2 the planted copy
+    often dominates."""
+    rnd = random.Random(seed)
+    edges = list(pattern.edges()) + [
+        (u, v) for u, v in itertools.combinations(range(n), 2)
+        if v >= pattern.n and rnd.random() < p
+    ]
+    return Graph(n, edges)
+
+
+# Hosts by name, each built for the pattern searched: the Monte Carlo
+# grid's trial hosts at n = 15, 25 and 40, a G(22, 0.4) with 720
+# dominating K_{2,5} embeddings, and a planted host.
+LOOKAHEAD_HOSTS = {
+    "mc15": lambda pattern: _mc_grid_host(15, 7, 0),
+    "mc25": lambda pattern: _mc_grid_host(25, 7, 1),
+    "mc40": lambda pattern: _mc_grid_host(40, 7, 0),
+    "gnp22": lambda pattern: sample_gnp(SamplerConfig(n=22, p=0.4, seed=1)),
+    "planted20": lambda pattern: _planted_host(pattern, 20, 0.5, 20),
+}
+# W(1, 2, 4) is the path P_4, which has no look-ahead depth in either
+# order: no vertex has two neighbours earlier in the order.  The oracle is
+# too slow for W(2, 1, 4) at n = 40.
+LOOKAHEAD_CASES = [
+    pytest.param((a, gamma, 4), host, id=f"W{a}g{gamma}-{host}")
+    for host in LOOKAHEAD_HOSTS
+    for a, gamma in [(1, 0), (2, 0), (2, 1), (1, 2)]
+    if not (host == "mc40" and (a, gamma) == (2, 1))
+]
+
+
+@pytest.mark.parametrize("params, host", LOOKAHEAD_CASES)
+def test_domination_lookahead_matches_oracle(params, host):
+    # The look-ahead only skips subtrees with no dominating leaf, so both
+    # dominating modes agree with the oracle, in the order detect searches
+    # and in the default order, labeled and symmetry-broken.  Each search
+    # spends at most what the count-mode search of the same tree spends,
+    # exactly as much where the order has no look-ahead depth, and stops
+    # at the first expansion over the budget.
+    ws = build_W(*params)
+    host = LOOKAHEAD_HOSTS[host](ws.graph)
+    oracle = [e for e in induced_embeddings(ws.graph, host) if is_dominating(host, e)]
+    for order in (detect._pattern_order(ws), default_order(ws.graph)):
+        labeled = _kernel(ws.graph, host, MODE_COUNT_DOMINATING, order, 10**9)
+        plain = _kernel(ws.graph, host, MODE_COUNT, order, 10**9)
+        assert labeled[0] == len(oracle)
+        assert labeled[1] <= plain[1]
+        counted = _embed(ws.graph, host, MODE_COUNT_DOMINATING, order, 10**9)
+        assert counted[0] == len(oracle)
+        assert counted[1] <= _embed(ws.graph, host, MODE_COUNT, order, 10**9)[1]
+        if params == (1, 2, 4):
+            assert labeled[1] == plain[1]
+        found = embed_search(ws.graph, host, mode=MODE_FIND_DOMINATING, order=order)
+        assert found.count == min(len(oracle), 1)
+        assert all(e in oracle for e in found.embeddings)
+        for mode, exact in ((MODE_COUNT_DOMINATING, counted[:2]),
+                            (MODE_FIND_DOMINATING, (found.count, found.expansions))):
+            e = exact[1]
+            for budget in (e - 1, e, e + 1):
+                res = embed_search(ws.graph, host, mode=mode, order=order, budget=budget)
+                if budget >= e:
+                    assert (res.count, res.expansions, res.exceeded) == (*exact, False)
+                else:
+                    assert res.exceeded and res.expansions == budget + 1
+                    assert res.count <= exact[0]
+
+
 WITNESSES = (
     [(build_W, a, gamma, r) for a in (1, 2) for gamma in (0, 1, 2) for r in (2, 3, 4)]
     + [(build_W_star, 1, gamma, r) for gamma in (0, 1, 2) for r in (2, 3, 4)]
@@ -328,7 +414,7 @@ WITNESSES = (
 def test_stabilizer_chain_counts_automorphisms(build, a, gamma, r):
     ws = build(a, gamma, r)
     expected = automorphism_count(ws.graph)
-    orders = [None, default_order(ws.graph, start=ws.f2[0]),
+    orders = [None, default_order(ws.graph, start=ws.f2[0]), detect._pattern_order(ws),
               list(range(ws.graph.n))[::-1]]
     for order in orders:
         smaller, automorphisms, _ = stabilizer_chain(ws.graph, order)
@@ -343,7 +429,7 @@ def test_stabilizer_chain_of_W3_needs_no_group_listing():
     # order sixteen twins precede their neighbours; self-searches in that
     # order ran past 10**8 expansions.
     ws = build_W(3, 0, 4)
-    for order in (None, default_order(ws.graph, start=ws.f2[0])):
+    for order in (None, default_order(ws.graph, start=ws.f2[0]), detect._pattern_order(ws)):
         _, automorphisms, expansions = stabilizer_chain(ws.graph, order, budget=10**4)
         assert automorphisms == 24**5
         assert expansions <= 10**4
