@@ -21,7 +21,13 @@ from fractions import Fraction
 import mpmath
 from mpmath import iv
 
-from .witness import omega, w_star_vertex_count
+from .witness import (
+    omega,
+    w_edge_count,
+    w_star_edge_count,
+    w_star_vertex_count,
+    w_vertex_count,
+)
 
 _PRECISIONS = (80, 160, 320, 640, 1280, 2560, 5120)
 
@@ -148,17 +154,17 @@ class LogReal:
 # ---------------------------------------------------------------------------
 # Threshold scalars
 
+def _k_gamma_frac(gamma: int, alpha: Fraction) -> Fraction:
+    return 2 * (1 - alpha * (gamma + 2) / (gamma + 1))
+
+
 def k_gamma(gamma: int, alpha: float) -> float:
     """2 * (1 - alpha * (gamma + 2) / (gamma + 1))."""
     if gamma < 0:
         raise ParameterError("gamma must be nonnegative")
     if not 0 < alpha < 1:
         raise ParameterError("alpha must lie in (0, 1)")
-    return 2.0 * (1.0 - alpha * (gamma + 2) / (gamma + 1))
-
-
-def _k_gamma_frac(gamma: int, alpha: Fraction) -> Fraction:
-    return 2 * (1 - alpha * (gamma + 2) / (gamma + 1))
+    return float(_k_gamma_frac(gamma, _as_fraction(alpha)))
 
 
 def f(x: float, alpha: float) -> float:
@@ -317,6 +323,31 @@ def _xlogy(e, y: float) -> float:
     return e * math.log(y)
 
 
+def _first_moment(
+    n: int, p: float, s: int, e: int, t: int, r: int, log_r_factorial: float
+) -> LogReal:
+    """C(n, s) * s! / (r!)^((t-1)/r) * p^e * (1-p)^(C(s,2)-e): the labeled
+    first moment of an s-vertex, e-edge pattern (Janson, Luczak and
+    Rucinski, Random Graphs, 2000, ch. 3) with the divisor of the witness
+    families.  Each caller passes its own ln r!: expected_W's
+    math.log(24.0) and lgamma(5) differ in the last bit.
+    """
+    if s > n:
+        raise ParameterError(f"pattern size s={s} exceeds n={n}")
+    # t = omega(k, r), and t >= 1 exactly when the floor a >= 1.  Then
+    # k >= 1 and t - 1 = r * omega(k - 1, r), so the exponent is integral.
+    if t < 1:
+        raise ParameterError("a must be at least 1")
+    log = (
+        _log_binomial(n, s)
+        + _log_factorial(s)
+        - (t - 1) // r * log_r_factorial
+        + _xlogy(e, p)
+        + _xlogy(s * (s - 1) // 2 - e, 1.0 - p)
+    )
+    return LogReal.from_log(log)
+
+
 def expected_W(n: int, p: float, a: int, gamma: int) -> LogReal:
     """First moment of labeled induced W(a) copies (r = 4):
 
@@ -324,21 +355,10 @@ def expected_W(n: int, p: float, a: int, gamma: int) -> LogReal:
 
     with s = a + (gamma+1) * omega(a) and E = a + (gamma+2) * omega(a) - 2.
     """
-    w = omega(a, 4)
-    s = a + (gamma + 1) * w
-    if s > n:
-        raise ParameterError(f"pattern size s={s} exceeds n={n}")
-    div_exp, rem = divmod(w - 1, 4)
-    assert rem == 0, "divisor exponent must be integral"
-    e_s = a + (gamma + 2) * w - 2
-    log = (
-        _log_binomial(n, s)
-        + _log_factorial(s)
-        - div_exp * math.log(24.0)
-        + _xlogy(e_s, p)
-        + _xlogy(s * (s - 1) // 2 - e_s, 1.0 - p)
+    return _first_moment(
+        n, p, w_vertex_count(a, gamma, 4), w_edge_count(a, gamma, 4),
+        omega(a, 4), 4, math.log(24.0),
     )
-    return LogReal.from_log(log)
 
 
 def _log_domination_factor(n: int, s: int, p: float) -> float:
@@ -357,7 +377,7 @@ def expected_W_dominating(n: int, p: float, a: int, gamma: int) -> LogReal:
     """expected_W scaled by the probability (1 - (1-p)^s)^(n-s) that a
     fixed s-set dominates the rest."""
     base = expected_W(n, p, a, gamma)
-    s = a + (gamma + 1) * omega(a, 4)
+    s = w_vertex_count(a, gamma, 4)
     return base * LogReal.from_log(_log_domination_factor(n, s, p))
 
 
@@ -366,22 +386,10 @@ def expected_W_star(n: int, p: float, a: int, gamma: int, r: int) -> LogReal:
 
         C(n, s) * s! / (r!)^((omega(omega(a))-1)/r) * p^E * (1-p)^(C(s,2)-E)
     """
-    s = w_star_vertex_count(a, gamma, r)
-    if s > n:
-        raise ParameterError(f"pattern size s={s} exceeds n={n}")
-    ww = omega(omega(a, r), r)
-    div_exp, rem = divmod(ww - 1, r)
-    if rem:
-        raise ParameterError("divisor exponent is not integral")
-    e_s = a + 2 * (gamma + 2) * omega(a, r) + (gamma + 2) * ww - 4
-    log = (
-        _log_binomial(n, s)
-        + _log_factorial(s)
-        - div_exp * _log_factorial(r)
-        + _xlogy(e_s, p)
-        + _xlogy(s * (s - 1) // 2 - e_s, 1.0 - p)
+    return _first_moment(
+        n, p, w_star_vertex_count(a, gamma, r), w_star_edge_count(a, gamma, r),
+        omega(omega(a, r), r), r, _log_factorial(r),
     )
-    return LogReal.from_log(log)
 
 
 def domination_probability(n: int, p: float, k: int) -> float:
@@ -395,10 +403,6 @@ def domination_probability(n: int, p: float, k: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Part-1 sequences (r = 4 family)
-
-def s_part1(a: int, gamma: int, r: int = 4) -> int:
-    return a + (gamma + 1) * omega(a, r)
-
 
 @dataclass(frozen=True)
 class Part1Constants:
@@ -508,16 +512,40 @@ class Part1Row:
     existence_a: tuple[int, ...]
 
 
-def _candidate_as(gamma: int, upper: float, r: int = 4) -> list[int]:
-    """Every a >= 1 whose size s_part1(a, gamma, r) is at most upper."""
+def _part1_bounds(
+    consts: Part1Constants, window: str
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(low_q, high_q, add) of a part-1 window at x: the closed existence
+    window [C1 k f(x), C2 k f(x)] or the open gap window
+    (c k f(x), k f(x) + epsilon)."""
+    k = consts.k
+    if window == "existence":
+        return consts.C1 * k, consts.C2 * k, Fraction(0)
+    if window == "gap":
+        return consts.c * k, k, consts.epsilon
+    raise ValueError(f"unknown window {window!r}")
+
+
+def _part1_window(
+    cmp: _Comparer, consts: Part1Constants, x: int, window: str, r: int = 4
+) -> tuple[int, ...]:
+    """Every a >= 1 whose size s(a) = w_vertex_count(a, gamma, r) lies
+    inside the part-1 window at x, decided rigorously.  The candidates run
+    past a float estimate of the upper endpoint with room to spare."""
+    low_q, high_q, add = _part1_bounds(consts, window)
+    upper = (float(high_q) * f(x, float(consts.alpha)) + float(add)) * 1.01 + 4
     if not math.isfinite(upper):
         raise ParameterError("candidate window bound is not finite")
-    out = []
+    closed = window == "existence"
+    inside = []
     a = 1
-    while s_part1(a, gamma, r) <= upper:
-        out.append(a)
+    while (s := w_vertex_count(a, consts.gamma, r)) <= upper:
+        lo = cmp.compare(s, low_q, x)
+        hi = cmp.compare(s, high_q, x, add)
+        if (lo >= 0 and hi <= 0) if closed else (lo > 0 and hi < 0):
+            inside.append(a)
         a += 1
-    return out
+    return tuple(inside)
 
 
 def sequence_part1(
@@ -542,38 +570,19 @@ def sequence_part1(
 
     m_target = Fraction(4**i, 9) / (1 - al)
     m_i = _floor_of_f_preimage(m_target, cmp)
-    n_target = Fraction(s_part1(i, gamma)) / (consts.C * k)
+    n_target = Fraction(w_vertex_count(i, gamma, 4)) / (consts.C * k)
     n_i = _floor_of_f_preimage(n_target, cmp)
-
-    # Gap certificate: open window around f(m_i).
-    upper_est = float(k) * f(m_i, float(al)) + float(consts.epsilon)
-    violators = []
-    for a in _candidate_as(gamma, upper_est * 1.01 + 4):
-        s = s_part1(a, gamma)
-        below = cmp.compare(s, consts.c * k, m_i) <= 0
-        above = cmp.compare(s, k, m_i, consts.epsilon) >= 0
-        if not (below or above):
-            violators.append(a)
-
-    # Existence certificate: closed window around f(n_i).
-    high_est = float(consts.C2 * k) * f(n_i, float(al))
-    inside = []
-    for a in _candidate_as(gamma, high_est * 1.01 + 4):
-        s = s_part1(a, gamma)
-        ge_low = cmp.compare(s, consts.C1 * k, n_i) >= 0
-        le_high = cmp.compare(s, consts.C2 * k, n_i) <= 0
-        if ge_low and le_high:
-            inside.append(a)
-
+    violators = _part1_window(cmp, consts, m_i, "gap")
+    inside = _part1_window(cmp, consts, n_i, "existence")
     return Part1Row(
         i=i,
         m_i=m_i,
         n_i=n_i,
         constants=consts,
         gap_certificate=not violators,
-        gap_violators=tuple(violators),
+        gap_violators=violators,
         existence_certificate=bool(inside),
-        existence_a=tuple(inside),
+        existence_a=inside,
     )
 
 
@@ -699,23 +708,6 @@ class ThresholdReport:
     window_high: float
     admissible_a: tuple[int, ...]
 
-    @property
-    def empty(self) -> bool:
-        return not self.admissible_a
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "r": self.r,
-            "k_gamma": self.k_gamma,
-            "f_n": self.f_n,
-            "window": self.window,
-            "window_low": self.window_low,
-            "window_high": self.window_high,
-            "admissible_a": list(self.admissible_a),
-        }
-
 
 def window_report(
     n: int,
@@ -741,33 +733,14 @@ def window_report(
     al = _as_fraction(alpha)
     if mode == "part1":
         consts = part1_constants(al, gamma, C1, C2, C, c, epsilon)
-        k = consts.k
+        low_q, high_q, add = _part1_bounds(consts, window)
         fn = f(n, float(al))
-        if window == "existence":
-            low_q, high_q, add = consts.C1 * k, consts.C2 * k, Fraction(0)
-            closed = True
-        elif window == "gap":
-            low_q, high_q, add = consts.c * k, k, consts.epsilon
-            closed = False
-        else:
-            raise ValueError(f"unknown window {window!r}")
-        cmp = _Comparer(al)
-        admissible = []
-        for a in _candidate_as(gamma, float(high_q) * fn + float(add) + 4, r):
-            s = s_part1(a, gamma, r)
-            lo_cmp = cmp.compare(s, low_q, n)
-            hi_cmp = cmp.compare(s, high_q, n, add)
-            inside = (lo_cmp >= 0 and hi_cmp <= 0) if closed else (
-                lo_cmp > 0 and hi_cmp < 0
-            )
-            if inside:
-                admissible.append(a)
         return ThresholdReport(
-            alpha=float(al), gamma=gamma, r=r, k_gamma=float(k), f_n=fn,
+            alpha=float(al), gamma=gamma, r=r, k_gamma=float(consts.k), f_n=fn,
             window=window,
             window_low=float(low_q) * fn,
             window_high=float(high_q) * fn + float(add),
-            admissible_a=tuple(admissible),
+            admissible_a=_part1_window(_Comparer(al), consts, n, window, r),
         )
     if mode != "part2":
         raise ValueError(f"unknown mode {mode!r}")

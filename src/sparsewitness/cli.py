@@ -104,7 +104,7 @@ def cmd_thresholds(args) -> int:
         args.n, args.alpha, args.gamma, r=args.r, mode=args.mode,
         window=args.window, beta=args.beta,
     )
-    print(json.dumps(report.as_dict()))
+    print(json.dumps(dataclasses.asdict(report)))
     return 0
 
 

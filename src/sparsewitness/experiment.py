@@ -56,21 +56,6 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class ProbabilityEstimate:
-    successes: int
-    trials: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-
-
-def estimate(successes: int, trials: int) -> ProbabilityEstimate:
-    """Success fraction with its Wilson 95% interval."""
-    lo, hi = detect.wilson_interval(successes, trials)
-    return ProbabilityEstimate(successes, trials, successes / trials, lo, hi)
-
-
 def run_trial(args) -> tuple[bool, int, bool]:
     """One sample: (dominating copy found, copy count, budget exceeded)."""
     n, p, gamma, r, a_min, a_max, seed, trial, budget = args
@@ -109,7 +94,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
             outcomes = [run_trial(a) for a in args]
         successes = sum(1 for ok, _, _ in outcomes if ok)
         exceeded = sum(1 for _, _, ex in outcomes if ex)
-        est = estimate(successes, cfg.trials)
+        ci_low, ci_high = detect.wilson_interval(successes, cfg.trials)
         log_exp = analytics.expected_W_dominating(n, p, cfg.a_min, cfg.gamma).log
         report = analytics.window_report(
             n, cfg.alpha, cfg.gamma, r=cfg.r, mode="part1", window="existence"
@@ -120,7 +105,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
         row = [
             str(n), _fmt(cfg.alpha), _fmt(p), str(cfg.gamma), str(cfg.r),
             str(cfg.a_min), str(cfg.a_max), str(cfg.trials),
-            str(successes), _fmt(est.p_hat), _fmt(est.ci_low), _fmt(est.ci_high),
+            str(successes), _fmt(successes / cfg.trials), _fmt(ci_low), _fmt(ci_high),
             str(exceeded), _fmt(log_exp),
             _fmt(report.window_low), _fmt(report.window_high),
             str(len(report.admissible_a)), str(cfg.seed), str(runtime_ms),

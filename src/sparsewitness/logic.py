@@ -2,12 +2,13 @@
 evaluator with builtin atomic predicates (set quantifiers under an @isoW
 guard range over witness copies only).
 
-Grammar (binary connectives associate right; binding gets looser downward):
+Grammar (binding gets looser downward; '&', '|' and '<->' associate left,
+'->' associates right):
 
     formula  := quantified | iff
     quantified := ('EX' | 'ALL') var formula | 'EXSET' Var formula
     iff      := implies ('<->' implies)*
-    implies  := or ('->' or)*
+    implies  := or ('->' implies)?
     or       := and ('|' and)*
     and      := unary ('&' unary)*
     unary    := '!' unary | '(' formula ')' | atom | quantified
@@ -121,18 +122,10 @@ class EvalContext:
             raise BudgetExceededError("formula evaluation budget exhausted")
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def _vertices(mask: int) -> list[int]:
-    return list(iter_mask(mask))
-
-
 def builtin_isoW(ctx: EvalContext, X: int) -> bool:
     """The induced subgraph on X is isomorphic to W(a) for some a >= 1
     (with the ambient gamma and r).  At most one a matches |X|."""
-    size = _popcount(X)
+    size = X.bit_count()
     a = 1
     while True:
         s = witness.w_vertex_count(a, ctx.gamma, ctx.r)
@@ -141,7 +134,7 @@ def builtin_isoW(ctx: EvalContext, X: int) -> bool:
         if s == size:
             break
         a += 1
-    sub = ctx.g.induced(_vertices(X))
+    sub = ctx.g.induced(list(iter_mask(X)))
     pattern = witness.build_W(a, ctx.gamma, ctx.r)
     if sub.m != pattern.graph.m:
         return False
@@ -169,8 +162,8 @@ def _path_components(g: Graph, mask: int) -> list[list[int]] | None:
                     seen |= 1 << w
                     nxt.append(w)
             frontier = nxt
-        members = _vertices(seen)
-        degs = {v: _popcount(g.bits[v] & seen) for v in members}
+        members = list(iter_mask(seen))
+        degs = {v: (g.bits[v] & seen).bit_count() for v in members}
         if len(members) == 1:
             comps.append(members)
         else:
@@ -207,7 +200,7 @@ def _connector_decomposition(ctx: EvalContext, X1: int, X2: int, G: int):
         pairs = []
         for x1 in iter_mask(X1):
             nb = g.bits[x1] & X2
-            if _popcount(nb) != 1:
+            if nb.bit_count() != 1:
                 return None
             pairs.append((x1, nb.bit_length() - 1))
         return pairs
@@ -222,7 +215,7 @@ def _connector_decomposition(ctx: EvalContext, X1: int, X2: int, G: int):
             v = path[0]
             a1 = g.bits[v] & X1
             a2 = g.bits[v] & X2
-            if _popcount(a1) != 1 or _popcount(a2) != 1:
+            if a1.bit_count() != 1 or a2.bit_count() != 1:
                 return None
             pairs.append((a1.bit_length() - 1, a2.bit_length() - 1))
             continue
@@ -231,7 +224,7 @@ def _connector_decomposition(ctx: EvalContext, X1: int, X2: int, G: int):
                 return None
         e1, e2 = path[0], path[-1]
         n1, n2 = g.bits[e1] & both, g.bits[e2] & both
-        if _popcount(n1) != 1 or _popcount(n2) != 1:
+        if n1.bit_count() != 1 or n2.bit_count() != 1:
             return None
         u, w = n1.bit_length() - 1, n2.bit_length() - 1
         if (X1 >> u) & 1 and (X2 >> w) & 1:
@@ -252,8 +245,8 @@ def builtin_phi_star(ctx: EvalContext, X1: int, X2: int, G: int) -> bool:
     firsts = [p[0] for p in pairs]
     seconds = [p[1] for p in pairs]
     return (
-        sorted(firsts) == sorted(_vertices(X1))
-        and sorted(seconds) == sorted(_vertices(X2))
+        sorted(firsts) == sorted(iter_mask(X1))
+        and sorted(seconds) == sorted(iter_mask(X2))
         and len(set(firsts)) == len(firsts)
         and len(set(seconds)) == len(seconds)
     )
@@ -278,7 +271,7 @@ def builtin_paths(ctx: EvalContext, X1: int, X2: int, TX1: int,
         if x2 in to_tx1:
             return False
         to_tx1[x2] = t
-    if set(to_x1) != set(_vertices(X2)) or set(to_tx1) != set(_vertices(X2)):
+    if set(to_x1) != set(iter_mask(X2)) or set(to_tx1) != set(iter_mask(X2)):
         return False
     groups: dict[int, int] = {}
     for x2, x1 in to_x1.items():
@@ -304,7 +297,7 @@ def builtin_last(ctx: EvalContext, X: int, Z: int, y: int, G: int) -> bool:
         return False
     path = comps[0]
     xnb = g.bits[y] & X
-    if _popcount(xnb) != 1:
+    if xnb.bit_count() != 1:
         return False
     end = xnb.bit_length() - 1
     if end not in (path[0], path[-1]):
@@ -329,19 +322,19 @@ def builtin_last(ctx: EvalContext, X: int, Z: int, y: int, G: int) -> bool:
         last = p[-1] if first == p[0] else p[0]
         firsts.append(first)
         lasts.append(last)
-    if sorted(firsts) != sorted(_vertices(g.bits[y] & G)):
+    if sorted(firsts) != sorted(iter_mask(g.bits[y] & G)):
         return False
     zs = []
     for last in lasts:
         znb = g.bits[last] & Z
-        if _popcount(znb) != 1:
+        if znb.bit_count() != 1:
             return False
         zs.append(znb.bit_length() - 1)
     if len(set(zs)) != len(zs):
         return False
     for z in iter_mask(Z):
         gnb = g.bits[z] & G
-        if _popcount(gnb) != 1 or gnb.bit_length() - 1 not in lasts:
+        if gnb.bit_count() != 1 or gnb.bit_length() - 1 not in lasts:
             return False
     return True
 
@@ -355,19 +348,19 @@ def builtin_leaves(ctx: EvalContext, X: int, Z: int) -> bool:
         if g.bits[z] & Z:
             return False
         xnb = g.bits[z] & X
-        if _popcount(xnb) != 1:
+        if xnb.bit_count() != 1:
             return False
         x = xnb.bit_length() - 1
-        if _popcount(g.bits[x] & X) > 1:
+        if (g.bits[x] & X).bit_count() > 1:
             return False
     for x in iter_mask(X):
-        if _popcount(g.bits[x] & Z) > r:
+        if (g.bits[x] & Z).bit_count() > r:
             return False
     return True
 
 
 def builtin_even(ctx: EvalContext, X: int) -> bool:
-    return _popcount(X) % 2 == 0
+    return X.bit_count() % 2 == 0
 
 
 def builtin_disjoint(ctx: EvalContext, *sets: int) -> bool:
@@ -408,8 +401,8 @@ def builtin_max2(ctx: EvalContext, X1: int, X2: int, TX1: int, TX2: int,
     def open_leaves(tree: int, children: int, cap: int) -> list[int]:
         return [
             v for v in iter_mask(tree)
-            if _popcount(g.bits[v] & tree) <= 1
-            and _popcount(g.bits[v] & children) <= cap
+            if (g.bits[v] & tree).bit_count() <= 1
+            and (g.bits[v] & children).bit_count() <= cap
         ]
 
     x2_open = open_leaves(X2, Z, r - 1)
@@ -422,7 +415,7 @@ def builtin_max2(ctx: EvalContext, X1: int, X2: int, TX1: int, TX2: int,
         for w in range(g.n):
             if (U >> w) & 1:
                 continue
-            if (g.bits[y] >> w) & 1 and _popcount(g.bits[w] & U) == 1:
+            if (g.bits[y] >> w) & 1 and (g.bits[w] & U).bit_count() == 1:
                 return False
 
     # Bullet 2: TY2 has an open leaf -> no outside vertex hangs off such a
@@ -433,7 +426,7 @@ def builtin_max2(ctx: EvalContext, X1: int, X2: int, TX1: int, TX2: int,
             if (U >> w) & 1:
                 continue
             unb = g.bits[w] & U
-            if _popcount(unb) != 1 or not unb & open_mask:
+            if unb.bit_count() != 1 or not unb & open_mask:
                 continue
             if _ext_path(ctx, w, ty, U):
                 return False
@@ -445,7 +438,7 @@ def builtin_max2(ctx: EvalContext, X1: int, X2: int, TX1: int, TX2: int,
             if (U >> w) & 1:
                 continue
             unb = g.bits[w] & U
-            if _popcount(unb) != 1 or not unb & open_mask:
+            if unb.bit_count() != 1 or not unb & open_mask:
                 continue
             if _ext_path(ctx, w, y, U):
                 return False
@@ -464,7 +457,6 @@ def _ext_path(ctx: EvalContext, w: int, anchor: int, U: int) -> bool:
         k = len(path)
         if k == length - 1:
             last = path[-1]
-            prev_mask = mask_of(path[:-1])
             if not (g.bits[last] >> anchor) & 1:
                 return False
             if (pmask >> anchor) & 1 or (g.bits[anchor] & pmask & ~(1 << last)):

@@ -23,11 +23,11 @@ from sparsewitness.analytics import (
     inverse_f,
     k_gamma,
     part1_constants,
-    s_part1,
     sequence_part1,
     sequence_part2,
     window_report,
 )
+from sparsewitness.witness import w_vertex_count
 
 finite_floats = st.floats(
     min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -80,6 +80,8 @@ def test_k_gamma_values():
     # k = 2(1 - (gamma+2) alpha / (gamma+1)).
     assert k_gamma(0, 0.3) == pytest.approx(2 * (1 - 2 * 0.3))
     assert k_gamma(10, 0.3) == pytest.approx(2 * (1 - 12 * 0.3 / 11))
+    # The float is the rounded exact value the certificates use.
+    assert k_gamma(13, 0.3) == float(part1_constants(0.3, 13).k)
     # Admissibility breaks when k <= 0.
     with pytest.raises(ParameterError):
         part1_constants(0.9, 0)
@@ -170,6 +172,15 @@ def test_expected_W_star_small():
     falling = math.prod(range(n - s + 1, n + 1))
     expect = falling * p**e * (1 - p) ** (s * (s - 1) // 2 - e)
     assert expected_W_star(n, p, 1, gamma, 2).to_float() == pytest.approx(expect)
+
+
+def test_first_moments_reject_a_zero():
+    # W(0) and W*(0) are no witnesses: omega(0, r) = 0 leaves the divisor
+    # exponent (omega - 1) / r fractional.
+    with pytest.raises(ParameterError):
+        expected_W(10, 0.5, 0, 0)
+    with pytest.raises(ParameterError):
+        expected_W_star(10, 0.5, 0, 0, 2)
 
 
 def test_domination_probability_formula():
@@ -302,7 +313,7 @@ def test_part1_floors_past_float_integers_meet_their_definition(i):
     row = sequence_part1(i, alpha, 13)
     for m, target in (
         (row.m_i, Fraction(4**i, 9) / (1 - alpha)),
-        (row.n_i, Fraction(s_part1(i, 13)) / (consts.C * consts.k)),
+        (row.n_i, Fraction(w_vertex_count(i, 13, 4)) / (consts.C * consts.k)),
     ):
         assert m > 2**53
         assert compare_to_window_endpoint(target, Fraction(1), m, alpha) >= 0
@@ -360,7 +371,7 @@ def test_window_report_part1():
     assert report.window_low < report.window_high
     # Every reported floor really lies inside the closed window.
     for a in report.admissible_a:
-        s = s_part1(a, 13)
+        s = w_vertex_count(a, 13, 4)
         assert report.window_low <= s <= report.window_high
 
 
@@ -488,9 +499,26 @@ def test_window_report_part2():
         window_report(100, 0.6, 4, mode="part2")  # beta required
 
 
-def test_s_part1_matches_witness_size():
-    from sparsewitness.witness import w_vertex_count
+# sha256 of the first moments over PIN_GRID at p = n^-0.3 for a <= 3 and
+# gamma <= 2 (W* at r = 2, 3, 4), each as sign and float.hex of its log, or
+# the ParameterError of a pattern larger than n; recorded with each
+# function writing its formula out in full.
+FIRST_MOMENT_DIGEST = "0c40da8633699fffae4cc81d3b0d05c570a55597281b761d9a424096a7a2103a"
 
-    for a in range(1, 6):
-        for gamma in (10, 13):
-            assert s_part1(a, gamma) == w_vertex_count(a, gamma, 4)
+
+def test_first_moments_are_pinned_exactly():
+    h = hashlib.sha256()
+    for n in PIN_GRID:
+        p = n ** -0.3
+        for a in (1, 2, 3):
+            for gamma in (0, 1, 2):
+                calls = [(expected_W, ()), (expected_W_dominating, ())]
+                calls += [(expected_W_star, (r,)) for r in (2, 3, 4)]
+                for fn, extra in calls:
+                    try:
+                        v = fn(n, p, a, gamma, *extra)
+                        out = (v.sign, v.log.hex())
+                    except ParameterError as exc:
+                        out = str(exc)
+                    h.update(repr((fn.__name__, n, a, gamma, extra, out)).encode())
+    assert h.hexdigest() == FIRST_MOMENT_DIGEST

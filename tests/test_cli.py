@@ -100,10 +100,25 @@ def test_evaluate(tmp_path, capsys):
 def test_thresholds(capsys):
     code, out, _ = run(capsys, "thresholds", "--n", "500", "--alpha", "0.3",
                        "--gamma", "13")
-    report = json.loads(out)
     assert code == 0
-    assert report["window"] == "existence"
-    assert report["window_low"] < report["window_high"]
+    assert out == (
+        '{"alpha": 0.3, "gamma": 13, "r": 4, "k_gamma": 1.3571428571428572, '
+        '"f_n": 40.09634147557907, "window": "existence", '
+        '"window_low": 30.788262204462498, "window_high": 51.69564025958587, '
+        '"admissible_a": []}\n'
+    )
+
+
+def test_thresholds_part2(capsys):
+    code, out, _ = run(capsys, "thresholds", "--n", "1000000", "--alpha", "0.6",
+                       "--gamma", "4", "--mode", "part2", "--beta", "0.25")
+    assert code == 0
+    assert out == (
+        '{"alpha": 0.6, "gamma": 4, "r": 4, "k_gamma": 0.56, '
+        '"f_n": 55000.538179831216, "window": "part2", '
+        '"window_low": 31.62277660168379, "window_high": 30801.301380705485, '
+        '"admissible_a": [1]}\n'
+    )
 
 
 def test_sequences_part1(capsys):

@@ -9,7 +9,6 @@ from sparsewitness import analytics
 from sparsewitness.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
-    estimate,
     run_experiment,
 )
 
@@ -44,6 +43,7 @@ def test_csv_shape_and_columns():
     for r in rows:
         assert 0 <= int(r["successes"]) <= 25
         assert float(r["ci_low"]) <= float(r["p_hat"]) <= float(r["ci_high"])
+        assert float(r["p_hat"]) == int(r["successes"]) / int(r["trials"])
         assert r["runtime_ms"] == "0"  # byte-stable default
 
 
@@ -76,6 +76,13 @@ def test_p_override():
     assert float(rows[0]["p"]) == 0.5
 
 
-def test_estimate_moments():
-    est = estimate(2, 4)
-    assert est.p_hat == 0.5
+def test_record_runtime_changes_only_runtime_column():
+    # runtime_ms is the last column; every byte before it stays the same.
+    plain = run_experiment(SMALL).splitlines()
+    timed = run_experiment(dataclasses.replace(SMALL, record_runtime=True)).splitlines()
+    assert CSV_COLUMNS[-1] == "runtime_ms" and plain[0] == timed[0]
+    for a, b in zip(plain[1:], timed[1:], strict=True):
+        head_a, _, ms_a = a.rpartition(",")
+        head_b, _, ms_b = b.rpartition(",")
+        assert head_a == head_b and ms_a == "0"
+        assert ms_b.isdigit()  # a non-negative int

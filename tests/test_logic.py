@@ -11,8 +11,14 @@ from sparsewitness import detect, gnp
 from sparsewitness.graphs import BudgetExceededError, Graph
 from sparsewitness.logic import (
     BUILTINS,
+    And,
     BindingError,
+    Eq,
+    Exists,
     FormulaSyntaxError,
+    Iff,
+    Implies,
+    Or,
     builtin_isoW,
     evaluate,
     is_emso,
@@ -63,6 +69,17 @@ def test_operator_precedence_and_associativity():
     falsum = "EX x ! x = x"
     assert ev(g, f"({falsum}) -> (({falsum}) -> ({falsum}))")
     assert ev(g, f"{falsum} -> {falsum} -> {falsum}")
+
+
+@pytest.mark.parametrize("op, node, left_assoc", [
+    ("&", And, True), ("|", Or, True), ("<->", Iff, True), ("->", Implies, False),
+])
+def test_binary_connective_associativity(op, node, left_assoc):
+    # '&', '|' and '<->' group to the left; '->' groups to the right.
+    a, b, c = Eq("x", "y"), Eq("y", "z"), Eq("z", "x")
+    phi = parse_formula(f"EX x EX y EX z (x = y {op} y = z {op} z = x)")
+    want = node(node(a, b), c) if left_assoc else node(a, node(b, c))
+    assert phi == Exists("x", Exists("y", Exists("z", want)))
 
 
 def test_is_emso():
