@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sparsewitness import analytics
+from sparsewitness import analytics, detect
 from sparsewitness.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -43,7 +43,6 @@ def test_csv_shape_and_columns():
     for r in rows:
         assert 0 <= int(r["successes"]) <= 25
         assert float(r["ci_low"]) <= float(r["p_hat"]) <= float(r["ci_high"])
-        assert float(r["p_hat"]) == int(r["successes"]) / int(r["trials"])
         assert r["runtime_ms"] == "0"  # byte-stable default
 
 
@@ -74,6 +73,17 @@ def test_p_override():
     cfg = dataclasses.replace(SMALL, n_values=(12,), p_override=0.5)
     _, rows = rows_of(run_experiment(cfg))
     assert float(rows[0]["p"]) == 0.5
+
+
+def test_estimate_moments():
+    # p_hat is the success fraction and ci_low/ci_high its Wilson interval.
+    _, rows = rows_of(run_experiment(SMALL))
+    for r in rows:
+        successes, trials = int(r["successes"]), int(r["trials"])
+        assert float(r["p_hat"]) == successes / trials
+        lo, hi = detect.wilson_interval(successes, trials)
+        assert float(r["ci_low"]) == pytest.approx(lo, rel=1e-9)
+        assert float(r["ci_high"]) == pytest.approx(hi, rel=1e-9)
 
 
 def test_record_runtime_changes_only_runtime_column():
