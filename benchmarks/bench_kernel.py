@@ -24,7 +24,13 @@ Usage: python benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 import argparse
 import json
 import os
+import sys
 import time
+
+import alternate
+
+# Import the package beside this script, as the alternating benchmarks do.
+sys.path.insert(0, str(alternate.SRC))
 
 from sparsewitness.gnp import SamplerConfig, sample_gnp
 from sparsewitness.hotpath import (

@@ -5,7 +5,9 @@ Times ``sample_gnp`` per call on the two configurations of the perfbench
 sample-cover workload: dense G(50, 0.2), which flips every pair, and
 sparse G(2000, 0.002), which skips between edges with geometric gaps.  A
 pass samples one graph per stream (2000 dense, 40 sparse streams, as one
-sample-cover pass does); a round is one fresh interpreter that runs five
+sample-cover pass does).  A third configuration, the criterion-5a host
+G(100, 100^-0.3), is dense with rows two 64-bit words wide (400 streams
+per pass).  A round is one fresh interpreter that runs five
 passes per configuration and reports the median pass, as microseconds
 per call, with a sha256 over (n, m, rows) of its graphs.
 
@@ -33,6 +35,7 @@ CONFIGS = [
     # (label, n, p, streams per pass)
     ("dense G(50, 0.2)", 50, 0.2, 2000),
     ("sparse G(2000, 0.002)", 2000, 0.002, 40),
+    ("dense G(100, 100^-0.3)", 100, 100 ** -0.3, 400),
 ]
 SEED = 11
 PASSES = 5

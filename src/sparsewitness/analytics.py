@@ -728,8 +728,11 @@ def window_report(
     part1/existence: closed window [C1 k f(n), C2 k f(n)] on s(a).
     part1/gap: open window (c k f(n), k f(n) + epsilon) on s(a).
     part2: a admissible when V(a) <= n^beta; window_high reports the
-    growth threshold k n^alpha ln n + epsilon.
+    growth threshold k n^alpha ln n + epsilon.  It has one window, so
+    ``window`` is only checked to be a part-1 window name.
     """
+    if window not in ("existence", "gap"):
+        raise ValueError(f"unknown window {window!r}")
     al = _as_fraction(alpha)
     if mode == "part1":
         consts = part1_constants(al, gamma, C1, C2, C, c, epsilon)

@@ -1,13 +1,21 @@
 """Seedable, reproducible G(n, p) sampling.
 
 Randomness is counter-based: each (seed, stream) pair keys its own Philox
-generator, so trials are reproducible regardless of execution order or
-parallelism.  Both paths build the adjacency rows with numpy, without a
+stream, so trials are reproducible regardless of execution order or
+parallelism.  A Philox stream is fixed by its key and counter (Salmon et
+al., SC 2011), so each thread keeps one generator and re-keys it per
+call instead of building one: it is set to the key a fresh
+``Philox(key=[seed, stream])`` would hold, counter 0 and an empty
+buffer, which is all of that generator's state, and so draws the same
+numbers.  Both paths build the adjacency rows with numpy, without a
 Python step per pair:
 
 - the dense path draws one uniform per pair, scatters the hits into the
-  upper triangle of a bool matrix, symmetrises it and packs each row
-  into an int (p = 1 takes this path with no draw);
+  upper triangle of a bool matrix padded to whole 64-bit words,
+  symmetrises it and packs the rows; rows of one word (n <= 64) all come
+  from one ``tolist()`` of the packed words, wider rows from
+  ``int.from_bytes`` each, and both read the same little-endian bits
+  (p = 1 takes this path with no draw);
 - below p ~ 10/n a geometric pair-skipping path avoids touching all
   C(n, 2) pairs: each batch of gaps becomes edge positions through one
   cumulative sum.
@@ -21,6 +29,7 @@ in tests), though not bit-identical to it.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +68,37 @@ def derive_stream(master_seed: int, trial_index: int) -> int:
     return splitmix64((master_seed ^ (trial_index * 0xD1B54A32D192ED03)) & _MASK64)
 
 
+_local = threading.local()
+_ZERO4 = (0, 0, 0, 0)
+
+
 def _rng(cfg: SamplerConfig) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=[cfg.seed & _MASK64, cfg.stream & _MASK64])
-    )
+    """This thread's generator, re-keyed to (seed, stream).  It is left in
+    the state a fresh ``Philox(key=[seed, stream])`` starts in: counter 0,
+    an empty buffer and no spare 32-bit word.  Valid only until the next
+    call on the same thread."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=[0, 0]))
+    # The key goes through the same conversion Philox(key=...) applies to
+    # a list: np.asarray gives float64 when exactly one word is >= 2**63,
+    # so such a key keeps only 53 significant bits of each word.
+    key = np.asarray([cfg.seed & _MASK64, cfg.stream & _MASK64]).astype(np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 @functools.lru_cache(maxsize=16)
 def _upper_triangle(n: int) -> np.ndarray:
-    """Read-only n x n bool mask of the pairs u < v.  Boolean indexing
-    visits it in row-major order, which is the lexicographic pair order
-    of the draws."""
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    """Read-only bool mask of the pairs u < v in an n x 64*ceil(n/64)
+    matrix.  Boolean indexing visits it in row-major order, which is the
+    lexicographic pair order of the draws."""
+    mask = np.zeros((n, -(-n // 64) * 64), dtype=bool)
+    mask[:, :n] = np.triu(np.ones((n, n), dtype=bool), k=1)
     mask.flags.writeable = False
     return mask
 
@@ -107,12 +135,21 @@ def sample_gnp(cfg: SamplerConfig) -> Graph:
 
 def _dense_graph(n: int, hit, m: int) -> Graph:
     """Rows from the pair flags in lexicographic order (or one flag for all
-    pairs): scatter them into the upper triangle of a bool matrix,
-    symmetrise, and pack each row into a little-endian Python int."""
-    adj = np.zeros((n, n), dtype=bool)
-    adj[_upper_triangle(n)] = hit
-    adj = adj | adj.T
-    data = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    pairs): scatter them into the upper triangle of a bool matrix padded to
+    whole 64-bit words, symmetrise the n x n part, and pack each row into a
+    little-endian Python int."""
+    upper = _upper_triangle(n)
+    adj = np.zeros(upper.shape, dtype=bool)
+    adj[upper] = hit
+    square = adj[:, :n]
+    # numpy buffers a ufunc input that overlaps its output, so the OR
+    # reads the transpose as it was before the call.
+    square |= square.T
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    if n <= 64:
+        # One word per row; tolist() yields Python ints.
+        return Graph._from_rows(packed.view("<u8").ravel().tolist(), m)
+    data = packed.tobytes()
     width = len(data) // n
     rows = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
     return Graph._from_rows(rows, m)

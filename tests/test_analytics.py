@@ -365,6 +365,18 @@ def test_part2_parameter_validation():
         sequence_part2(0, 0.6, 0.25, 4, 4)
 
 
+@pytest.mark.parametrize("mode, kwargs", [("part1", {}), ("part2", {"beta": 0.25})])
+def test_window_report_rejects_unknown_window(mode, kwargs):
+    alpha, gamma = (0.3, 13) if mode == "part1" else (0.6, 4)
+    with pytest.raises(ValueError, match="unknown window 'bogus'"):
+        window_report(10**6, alpha, gamma, mode=mode, window="bogus", **kwargs)
+    # The CLI passes --window in both modes; part 2 takes either name and
+    # reports its own window.
+    for window in ("existence", "gap"):
+        report = window_report(10**6, alpha, gamma, mode=mode, window=window, **kwargs)
+        assert report.window == (window if mode == "part1" else "part2")
+
+
 def test_window_report_part1():
     report = window_report(1000, 0.3, 13, mode="part1", window="existence")
     assert report.window == "existence"

@@ -1,9 +1,10 @@
 """Seeded random graph sampler: determinism, stream separation, pinned
 sample digests, pair indexing, and distributional checks against the
-Binomial edge-count law."""
+Binomial edge-count law, re-keyed generators and sampling from threads."""
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from sparsewitness.gnp import (
     SamplerConfig,
     _pair_of_index,
+    _rng,
     derive_stream,
     sample_gnp,
     splitmix64,
@@ -220,3 +222,44 @@ def test_pair_of_index_at_row_ends_for_large_n(n):
     for k, v in ((first, u + 1), (last, np.full_like(u, n - 1))):
         got_u, got_v = _pair_of_index(k, n)
         assert np.array_equal(got_u, u) and np.array_equal(got_v, v)
+
+
+M64 = (1 << 64) - 1
+REKEY_CASES = [
+    (0, 0),
+    (1, 2),
+    (11, 2**63 + 7),  # one word >= 2**63: Philox(key=[...]) rounds the key
+    (2**64 + 5, 3),  # seeds and streams are taken mod 2**64
+    (2**63 + 1, 2**64 - 2),
+    (2**70 + 9, 2**63 - 1),
+]
+
+
+def test_rekeyed_generator_draws_like_a_fresh_one():
+    # The sampler re-keys one generator per thread instead of building a
+    # Generator(Philox(key=...)) per call; the draws must be the same.
+    for seed, stream in REKEY_CASES + list(reversed(REKEY_CASES)):
+        cfg = SamplerConfig(n=10, p=0.5, seed=seed, stream=stream)
+        fresh = np.random.Generator(np.random.Philox(key=[seed & M64, stream & M64]))
+        rng = _rng(cfg)
+        assert np.array_equal(rng.random(7), fresh.random(7))
+        assert np.array_equal(rng.geometric(0.01, size=9), fresh.geometric(0.01, size=9))
+        # Leave a buffered word and a spare 32-bit half behind: the next
+        # re-key must discard both.
+        assert rng.integers(0, 2**32, dtype=np.uint32) == fresh.integers(
+            0, 2**32, dtype=np.uint32)
+
+
+def test_sampling_from_threads_matches_serial():
+    cfgs = (_configs([50], [0.2], 21, range(40)) + _configs([100], [0.3], 22, range(8))
+            + _configs([300], [0.01], 23, range(8)) + _configs([64, 65], [1.0], 24, [0]))
+    cfgs += [SamplerConfig(n=40, p=0.3, seed=25, stream=derive_stream(25, t))
+             for t in range(40)]
+    serial = [sample_gnp(cfg) for cfg in cfgs]
+    with ThreadPoolExecutor(4) as pool:
+        threaded = list(pool.map(sample_gnp, cfgs))
+    assert [(g.n, g.m, g.bits) for g in threaded] == [(g.n, g.m, g.bits) for g in serial]
+    # Dense rows of one word come from a uint64 array's tolist(): they must
+    # be Python ints, whose shifts do not overflow past bit 63.
+    for g in threaded:
+        assert all(type(row) is int for row in g.bits)
