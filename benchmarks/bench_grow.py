@@ -8,6 +8,8 @@ grow-certify workload's time, with that workload's arguments:
   250, 500 and 1000 steps;
 * ``analytics.sequence_part1(i, 0.3, 10)`` for i = 3..10 and
   ``sequence_part2(i, 0.6, 0.25, 4, 2)`` for i = 1..8;
+* ``sequence_part2(i, 0.6, 0.25, 4, 4)`` for i = 1..4, the r = 4 rows
+  whose integers reach 7 * 10^5 bits (not part of grow-certify);
 * ``analytics.window_report`` part 1 (existence window, alpha = 0.3,
   gamma = 10) and part 2 (alpha = 0.6, gamma = 4, r = 2, beta = 0.25)
   over n = 10^2 .. 10^12 in quarter decades.
@@ -44,6 +46,7 @@ def groups():
                for g, r in ((0, 2), (1, 2), (1, 3)) for steps in (250, 500, 1000)]
     part1 = [(analytics.sequence_part1, (i, 0.3, 10), {}) for i in range(3, 11)]
     part2 = [(analytics.sequence_part2, (i, 0.6, 0.25, 4, 2), {}) for i in range(1, 9)]
+    part2_r4 = [(analytics.sequence_part2, (i, 0.6, 0.25, 4, 4), {}) for i in range(1, 5)]
     window1 = [(analytics.window_report, (n, 0.3, 10), {}) for n in GRID]
     window2 = [(analytics.window_report, (n, 0.6, 4), {"r": 2, "mode": "part2", "beta": 0.25})
                for n in GRID]
@@ -51,6 +54,7 @@ def groups():
         ("process_run", process, canon),
         ("sequence_part1", part1, canon),
         ("sequence_part2", part2, canon),
+        ("sequence_part2 r=4", part2_r4, canon),
         ("window_report part1", window1, canon),
         ("window_report part2", window2, canon),
     ]

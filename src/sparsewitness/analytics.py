@@ -8,8 +8,9 @@ Window-membership certificates never trust floats: an integer s(a) is
 placed against a window endpoint q * f(x) + add (q, add rational, x a
 positive integer, f(x) = x^alpha * ln x) by outward-rounded interval
 arithmetic at escalating precision, falling back to an explicit
-UndecidableComparisonError instead of guessing.  Purely rational
-comparisons (the part-2 power inequalities) are done on exact integers.
+UndecidableComparisonError instead of guessing.  The part-2 size
+inequalities v^q <= x^p are placed on interval enclosures of q ln v and
+p ln x, and decided on exact integers only where those never separate.
 """
 
 from __future__ import annotations
@@ -224,15 +225,41 @@ class _Comparer:
 
     def __init__(self, alpha: Fraction):
         self.alpha = alpha
+        self._ln: dict[tuple[int, int], object] = {}
         self._f: dict[tuple[int, int], object] = {}
 
+    def _enclose_ln(self, x: int, prec: int):
+        # Called with iv.prec == prec, as is _enclose_f.
+        ln = self._ln.get((x, prec))
+        if ln is None:
+            ln = self._ln[x, prec] = iv.log(iv.mpf(x))
+        return ln
+
     def _enclose_f(self, x: int, prec: int):
-        # Called with iv.prec == prec.
         fx = self._f.get((x, prec))
         if fx is None:
-            ln = iv.log(iv.mpf(x))
+            ln = self._enclose_ln(x, prec)
             fx = self._f[x, prec] = iv.exp(_iv_fraction(self.alpha) * ln) * ln
         return fx
+
+    def power_leq(self, v: int, x: int, beta: Fraction) -> bool:
+        """v <= x^beta for positive integers v and x, beta = p/q: q ln v
+        against p ln x on enclosures at escalating precision, and on exact
+        integers where those never separate."""
+        p, q = beta.numerator, beta.denominator
+        saved = iv.prec
+        try:
+            for prec in _PRECISIONS:
+                iv.prec = prec
+                lv = self._enclose_ln(v, prec) * q
+                lx = self._enclose_ln(x, prec) * p
+                if lv.b <= lx.a:
+                    return True
+                if lv.a > lx.b:
+                    return False
+        finally:
+            iv.prec = saved
+        return _power_leq(v, x, beta)
 
     def compare(
         self, s: Fraction, q: Fraction, x: int, add: Fraction = Fraction(0)
@@ -640,10 +667,23 @@ def _brief(x) -> str:
     return repr(x)
 
 
-def _part2_value(a: int, gamma: int, r: int, beta: Fraction) -> int:
-    """2 * floor(B^(1/beta)) with B = (gamma+1) * omega(omega(a))."""
-    B = (gamma + 1) * omega(omega(a, r), r)
-    return 2 * _iroot(B**beta.denominator, beta.numerator)
+def _part2_value(a: int, gamma: int, r: int, beta: Fraction, tower: int) -> int:
+    """2 * floor(B^(1/beta)) with B = (gamma+1) * tower, where tower is
+    omega(omega(a)) and beta = p/q.
+
+    For r = 2^s the tower is (2^w - 1) / (r - 1) with w = s * omega(a), so
+    B^q is the binomial sum (2^w - 1)^q = sum_k C(q, k) (-1)^(q-k) 2^(kw)
+    of shifted terms, times (gamma+1)^q, divided exactly by (r - 1)^q: time
+    linear in its bits, where ** multiplies.  Other r raise B to the q.
+    """
+    p, q = beta.numerator, beta.denominator
+    if r & (r - 1):
+        power = ((gamma + 1) * tower) ** q
+    else:
+        w = (r.bit_length() - 1) * omega(a, r)
+        terms = sum((-1) ** (q - k) * math.comb(q, k) << k * w for k in range(q + 1))
+        power = (gamma + 1) ** q * terms // (r - 1) ** q
+    return 2 * _iroot(power, p)
 
 
 def _power_leq(v: int, x: int, beta: Fraction) -> bool:
@@ -653,9 +693,20 @@ def _power_leq(v: int, x: int, beta: Fraction) -> bool:
 
 def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2Row:
     """Witness pair (n_i, m_i) for the part-2 floors a1 = 2i (even, for
-    n_i) and a2 = 2i + 1 (odd, for m_i), with the log-space certificates
+    n_i) and a2 = 2i + 1 (odd, for m_i), with the certificates
 
         V(a) <= x^beta   and   V(a+1) > k_gamma x^alpha ln x + epsilon.
+
+    Each row builds the towers omega(omega(a)) for a = a1, a1 + 1, a1 + 2
+    once and reads V(a) = |W*(a)| off them.  The size certificate is
+    decided on interval logarithms, with the exact integer comparison
+    only where the intervals do not separate; the growth certificate by
+    _Comparer's rigorous window comparison.
+
+    r <= alpha / beta yields rows whose growth certificate fails at every
+    i: x^beta is about V(a), so the threshold grows like
+    V(a)^(alpha/beta) ln V(a), while V(a+1) grows only like V(a)^r.
+    part2_check_params does not reject such r.
     """
     if i < 1:
         raise ParameterError("i must be >= 1")
@@ -663,17 +714,17 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2R
     part2_check_params(alpha, beta, gamma, r)
     k = _k_gamma_frac(gamma, alpha)
     a1, a2 = 2 * i, 2 * i + 1
-    n_i = _part2_value(a1, gamma, r, beta)
-    m_i = _part2_value(a2, gamma, r, beta)
+    towers = {a: omega(omega(a, r), r) for a in (a1, a2, a2 + 1)}
+    n_i = _part2_value(a1, gamma, r, beta, towers[a1])
+    m_i = _part2_value(a2, gamma, r, beta, towers[a2])
+    sizes = {a: w_star_vertex_count(a, gamma, r, tower=t) for a, t in towers.items()}
     cmp = _Comparer(alpha)
 
     def certificate(a: int, x: int) -> Part2Certificate:
-        v_now = w_star_vertex_count(a, gamma, r)
-        v_next = w_star_vertex_count(a + 1, gamma, r)
         return Part2Certificate(
             a=a,
-            size_ok=_power_leq(v_now, x, beta),
-            growth_ok=cmp.compare(v_next, k, x, epsilon) > 0,
+            size_ok=cmp.power_leq(sizes[a], x, beta),
+            growth_ok=cmp.compare(sizes[a + 1], k, x, epsilon) > 0,
         )
 
     def log_of(x: int) -> float:

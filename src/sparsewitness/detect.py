@@ -209,7 +209,10 @@ def exists_dominating_set_of_size(
         raise ValueError(f"unknown mode {mode!r}")
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    # A uint64 array keeps every key word exact; numpy would round a list
+    # holding a word >= 2**63 through float64.
+    key = np.array([seed & (2**64 - 1), 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     hits = 0
     found = None
     for _ in range(trials):

@@ -78,7 +78,15 @@ def _fmt(x: float) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
-    """Run the grid and return the CSV text (header + one row per n)."""
+    """Run the grid and return the CSV text (header + one row per n).
+    With workers > 1 one process pool serves every n."""
+    if cfg.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
+            return _run_grid(cfg, pool)
+    return _run_grid(cfg, None)
+
+
+def _run_grid(cfg: ExperimentConfig, pool) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for n in cfg.n_values:
         start = time.monotonic()
@@ -87,9 +95,8 @@ def run_experiment(cfg: ExperimentConfig) -> str:
             (n, p, cfg.gamma, cfg.r, cfg.a_min, cfg.a_max, cfg.seed, t, cfg.budget)
             for t in range(cfg.trials)
         ]
-        if cfg.workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
-                outcomes = list(pool.map(run_trial, args, chunksize=64))
+        if pool is not None:
+            outcomes = list(pool.map(run_trial, args, chunksize=64))
         else:
             outcomes = [run_trial(a) for a in args]
         successes = sum(1 for ok, _, _ in outcomes if ok)

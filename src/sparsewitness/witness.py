@@ -55,11 +55,17 @@ class ProcessError(ValueError):
 
 
 def omega(a: int, r: int) -> int:
-    """Vertex count of the perfect r-ary tree of depth a - 1."""
+    """Vertex count of the perfect r-ary tree of depth a - 1.
+
+    For r = 2^s the power r^a is the shift 1 << s*a, which costs time
+    linear in its bits where ** squares its way up.
+    """
     if a < 0:
         raise WitnessError("a must be nonnegative")
     if r < 2:
         raise WitnessError("r must be at least 2")
+    if r & (r - 1) == 0:
+        return ((1 << (r.bit_length() - 1) * a) - 1) // (r - 1)
     return (r**a - 1) // (r - 1)
 
 
@@ -80,8 +86,12 @@ def w_edge_count(a: int, gamma: int, r: int) -> int:
     return a + (gamma + 2) * omega(a, r) - 2
 
 
-def w_star_vertex_count(a: int, gamma: int, r: int) -> int:
-    return a + 2 * (gamma + 1) * omega(a, r) + (gamma + 1) * omega(omega(a, r), r)
+def w_star_vertex_count(a: int, gamma: int, r: int, tower: int | None = None) -> int:
+    """V(a) = |W*(a)|; tower is omega(omega(a)), the size of TF2, when the
+    caller has already built it."""
+    if tower is None:
+        tower = omega(omega(a, r), r)
+    return a + 2 * (gamma + 1) * omega(a, r) + (gamma + 1) * tower
 
 
 def w_star_edge_count(a: int, gamma: int, r: int) -> int:
@@ -322,40 +332,68 @@ def process_init(gamma: int, r: int) -> ProcessState:
     )
 
 
-def _classify(v: int, a: int, gamma: int, r: int) -> str:
-    """Map the current vertex count to the unique applicable rule."""
-    base = w_star_vertex_count(a, gamma, r)
-    if v == base:
-        return "extend_f1"
-    d = v - base - 1
-    if d < 0 or d % (gamma + 1) != 0:
-        raise ProcessError(f"vertex count {v} matches no rule at floor {a}")
-    q = d // (gamma + 1)
-    # Sub-round j spans 2 + r^(omega(a)+j) slots of q: F2, TF1, then TF2.
-    offset, width = 0, r ** omega(a, r)
+def _extend_f1(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
+    b.grow(trees[0], 1, ROLE_F1)
+
+
+def _extend_f2(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
+    b.connector(trees[0][-1], b.grow(trees[1], r, ROLE_F2))
+
+
+def _extend_tf1(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
+    b.connector(b.grow(trees[2], 1, ROLE_TF1), trees[1][-1])
+
+
+def _extend_tf2(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
+    b.connector(trees[2][-1], b.grow(trees[3], r, ROLE_TF2))
+
+
+def _stage_schedule(a: int, gamma: int, r: int):
+    """The growth rules that turn W*(a) into W*(a + 1), in order, as
+    (rule, repeats, vertices per step) runs: one F1 step, then r^a
+    sub-rounds j of one F2 step, one TF1 step and r^(omega(a)+j) TF2
+    steps.  This is the one statement of the rule order."""
+    yield _extend_f1, 1, 1
+    width = r ** omega(a, r)
     for _ in range(r**a):
-        if q < offset + 2:
-            return "extend_f2" if q == offset else "extend_tf1"
-        if q < offset + 2 + width:
-            return "extend_tf2"
-        offset += 2 + width
+        yield _extend_f2, 1, gamma + 1
+        yield _extend_tf1, 1, gamma + 1
+        yield _extend_tf2, width, gamma + 1
         width *= r
-    raise ProcessError(f"vertex count {v} matches no rule at floor {a}")
 
 
-def _grow_step(b: _Builder, trees: tuple[list[int], ...], floor: int, r: int) -> int:
-    """Apply the unique growth rule for the builder's vertex count to b
-    and to the f1, f2, tf1, tf2 lists in trees; returns the new floor."""
-    f1, f2, tf1, tf2 = trees
-    rule = _classify(len(b.rows), floor, b.gamma, r)
-    if rule == "extend_f1":
-        b.grow(f1, 1, ROLE_F1)
-    elif rule == "extend_f2":
-        b.connector(f1[-1], b.grow(f2, r, ROLE_F2))
-    elif rule == "extend_tf1":
-        b.connector(b.grow(tf1, 1, ROLE_TF1), f2[-1])
-    else:
-        b.connector(tf1[-1], b.grow(tf2, r, ROLE_TF2))
+def _runs_from(v: int, floor: int, gamma: int, r: int):
+    """(floor, rule, steps) runs from vertex count v on: the schedule of
+    floor resumed at v, then the schedules of the later floors."""
+    count = w_star_vertex_count(floor, gamma, r)
+    while True:
+        for rule, repeats, size in _stage_schedule(floor, gamma, r):
+            start, count = count, count + repeats * size
+            if start <= v < count:
+                left, off = divmod(count - v, size)
+                if off:
+                    raise ProcessError(
+                        f"vertex count {v} matches no rule at floor {floor}")
+                yield floor, rule, left
+                v = count
+        if v != count:
+            raise ProcessError(f"vertex count {v} matches no rule at floor {floor}")
+        floor += 1
+
+
+def _grow(
+    b: _Builder, trees: tuple[list[int], ...], floor: int, r: int, steps: int
+) -> int:
+    """Apply `steps` growth steps to b and to the f1, f2, tf1, tf2 lists in
+    trees, walking the stage schedule from the builder's vertex count;
+    returns the new floor."""
+    runs = _runs_from(len(b.rows), floor, b.gamma, r)
+    while steps:
+        floor, rule, k = next(runs)
+        k = min(k, steps)
+        steps -= k
+        for _ in range(k):
+            rule(b, trees, r)
     if len(b.rows) == w_star_vertex_count(floor + 1, b.gamma, r):
         return floor + 1
     return floor
@@ -378,14 +416,15 @@ def _builder_of(state: ProcessState) -> tuple[_Builder, tuple[list[int], ...]]:
 
 
 def process_step(state: ProcessState) -> ProcessState:
-    """Apply the unique growth rule for the current vertex count and
-    return the new state (states are never mutated in place).
+    """Apply the growth rule that the stage schedule gives for the current
+    vertex count and return the new state (states are never mutated in
+    place).
 
     A step copies the whole state into a builder, so it costs time linear
     in the graph size; process_run grows many steps without the copies.
     """
     b, trees = _builder_of(state)
-    floor = _grow_step(b, trees, state.floor, state.r)
+    floor = _grow(b, trees, state.floor, state.r, 1)
     return _snapshot(b, trees, floor, state.r, state.step + 1)
 
 
@@ -396,12 +435,11 @@ def process_run(gamma: int, r: int, steps: int) -> ProcessState:
     to one builder and one set of bookkeeping lists, and a single state is
     built at the end, so a run costs time linear in its step count (plus
     the row writes themselves) instead of one copy of the graph per step.
+    The run walks the stage schedule once, a run of equal rules at a time.
     """
     state = process_init(gamma, r)
     b, trees = _builder_of(state)
-    floor = state.floor
-    for _ in range(steps):
-        floor = _grow_step(b, trees, floor, r)
+    floor = _grow(b, trees, state.floor, r, steps)
     return _snapshot(b, trees, floor, r, steps)
 
 

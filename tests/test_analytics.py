@@ -342,6 +342,69 @@ def test_part2_fails_for_r2_but_holds_for_r4():
         assert row.log_n_i < row.log_m_i
 
 
+def _part2_exact(i, alpha, beta, gamma, r, epsilon=1):
+    """(x, size_ok, growth_ok) for a = 2i and 2i + 1 as the definitions
+    read: omega from (r^a - 1)/(r - 1), x = 2 floor(B^(1/beta)) through **
+    and _iroot, V(a)^q <= x^p on exact integers, and the growth window
+    through compare_to_window_endpoint."""
+    alpha, beta = Fraction(str(alpha)), Fraction(beta)
+    p, q = beta.numerator, beta.denominator
+    k = 2 * (1 - alpha * (gamma + 2) / (gamma + 1))
+
+    def om(a):
+        return (r**a - 1) // (r - 1)
+
+    def size(a):
+        return a + 2 * (gamma + 1) * om(a) + (gamma + 1) * om(om(a))
+
+    out = []
+    for a in (2 * i, 2 * i + 1):
+        x = 2 * analytics._iroot(((gamma + 1) * om(om(a))) ** q, p)
+        out.append((x, size(a) ** q <= x**p,
+                    compare_to_window_endpoint(size(a + 1), k, x, alpha, epsilon) > 0))
+    return out
+
+
+@pytest.mark.parametrize("beta, r, i_max", [
+    (Fraction(1, 4), 2, 9),
+    (Fraction(1, 4), 4, 4),
+    # p = 2 > 1 sends the floors through _iroot.
+    (Fraction(2, 9), 2, 6),
+    (Fraction(2, 9), 4, 3),
+])
+def test_part2_rows_match_the_exact_definitions(beta, r, i_max):
+    for i in range(1, i_max + 1):
+        row = sequence_part2(i, 0.6, beta, 4, r)
+        got = [(row.n_i, row.n_certificate.size_ok, row.n_certificate.growth_ok),
+               (row.m_i, row.m_certificate.size_ok, row.m_certificate.growth_ok)]
+        assert got == _part2_exact(i, 0.6, beta, 4, r), (i, r, beta)
+
+
+def test_part2_size_check_falls_back_to_exact_on_ties(monkeypatch):
+    # 1024^4 = 2^40 exactly: no enclosure of the two logarithms separates
+    # them, so only the exact comparison can say "<="; near misses are
+    # decided on the enclosures alone.
+    exact = []
+    power_leq = analytics._power_leq
+    monkeypatch.setattr(analytics, "_power_leq",
+                        lambda *args: exact.append(args) or power_leq(*args))
+    cmp = analytics._Comparer(Fraction(3, 5))
+    assert not cmp.power_leq(2**10 + 1, 2**40, Fraction(1, 4))
+    assert not cmp.power_leq(2**10, 2**40 - 1, Fraction(1, 4))
+    assert not exact
+    assert cmp.power_leq(2**10, 2**40, Fraction(1, 4))
+    assert cmp.power_leq(3**20, 3**90, Fraction(2, 9))
+    assert len(exact) == 2
+
+
+def test_part2_row_at_r4_i6_holds_both_certificates():
+    # m_i has about 1.8 * 10^8 bits here; before the rows were built from
+    # shifts this row did not finish in minutes.
+    row = sequence_part2(6, 0.6, 0.25, 4, 4)
+    assert row.n_certificate.holds and row.m_certificate.holds
+    assert (row.a1, row.a2) == (12, 13)
+
+
 def test_part2_row_repr_shows_bit_lengths_of_huge_integers():
     # At r = 4, i = 3, m_i has 43,692 bits (about 13,000 digits), past the
     # 4,300-digit limit on int-to-str conversion, and n_i 10,924; small

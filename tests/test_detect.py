@@ -162,6 +162,21 @@ def test_exists_dominating_set_sampled_matches_exact_when_hit():
     assert verdict  # {1} dominates and is hit with overwhelming probability
 
 
+def test_sampled_seeds_draw_distinct_streams():
+    # The Philox key is built as uint64 words, so seeds at and past 2**63
+    # keep every bit; seed 1 draws as it did with the key given as a list.
+    c12 = cycle(12)
+
+    def draw(seed):
+        v = exists_dominating_set_of_size(c12, 5, mode="sampled", trials=300, seed=seed)
+        return v.fraction, v.witness
+
+    assert draw(1) == (0.09, (1, 3, 4, 7, 10))
+    big = [draw(s) for s in (2**63, 2**63 + 1, 2**63 + 2, 2**64 - 1)]
+    assert len(set(big)) == len(big)
+    assert draw(2**64 + 1) == draw(1)  # seeds are taken modulo 2**64
+
+
 def test_connector_property():
     # P_4 endpoints are connected by the induced 2-vertex path 1-2.
     p4 = path(4)

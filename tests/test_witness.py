@@ -1,5 +1,6 @@
 """Witness families, the growth process, and the parity property."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -66,6 +67,24 @@ def test_omega_closed_form():
     for a in range(1, 7):
         for r in (2, 3, 4, 5):
             assert omega(a, r) == sum(r**t for t in range(a))
+
+
+def test_omega_shift_matches_division():
+    # Powers of two take the shift path; every r must give (r^a - 1)/(r - 1).
+    for r in range(2, 10):
+        for a in range(65):
+            assert omega(a, r) == (r**a - 1) // (r - 1), (a, r)
+
+
+def test_process_rejects_states_off_the_schedule():
+    # A floor whose stage does not contain the vertex count matches no rule.
+    init = process_init(1, 2)
+    with pytest.raises(ProcessError):
+        process_step(dataclasses.replace(init, floor=2))
+    past = process_run(0, 2, 40)
+    assert past.floor == 2
+    with pytest.raises(ProcessError):
+        process_step(dataclasses.replace(past, floor=1))
 
 
 def test_parameter_validation():
