@@ -310,6 +310,8 @@ def _iroot(x: int, p: int) -> int:
         raise ValueError("need x >= 0 and p >= 1")
     if x in (0, 1) or p == 1:
         return x
+    if p == 2:
+        return math.isqrt(x)
     guess = 1 << ((x.bit_length() + p - 1) // p)
     while True:
         nxt = ((p - 1) * guess + x // guess ** (p - 1)) // p

@@ -1,6 +1,7 @@
 """FO/EMSO formulas over graphs: AST, text DSL parser, and a brute-force
-evaluator with builtin atomic predicates (set quantifiers under an @isoW
-guard range over witness copies only).
+evaluator with builtin atomic predicates (@max, @isoW, @even, @disjoint,
+@edges; a set quantifier with an @isoW conjunct, in any grouping, ranges
+over witness copies only).
 
 Grammar (binding gets looser downward; '&', '|' and '<->' associate left,
 '->' associates right):
@@ -23,6 +24,7 @@ evaluation context only for the ambient parameters gamma and r.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -146,219 +148,6 @@ def builtin_isoW(ctx: EvalContext, X: int) -> bool:
     return res.count > 0
 
 
-def _path_components(g: Graph, mask: int) -> list[list[int]] | None:
-    """Split the induced subgraph on mask into components; each must be a
-    simple path, returned end to end.  None if any component is not a path."""
-    todo = mask
-    comps = []
-    while todo:
-        start = (todo & -todo).bit_length() - 1
-        seen = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in iter_mask(g.bits[v] & mask & ~seen):
-                    seen |= 1 << w
-                    nxt.append(w)
-            frontier = nxt
-        members = list(iter_mask(seen))
-        degs = {v: (g.bits[v] & seen).bit_count() for v in members}
-        if len(members) == 1:
-            comps.append(members)
-        else:
-            ends = [v for v in members if degs[v] == 1]
-            if len(ends) != 2 or any(degs[v] > 2 for v in members):
-                return None
-            path = [ends[0]]
-            prev = -1
-            while len(path) < len(members):
-                nxt = next(
-                    w for w in iter_mask(g.bits[path[-1]] & seen)
-                    if w != prev
-                )
-                prev = path[-1]
-                path.append(nxt)
-            if path[-1] != ends[1]:
-                return None
-            comps.append(path)
-        todo &= ~seen
-    return comps
-
-
-def _connector_decomposition(ctx: EvalContext, X1: int, X2: int, G: int):
-    """Decompose [G] into gamma-vertex paths each attaching one end to X1
-    and the other to X2, per the covering conditions.  Returns the list of
-    (x1, x2) attachment pairs, or None if the structure is violated."""
-    g, gamma = ctx.g, ctx.gamma
-    if X1 & X2 or X1 & G or X2 & G:
-        return None
-    both = X1 | X2
-    if gamma == 0:
-        if G:
-            return None
-        pairs = []
-        for x1 in iter_mask(X1):
-            nb = g.bits[x1] & X2
-            if nb.bit_count() != 1:
-                return None
-            pairs.append((x1, nb.bit_length() - 1))
-        return pairs
-    comps = _path_components(g, G)
-    if comps is None:
-        return None
-    pairs = []
-    for path in comps:
-        if len(path) != gamma:
-            return None
-        if gamma == 1:
-            v = path[0]
-            a1 = g.bits[v] & X1
-            a2 = g.bits[v] & X2
-            if a1.bit_count() != 1 or a2.bit_count() != 1:
-                return None
-            pairs.append((a1.bit_length() - 1, a2.bit_length() - 1))
-            continue
-        for v in path[1:-1]:
-            if g.bits[v] & both:
-                return None
-        e1, e2 = path[0], path[-1]
-        n1, n2 = g.bits[e1] & both, g.bits[e2] & both
-        if n1.bit_count() != 1 or n2.bit_count() != 1:
-            return None
-        u, w = n1.bit_length() - 1, n2.bit_length() - 1
-        if (X1 >> u) & 1 and (X2 >> w) & 1:
-            pairs.append((u, w))
-        elif (X2 >> u) & 1 and (X1 >> w) & 1:
-            pairs.append((w, u))
-        else:
-            return None
-    return pairs
-
-
-def builtin_phi_star(ctx: EvalContext, X1: int, X2: int, G: int) -> bool:
-    """X1 and X2 are matched one-to-one by paths with gamma inner vertices
-    drawn from G, and G consists exactly of those paths."""
-    pairs = _connector_decomposition(ctx, X1, X2, G)
-    if pairs is None:
-        return False
-    firsts = [p[0] for p in pairs]
-    seconds = [p[1] for p in pairs]
-    return (
-        sorted(firsts) == sorted(iter_mask(X1))
-        and sorted(seconds) == sorted(iter_mask(X2))
-        and len(set(firsts)) == len(firsts)
-        and len(set(seconds)) == len(seconds)
-    )
-
-
-def builtin_paths(ctx: EvalContext, X1: int, X2: int, TX1: int,
-                  G1: int, G2: int) -> bool:
-    """Group X2 by the X1 endpoint of its G1-connector; each group's
-    G2-partners must induce a simple path inside [TX1]."""
-    g = ctx.g
-    pairs1 = _connector_decomposition(ctx, X2, X1, G1)
-    pairs2 = _connector_decomposition(ctx, X2, TX1, G2)
-    if pairs1 is None or pairs2 is None:
-        return False
-    to_x1 = {}
-    for x2, x1 in pairs1:
-        if x2 in to_x1:
-            return False
-        to_x1[x2] = x1
-    to_tx1 = {}
-    for x2, t in pairs2:
-        if x2 in to_tx1:
-            return False
-        to_tx1[x2] = t
-    if set(to_x1) != set(iter_mask(X2)) or set(to_tx1) != set(iter_mask(X2)):
-        return False
-    groups: dict[int, int] = {}
-    for x2, x1 in to_x1.items():
-        groups[x1] = groups.get(x1, 0) | (1 << to_tx1[x2])
-    for mask in groups.values():
-        comps = _path_components(g, mask)
-        if comps is None or len(comps) != 1:
-            return False
-    return True
-
-
-def builtin_last(ctx: EvalContext, X: int, Z: int, y: int, G: int) -> bool:
-    """y marks the end of the path [X]; G decomposes into gamma-vertex
-    paths whose first vertices are exactly the G-neighbors of y and whose
-    last vertices pair off with Z one-to-one."""
-    g, gamma = ctx.g, ctx.gamma
-    if gamma < 1:
-        raise BindingError("@last requires gamma >= 1")
-    if (X >> y) & 1 or (Z >> y) & 1 or (G >> y) & 1:
-        return False
-    comps = _path_components(g, X)
-    if comps is None or len(comps) != 1:
-        return False
-    path = comps[0]
-    xnb = g.bits[y] & X
-    if xnb.bit_count() != 1:
-        return False
-    end = xnb.bit_length() - 1
-    if end not in (path[0], path[-1]):
-        return False
-    gcomps = _path_components(g, G)
-    if gcomps is None:
-        return False
-    firsts, lasts = [], []
-    for p in gcomps:
-        if len(p) != gamma:
-            return False
-        cands = [v for v in (p[0], p[-1]) if (g.bits[y] >> v) & 1]
-        if gamma == 1:
-            if not cands:
-                return False
-            firsts.append(p[0])
-            lasts.append(p[0])
-            continue
-        if len(cands) != 1:
-            return False
-        first = cands[0]
-        last = p[-1] if first == p[0] else p[0]
-        firsts.append(first)
-        lasts.append(last)
-    if sorted(firsts) != sorted(iter_mask(g.bits[y] & G)):
-        return False
-    zs = []
-    for last in lasts:
-        znb = g.bits[last] & Z
-        if znb.bit_count() != 1:
-            return False
-        zs.append(znb.bit_length() - 1)
-    if len(set(zs)) != len(zs):
-        return False
-    for z in iter_mask(Z):
-        gnb = g.bits[z] & G
-        if gnb.bit_count() != 1 or gnb.bit_length() - 1 not in lasts:
-            return False
-    return True
-
-
-def builtin_leaves(ctx: EvalContext, X: int, Z: int) -> bool:
-    """Z hangs off degree-<=1-in-[X] vertices: each z has exactly one
-    X-neighbor, that neighbor has at most r Z-neighbors, and [Z] is
-    edgeless."""
-    g, r = ctx.g, ctx.r
-    for z in iter_mask(Z):
-        if g.bits[z] & Z:
-            return False
-        xnb = g.bits[z] & X
-        if xnb.bit_count() != 1:
-            return False
-        x = xnb.bit_length() - 1
-        if (g.bits[x] & X).bit_count() > 1:
-            return False
-    for x in iter_mask(X):
-        if (g.bits[x] & Z).bit_count() > r:
-            return False
-    return True
-
-
 def builtin_even(ctx: EvalContext, X: int) -> bool:
     return X.bit_count() % 2 == 0
 
@@ -382,117 +171,12 @@ def builtin_edges(ctx: EvalContext, *sets: int) -> bool:
     return True
 
 
-def builtin_max2(ctx: EvalContext, X1: int, X2: int, TX1: int, TX2: int,
-                 TY1: int, TY2: int, Z: int, TZ: int,
-                 G1: int, G2: int, G3: int, G4: int, G5: int, G6: int, G7: int,
-                 y: int, ty: int) -> bool:
-    """Maximality of a starred-witness decomposition: three implications
-    stating that, depending on which tree still has room, no outside
-    vertex can start the next growth step.
-
-    Where the source prose mixes up Z and TZ inside one bullet we use TZ
-    throughout the TY2 bullet and Z throughout the X2 bullet, matching the
-    process extension semantics.
-    """
-    g, gamma, r = ctx.g, ctx.gamma, ctx.r
-    U = X1 | X2 | TX1 | TX2 | TY1 | TY2 | Z | TZ | G1 | G2 | G3 | G4 | G5 | G6 | G7
-    U |= (1 << y) | (1 << ty)
-
-    def open_leaves(tree: int, children: int, cap: int) -> list[int]:
-        return [
-            v for v in iter_mask(tree)
-            if (g.bits[v] & tree).bit_count() <= 1
-            and (g.bits[v] & children).bit_count() <= cap
-        ]
-
-    x2_open = open_leaves(X2, Z, r - 1)
-    ty2_open = open_leaves(TY2, TZ, r - 1)
-    x2_full = not x2_open
-    ty2_full = not ty2_open
-
-    # Bullet 1: both trees saturated -> y has no private outside neighbor.
-    if x2_full and ty2_full:
-        for w in range(g.n):
-            if (U >> w) & 1:
-                continue
-            if (g.bits[y] >> w) & 1 and (g.bits[w] & U).bit_count() == 1:
-                return False
-
-    # Bullet 2: TY2 has an open leaf -> no outside vertex hangs off such a
-    # leaf and reaches ty by a clean connector path.
-    if ty2_open:
-        open_mask = mask_of(ty2_open)
-        for w in range(g.n):
-            if (U >> w) & 1:
-                continue
-            unb = g.bits[w] & U
-            if unb.bit_count() != 1 or not unb & open_mask:
-                continue
-            if _ext_path(ctx, w, ty, U):
-                return False
-
-    # Bullet 3: symmetric for X2 and y.
-    if x2_open:
-        open_mask = mask_of(x2_open)
-        for w in range(g.n):
-            if (U >> w) & 1:
-                continue
-            unb = g.bits[w] & U
-            if unb.bit_count() != 1 or not unb & open_mask:
-                continue
-            if _ext_path(ctx, w, y, U):
-                return False
-    return True
-
-
-def _ext_path(ctx: EvalContext, w: int, anchor: int, U: int) -> bool:
-    """Induced path on gamma+2 vertices from w to anchor whose inner
-    vertices lie outside U and touch U only at the anchor end (the vertex
-    adjacent to the anchor may be adjacent to it alone)."""
-    g, gamma = ctx.g, ctx.gamma
-    length = gamma + 2
-
-    def extend(path, pmask):
-        ctx.charge()
-        k = len(path)
-        if k == length - 1:
-            last = path[-1]
-            if not (g.bits[last] >> anchor) & 1:
-                return False
-            if (pmask >> anchor) & 1 or (g.bits[anchor] & pmask & ~(1 << last)):
-                return False
-            return True
-        prev_mask = mask_of(path[:-1])
-        for v in iter_mask(g.bits[path[-1]] & ~U & ~pmask):
-            if g.bits[v] & prev_mask:
-                continue
-            near_anchor = k == length - 2
-            touched = g.bits[v] & U
-            if near_anchor:
-                if touched & ~(1 << anchor):
-                    continue
-            elif touched:
-                continue
-            if extend(path + [v], pmask | (1 << v)):
-                return True
-        return False
-
-    if gamma == 0:
-        return bool((g.bits[w] >> anchor) & 1)
-    return extend([w], 1 << w)
-
-
 BUILTINS = {
     "max": (("s",), lambda ctx, X: dominates(ctx.g, X)),
     "isoW": (("s",), builtin_isoW),
-    "phi_star": (("s", "s", "s"), builtin_phi_star),
-    "paths": (("s", "s", "s", "s", "s"), builtin_paths),
-    "last": (("s", "s", "v", "s"), builtin_last),
-    "leaves": (("s", "s"), builtin_leaves),
     "even": (("s",), builtin_even),
     "disjoint": ("s*", builtin_disjoint),
     "edges": ("s*", builtin_edges),
-    "max2": (("s",) * 8 + ("s",) * 7 + ("v", "v"), builtin_max2),
 }
 
 
@@ -701,18 +385,26 @@ def is_emso(node) -> bool:
     return True
 
 
+def _conjuncts(node) -> list:
+    """The operands of node's And chain, in any grouping, left to right."""
+    if isinstance(node, And):
+        return _conjuncts(node.left) + _conjuncts(node.right)
+    return [node]
+
+
 def _isoW_guarded(node: ExistsSet, builtins: dict):
-    """psi when node is EXSET X (@isoW(X) & psi) or EXSET X (psi & @isoW(X))
-    with the default @isoW, else None."""
-    body = node.body
-    if not isinstance(body, And) or builtins.get("isoW", (None, None))[1] is not builtin_isoW:
+    """psi when node is EXSET X (C1 & ... & Ck), grouped in any way, with
+    some Ci = @isoW(X) for the default @isoW: the conjunction of the other
+    conjuncts in their order.  None otherwise, and for a body that is the
+    guard alone."""
+    if not isinstance(node.body, And) or builtins.get("isoW", (None, None))[1] is not builtin_isoW:
         return None
+    conjuncts = _conjuncts(node.body)
     guard = BuiltinAtom("isoW", (node.var,))
-    if body.left == guard:
-        return body.right
-    if body.right == guard:
-        return body.left
-    return None
+    if guard not in conjuncts:
+        return None
+    conjuncts.remove(guard)
+    return functools.reduce(And, conjuncts)
 
 
 def _witness_copies(ctx: EvalContext):
@@ -739,13 +431,17 @@ def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4,
     0..n-1, set quantifiers over all 2^n subsets in rank order.  Each
     quantifier instantiation charges one unit of budget.
 
-    A set quantifier guarded by the default @isoW, EXSET X (@isoW(X) & psi)
-    or EXSET X (psi & @isoW(X)), ranges over the witness copies instead:
+    A set quantifier whose body is a conjunction, grouped in any way, with
+    the default @isoW(X) among its conjuncts ranges over the witness copies
+    instead, and the other conjuncts are checked on each in their order:
     the image sets of induced W(a) copies, found by the kernel one per
     copy, are exactly the sets on which the guard holds, so the verdict is
     the exhaustive one.  The budget is charged each copy search's
     expansions and one unit per copy tried, so it runs out at other points
     than the exhaustive enumeration's.
+
+    builtins replaces the BUILTINS table; each entry maps a name to
+    (kinds, func), kinds a tuple over "v" and "s" or the string "s*".
     """
     builtins = builtins or BUILTINS
     ctx = EvalContext(g, budget, gamma, r)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -378,6 +379,17 @@ def test_part2_rows_match_the_exact_definitions(beta, r, i_max):
         got = [(row.n_i, row.n_certificate.size_ok, row.n_certificate.growth_ok),
                (row.m_i, row.m_certificate.size_ok, row.m_certificate.growth_ok)]
         assert got == _part2_exact(i, 0.6, beta, 4, r), (i, r, beta)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_iroot_is_the_floor_root(p):
+    rnd = random.Random(p)
+    xs = [0, 1] + [rnd.getrandbits(10_000) for _ in range(3)]
+    for k in [*range(1, 20), 2**200 + 3]:
+        xs += [k**p - 1, k**p, k**p + 1]
+    for x in xs:
+        root = analytics._iroot(x, p)
+        assert root**p <= x < (root + 1) ** p, (x.bit_length(), p)
 
 
 def test_part2_size_check_falls_back_to_exact_on_ties(monkeypatch):

@@ -42,7 +42,8 @@ def ev(g, text, **kw):
 # --------------------------------------------------------------- parsing
 
 def test_parse_rejects_syntax_errors():
-    for bad in ["EX x", "x ~ y)", "EX x (x ~", "@nosuch(x)", "EX x x + y"]:
+    for bad in ["EX x", "x ~ y)", "EX x (x ~", "@nosuch(x)", "EX x x + y",
+                "EXSET X @phi_star(X, X, X)"]:
         with pytest.raises(FormulaSyntaxError):
             parse_formula(bad)
 
@@ -175,6 +176,25 @@ def test_evaluate_agrees_with_brute_force_domination():
         assert evaluate(g, phi) == expect
 
 
+def test_custom_builtin_with_a_vertex_argument():
+    # @nbin(x, X): x has a neighbour in X.  X dominates iff every vertex
+    # is in X or has a neighbour in it.
+    builtins = {**BUILTINS, "nbin": (("v", "s"), lambda ctx, x, X: bool(ctx.g.bits[x] & X))}
+    verdicts = set()
+    for g in [path(4), path(5), cycle(5), Graph(3, []), Graph(4, [(0, 1), (0, 2), (0, 3)])]:
+        for prefix in ("", "@even(X) & "):
+            via_nbin = parse_formula(f"EXSET X ({prefix}ALL x (x in X | @nbin(x, X)))", builtins)
+            via_max = parse_formula(f"EXSET X ({prefix}@max(X))", builtins)
+            verdict = evaluate(g, via_nbin, builtins=builtins)
+            assert verdict == evaluate(g, via_max, builtins=builtins)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+    with pytest.raises(BindingError):
+        parse_formula("EXSET X @nbin(X, X)", builtins)
+    with pytest.raises(BindingError):
+        parse_formula("EXSET X EX x @nbin(x, x)", builtins)
+
+
 # ------------------------------------------- set quantifiers under @isoW
 
 # An @isoW that is not the default builtin makes the evaluator enumerate
@@ -224,8 +244,10 @@ def guarded_instances(draw):
         edges = {(u, v) for u, v in edges if not (u in image and v in image)}
         edges |= {tuple(sorted((image[u], image[v]))) for u, v in pattern.edges()}
     body = draw(psi())
-    text = draw(st.sampled_from([f"EXSET X (@isoW(X) & {body})",
-                                 f"EXSET X (({body}) & @isoW(X))"]))
+    text = draw(st.sampled_from([f"EXSET X (@isoW(X) & ({body}))",
+                                 f"EXSET X (({body}) & @isoW(X))",
+                                 f"EXSET X ((@isoW(X) & ({body})) & EX x x in X)",
+                                 f"EXSET X (EX x x in X & (({body}) & @isoW(X)))"]))
     return Graph(n, sorted(edges)), text, gamma, r
 
 
@@ -273,14 +295,20 @@ def test_dominating_witness_sentence_matches_detect_on_mc_grid_hosts():
     # Criterion 4's logic-detect equivalence in the Monte Carlo grid's
     # regime (n = 25 and 40, p = n^-0.3), where the 2^n subsets cannot be
     # enumerated: every W(a) that fits the host is searched by both.
-    phi = parse_formula("EXSET X (@isoW(X) & @max(X))")
+    # The guard is found in any grouping of the conjunction.
+    phis = [parse_formula(text) for text in (
+        "EXSET X (@isoW(X) & @max(X))",
+        "EXSET X ((@isoW(X) & @max(X)) & EX x x in X)",
+        "EXSET X (EX x x in X & (@max(X) & @isoW(X)))",
+    )]
     verdicts = set()
     for n in (25, 40):
         a_max = max(a for a in range(1, 5) if w_vertex_count(a, 0, 4) <= n)
         for trial in range(6):
             g = _mc_grid_host(n, 7, trial)
-            via_logic = evaluate(g, phi, gamma=0, r=4)
             via_detect = bool(detect.find_dominating_induced_W(g, 0, 4, (1, a_max)))
-            assert via_logic == via_detect, (n, trial)
-            verdicts.add(via_logic)
+            for phi in phis:
+                via_logic = evaluate(g, phi, gamma=0, r=4)
+                assert via_logic == via_detect, (n, trial, phi)
+                verdicts.add(via_logic)
     assert verdicts == {False, True}
