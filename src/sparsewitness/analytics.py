@@ -4,23 +4,38 @@ domination probability, and the non-convergence witness sequences.
 Expectations are carried as LogReal (sign plus natural-log magnitude)
 because the values overflow floats long before interesting parameters.
 
-Window-membership certificates never trust floats: an integer s(a) is
-placed against a window endpoint q * f(x) + add (q, add rational, x a
-positive integer, f(x) = x^alpha * ln x) by outward-rounded interval
-arithmetic at escalating precision, falling back to an explicit
-UndecidableComparisonError instead of guessing.  The part-2 size
-inequalities v^q <= x^p are placed on interval enclosures of q ln v and
-p ln x, and decided on exact integers only where those never separate.
+Window-membership certificates never trust floats.  A window endpoint
+q * f(x) + add (q, add rational, x a positive integer, f(x) = x^alpha *
+ln x) is enclosed once per precision by outward-rounded interval
+arithmetic, and an integer s(a) is placed against it as a point, two
+endpoint tests per precision; the precision escalates until they
+separate, falling back to an explicit UndecidableComparisonError instead
+of guessing.  The part-2 size inequalities v^q <= x^p are placed on
+interval enclosures of q ln v and p ln x, and decided on exact integers
+only where those never separate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import mpmath
-from mpmath import iv
+from mpmath.libmp import (
+    from_int,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpi_add,
+    mpi_div,
+    mpi_exp,
+    mpi_log,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+)
 
 from .witness import (
     omega,
@@ -211,81 +226,116 @@ def inverse_f(target: float, alpha: float, rtol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # Exact window comparisons
 
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _point(n: int, prec: int):
+    """Enclosure of the integer n by prec-bit endpoints, exact when n fits."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _place(s, prec: int):
+    """Enclosure of the rational s (an int or a Fraction) at prec bits."""
+    if s.denominator == 1:
+        return _point(s.numerator, prec)
+    return mpi_div(_point(s.numerator, prec), _point(s.denominator, prec), prec)
+
+
+def _enclose_ln(x: int, prec: int):
+    """Enclosure of ln x for an integer x >= 1 at prec bits, the one that
+    iv.log(iv.mpf(x)) gives."""
+    return mpi_log(_point(x, prec), prec)
 
 
 class _Comparer:
-    """Decides signs of s - (q * f(x) + add) for one alpha.
+    """Window comparisons at one integer x >= 1 for one alpha.
 
-    The interval enclosure of f(x) is computed once per (x, precision) and
-    kept by this object.  One is made per public call and dropped with it,
-    so no result or cost depends on earlier calls.
+    ln x and f(x) = x^alpha ln x are enclosed once per precision, when a
+    comparison first needs that precision, with the mpmath.libmp interval
+    primitives that mpmath's iv context calls; every endpoint at x shares
+    them.  One is made per x of a public call and dropped with it, so no
+    enclosure is kept between calls.
     """
 
-    def __init__(self, alpha: Fraction):
-        self.alpha = alpha
-        self._ln: dict[tuple[int, int], object] = {}
-        self._f: dict[tuple[int, int], object] = {}
-
-    def _enclose_ln(self, x: int, prec: int):
-        # Called with iv.prec == prec, as is _enclose_f.
-        ln = self._ln.get((x, prec))
-        if ln is None:
-            ln = self._ln[x, prec] = iv.log(iv.mpf(x))
-        return ln
-
-    def _enclose_f(self, x: int, prec: int):
-        fx = self._f.get((x, prec))
-        if fx is None:
-            ln = self._enclose_ln(x, prec)
-            fx = self._f[x, prec] = iv.exp(_iv_fraction(self.alpha) * ln) * ln
-        return fx
-
-    def power_leq(self, v: int, x: int, beta: Fraction) -> bool:
-        """v <= x^beta for positive integers v and x, beta = p/q: q ln v
-        against p ln x on enclosures at escalating precision, and on exact
-        integers where those never separate."""
-        p, q = beta.numerator, beta.denominator
-        saved = iv.prec
-        try:
-            for prec in _PRECISIONS:
-                iv.prec = prec
-                lv = self._enclose_ln(v, prec) * q
-                lx = self._enclose_ln(x, prec) * p
-                if lv.b <= lx.a:
-                    return True
-                if lv.a > lx.b:
-                    return False
-        finally:
-            iv.prec = saved
-        return _power_leq(v, x, beta)
-
-    def compare(
-        self, s: Fraction, q: Fraction, x: int, add: Fraction = Fraction(0)
-    ) -> int:
+    def __init__(self, alpha: Fraction, x: int):
         if x < 1:
             raise ValueError("endpoint argument x must be >= 1")
-        if x == 1 or q == 0:
-            return (s > add) - (s < add)
-        # s - (q f(x) + add) = q ((s - add) / q - f(x)): one rational against
-        # the enclosure of f(x), with the sign flipped when q < 0.
-        t = (s - add) / q
-        sign = 1 if q > 0 else -1
-        saved = iv.prec
-        try:
-            for prec in _PRECISIONS:
-                iv.prec = prec
-                fx = self._enclose_f(x, prec)
-                tv = _iv_fraction(t)
-                if tv.b < fx.a:
-                    return -sign
-                if tv.a > fx.b:
-                    return sign
-        finally:
-            iv.prec = saved
+        self.alpha = alpha
+        self.x = x
+        self._ln: dict[int, tuple] = {}
+        self._f: dict[int, tuple] = {}
+
+    def ln(self, prec: int):
+        ln = self._ln.get(prec)
+        if ln is None:
+            ln = self._ln[prec] = _enclose_ln(self.x, prec)
+        return ln
+
+    def f(self, prec: int):
+        fx = self._f.get(prec)
+        if fx is None:
+            ln = self.ln(prec)
+            power = mpi_exp(mpi_mul(_place(self.alpha, prec), ln, prec), prec)
+            fx = self._f[prec] = mpi_mul(power, ln, prec)
+        return fx
+
+    def compare(self, s, q: Fraction, add: Fraction = Fraction(0)) -> int:
+        """Sign of s - (q * f(x) + add) for a rational s."""
+        return _Endpoint(self, q, add).sign(s)
+
+    def power_leq(self, v: int, beta: Fraction) -> bool:
+        """v <= x^beta for a positive integer v, beta = p/q: q ln v against
+        p ln x on enclosures at escalating precision, and on exact integers
+        where those never separate."""
+        p, q = beta.numerator, beta.denominator
+        for prec in _PRECISIONS:
+            lv_lo, lv_hi = mpi_mul(_enclose_ln(v, prec), _point(q, prec), prec)
+            lx_lo, lx_hi = mpi_mul(self.ln(prec), _point(p, prec), prec)
+            if mpf_le(lv_hi, lx_lo):
+                return True
+            if mpf_gt(lv_lo, lx_hi):
+                return False
+        return _power_leq(v, self.x, beta)
+
+
+class _Endpoint:
+    """The window endpoint q * f(x) + add at one _Comparer's x.
+
+    Its enclosure is made once per precision, so placing a candidate s
+    against it is two endpoint tests per precision: s's upper end below
+    the enclosure, or its lower end above it.  An integer s is a point,
+    exact whenever it fits the precision.  f(1) = 0 and q = 0 make the
+    endpoint the rational add, compared exactly.
+    """
+
+    def __init__(self, at: _Comparer, q: Fraction, add: Fraction = Fraction(0)):
+        self._at = at
+        self._q = q
+        self._add = add
+        self._exact = add if at.x == 1 or q == 0 else None
+        self._by_prec: dict[int, tuple] = {}
+
+    def _enclose(self, prec: int):
+        e = self._by_prec.get(prec)
+        if e is None:
+            e = mpi_mul(_place(self._q, prec), self._at.f(prec), prec)
+            if self._add:
+                e = mpi_add(e, _place(self._add, prec), prec)
+            self._by_prec[prec] = e
+        return e
+
+    def sign(self, s) -> int:
+        """Sign of s - (q * f(x) + add) for a rational s, decided only
+        where an enclosure separates the two."""
+        if self._exact is not None:
+            return (s > self._exact) - (s < self._exact)
+        for prec in _PRECISIONS:
+            lo, hi = self._enclose(prec)
+            s_lo, s_hi = _place(s, prec)
+            if mpf_lt(s_hi, lo):
+                return -1
+            if mpf_gt(s_lo, hi):
+                return 1
         raise UndecidableComparisonError(
-            f"comparison of {s} against {q}*f({x})+{add} undecided at max precision"
+            f"comparison of {s} against {self._q}*f({self._at.x})+{self._add} "
+            "undecided at max precision"
         )
 
 
@@ -294,30 +344,46 @@ def compare_to_window_endpoint(
 ) -> int:
     """Sign of s - (q * f(x) + add) with s rational, decided rigorously.
 
-    f(1) = 0 makes the endpoint rational and the comparison exact; for
-    x >= 2 the single rational (s - add) / q is placed against an
-    enclosure of f(x) (the sign flipped when q < 0), with intervals
-    escalated until they separate.  Each call encloses f(x) at most once
-    per precision; the window reports and sequences share one enclosure
-    per x and precision across all comparisons of one call.
+    f(1) = 0 makes the endpoint rational and the comparison exact.  For
+    x >= 2 the endpoint q * f(x) + add is enclosed once per precision,
+    s is placed against it as a point (an integer s is exact while it
+    fits the precision), and the precision escalates until the two
+    separate.  The window reports and sequences share one enclosure of
+    f(x) per x and precision across all comparisons of one call, and
+    each endpoint's enclosure across all candidates.
     """
-    return _Comparer(_as_fraction(alpha)).compare(_as_fraction(s), q, x, add)
+    return _Comparer(_as_fraction(alpha), x).compare(_as_fraction(s), q, add)
 
 
 def _iroot(x: int, p: int) -> int:
-    """floor(x ** (1/p)) for nonnegative integer x, exact."""
+    """floor(x ** (1/p)) for nonnegative integer x, exact.
+
+    As math.isqrt does for p = 2, the root of x >> (p * k), with k a
+    little under half the root's bits, is taken recursively and shifted
+    back up; it lies less than 2^k above the root.  Newton's method from
+    above converges quadratically, so one step from there, a full-size
+    division, lands within a unit of the root and exact powers settle
+    that unit.  A start within a factor 2 of the root needs about log2
+    of the root's bits of such divisions.
+    """
     if x < 0 or p < 1:
         raise ValueError("need x >= 0 and p >= 1")
     if x in (0, 1) or p == 1:
         return x
     if p == 2:
         return math.isqrt(x)
-    guess = 1 << ((x.bit_length() + p - 1) // p)
+    k = x.bit_length() // (2 * p) - 2 * p - 2
+    if k < 32:
+        guess = 1 << ((x.bit_length() + p - 1) // p)
+    else:
+        guess = (_iroot(x >> (p * k), p) + 1) << k
     while True:
         nxt = ((p - 1) * guess + x // guess ** (p - 1)) // p
         if nxt >= guess:
             break
-        guess = nxt
+        step, guess = guess - nxt, nxt
+        if 2 * (step.bit_length() + p + 1) < guess.bit_length():
+            break  # the next step would move guess by less than one
     while guess**p > x:
         guess -= 1
     while (guess + 1) ** p <= x:
@@ -469,7 +535,7 @@ def part1_constants(
     return Part1Constants(alpha, gamma, k, c, epsilon, C1, C2, C)
 
 
-def _floor_of_f_preimage(target: Fraction, cmp: _Comparer) -> int:
+def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
     """Largest integer m with f(m) <= target (target > 0).
 
     An estimate only seeds the search: from it, steps that double each
@@ -483,13 +549,13 @@ def _floor_of_f_preimage(target: Fraction, cmp: _Comparer) -> int:
     """
 
     def at_most(x: int) -> bool:
-        return cmp.compare(target, Fraction(1), x) >= 0
+        return _Comparer(alpha, x).compare(target, Fraction(1)) >= 0
 
     try:
-        seed = inverse_f(float(target), float(cmp.alpha))
+        seed = inverse_f(float(target), float(alpha))
     except OverflowError:  # float(target) itself overflows
         seed = math.inf
-    x = max(1, int(seed)) if seed < 2**53 else _big_seed(target, cmp.alpha)
+    x = max(1, int(seed)) if seed < 2**53 else _big_seed(target, alpha)
     step = 1
     if at_most(x):
         lo, hi = x, x + 1
@@ -541,38 +607,49 @@ class Part1Row:
     existence_a: tuple[int, ...]
 
 
-def _part1_bounds(
-    consts: Part1Constants, window: str
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(low_q, high_q, add) of a part-1 window at x: the closed existence
-    window [C1 k f(x), C2 k f(x)] or the open gap window
-    (c k f(x), k f(x) + epsilon)."""
+@functools.lru_cache(maxsize=256, typed=True)
+def _part1_setup(alpha, gamma: int, C1, C2, C, c, epsilon) -> tuple:
+    """part1_constants and the (low_q, high_q, add) of the two part-1
+    windows at x: the closed existence window [C1 k f(x), C2 k f(x)] and
+    the open gap window (c k f(x), k f(x) + epsilon).  They depend on the
+    arguments alone, so they are built once per argument tuple and kept
+    across calls; their Fraction arithmetic is about a quarter of a
+    window report at n = 10^6.  The arguments are keyed with their
+    types, since equal values of two types (0.1 and its binary Fraction)
+    may convert to different constants."""
+    consts = part1_constants(alpha, gamma, C1, C2, C, c, epsilon)
     k = consts.k
-    if window == "existence":
-        return consts.C1 * k, consts.C2 * k, Fraction(0)
-    if window == "gap":
-        return consts.c * k, k, consts.epsilon
-    raise ValueError(f"unknown window {window!r}")
+    existence = (consts.C1 * k, consts.C2 * k, Fraction(0))
+    return consts, existence, (consts.c * k, k, consts.epsilon)
 
 
 def _part1_window(
-    cmp: _Comparer, consts: Part1Constants, x: int, window: str, r: int = 4
+    consts: Part1Constants,
+    bounds: tuple[Fraction, Fraction, Fraction],
+    x: int,
+    closed: bool,
+    r: int = 4,
 ) -> tuple[int, ...]:
     """Every a >= 1 whose size s(a) = w_vertex_count(a, gamma, r) lies
-    inside the part-1 window at x, decided rigorously.  The candidates run
-    past a float estimate of the upper endpoint with room to spare."""
-    low_q, high_q, add = _part1_bounds(consts, window)
+    inside the part-1 window (low_q, high_q, add) = bounds at x, closed or
+    open, decided rigorously.  The candidates run past a float estimate
+    of the upper endpoint with room to spare; both endpoints are enclosed
+    once per precision for all of them, and the upper one is tested only
+    where the lower one lets s inside."""
+    low_q, high_q, add = bounds
     upper = (float(high_q) * f(x, float(consts.alpha)) + float(add)) * 1.01 + 4
     if not math.isfinite(upper):
         raise ParameterError("candidate window bound is not finite")
-    closed = window == "existence"
+    at_x = _Comparer(consts.alpha, x)
+    low, high = _Endpoint(at_x, low_q), _Endpoint(at_x, high_q, add)
     inside = []
     a = 1
     while (s := w_vertex_count(a, consts.gamma, r)) <= upper:
-        lo = cmp.compare(s, low_q, x)
-        hi = cmp.compare(s, high_q, x, add)
-        if (lo >= 0 and hi <= 0) if closed else (lo > 0 and hi < 0):
-            inside.append(a)
+        lo = low.sign(s)
+        if lo > 0 or (closed and lo == 0):
+            hi = high.sign(s)
+            if hi < 0 or (closed and hi == 0):
+                inside.append(a)
         a += 1
     return tuple(inside)
 
@@ -593,16 +670,15 @@ def sequence_part1(
         raise ParameterError("i must be >= 1")
     if gamma <= 9:
         raise ParameterError("part 1 requires gamma > 9")
-    consts = part1_constants(alpha, gamma, C1, C2, C, c, epsilon)
+    consts, existence, gap = _part1_setup(alpha, gamma, C1, C2, C, c, epsilon)
     al, k = consts.alpha, consts.k
-    cmp = _Comparer(al)
 
     m_target = Fraction(4**i, 9) / (1 - al)
-    m_i = _floor_of_f_preimage(m_target, cmp)
+    m_i = _floor_of_f_preimage(m_target, al)
     n_target = Fraction(w_vertex_count(i, gamma, 4)) / (consts.C * k)
-    n_i = _floor_of_f_preimage(n_target, cmp)
-    violators = _part1_window(cmp, consts, m_i, "gap")
-    inside = _part1_window(cmp, consts, n_i, "existence")
+    n_i = _floor_of_f_preimage(n_target, al)
+    violators = _part1_window(consts, gap, m_i, closed=False)
+    inside = _part1_window(consts, existence, n_i, closed=True)
     return Part1Row(
         i=i,
         m_i=m_i,
@@ -720,13 +796,13 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2R
     n_i = _part2_value(a1, gamma, r, beta, towers[a1])
     m_i = _part2_value(a2, gamma, r, beta, towers[a2])
     sizes = {a: w_star_vertex_count(a, gamma, r, tower=t) for a, t in towers.items()}
-    cmp = _Comparer(alpha)
 
     def certificate(a: int, x: int) -> Part2Certificate:
+        at_x = _Comparer(alpha, x)
         return Part2Certificate(
             a=a,
-            size_ok=cmp.power_leq(sizes[a], x, beta),
-            growth_ok=cmp.compare(sizes[a + 1], k, x, epsilon) > 0,
+            size_ok=at_x.power_leq(sizes[a], beta),
+            growth_ok=at_x.compare(sizes[a + 1], k, epsilon) > 0,
         )
 
     def log_of(x: int) -> float:
@@ -786,20 +862,23 @@ def window_report(
     """
     if window not in ("existence", "gap"):
         raise ValueError(f"unknown window {window!r}")
-    al = _as_fraction(alpha)
     if mode == "part1":
-        consts = part1_constants(al, gamma, C1, C2, C, c, epsilon)
-        low_q, high_q, add = _part1_bounds(consts, window)
+        consts, existence, gap = _part1_setup(alpha, gamma, C1, C2, C, c, epsilon)
+        closed = window == "existence"
+        bounds = existence if closed else gap
+        low_q, high_q, add = bounds
+        al = consts.alpha
         fn = f(n, float(al))
         return ThresholdReport(
             alpha=float(al), gamma=gamma, r=r, k_gamma=float(consts.k), f_n=fn,
             window=window,
             window_low=float(low_q) * fn,
             window_high=float(high_q) * fn + float(add),
-            admissible_a=_part1_window(_Comparer(al), consts, n, window, r),
+            admissible_a=_part1_window(consts, bounds, n, closed, r),
         )
     if mode != "part2":
         raise ValueError(f"unknown mode {mode!r}")
+    al = _as_fraction(alpha)
     if beta is None:
         raise ParameterError("part2 window report requires beta")
     be = _as_fraction(beta)

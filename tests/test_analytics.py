@@ -142,6 +142,57 @@ def test_compare_to_window_endpoint_matches_mpmath(x, alpha, q, add, den, offset
     assert compare_to_window_endpoint(s, q, x, alpha, add=add) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=10**12),
+    alpha=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                       max_denominator=100),
+    bits=st.integers(min_value=300, max_value=1000),
+    negative=st.booleans(),
+    den=st.sampled_from([1, 1, 7, 2**61 - 1]),
+    add=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000),
+    offset=st.integers(min_value=-3, max_value=3),
+)
+def test_compare_to_window_endpoint_past_the_first_precision(
+    x, alpha, bits, negative, den, add, offset
+):
+    # q = +-(2^bits + 1) / 3 gives an endpoint q f(x) + add of more than
+    # 300 bits, negative when q is.  s = (floor(endpoint * den) + offset)
+    # / den is an integer for den = 1 and a rational otherwise, within a
+    # few units of the endpoint: 80 bits round both s and the endpoint
+    # far coarser than that, so the sign comes from a higher precision.
+    # mpmath at 250 bits past the endpoint's size decides it independently.
+    q = Fraction(-(2**bits + 1) if negative else 2**bits + 1, 3)
+    with mpmath.workprec(bits + 250):
+        fx = mpmath.power(x, _mp_fraction(alpha)) * mpmath.log(x)
+        endpoint = _mp_fraction(q) * fx + _mp_fraction(add)
+        s = Fraction(int(mpmath.floor(endpoint * den)) + offset, den)
+        diff = _mp_fraction(s) - endpoint
+        assume(abs(diff) > mpmath.mpf(2) ** -100)
+        want = 1 if diff > 0 else -1
+    if den == 1:
+        s = s.numerator
+    assert compare_to_window_endpoint(s, q, x, alpha, add=add) == want
+
+
+def test_window_comparison_escalates_where_80_bits_cannot_separate(monkeypatch):
+    # floor(E) and floor(E) + 1 for an endpoint E of about 400 bits lie in
+    # one 80-bit enclosure of E; only a precision past E's size separates
+    # them.  The reference signs come from mpmath at 700 bits.
+    precisions = []
+    real_ln = analytics._enclose_ln
+    monkeypatch.setattr(analytics, "_enclose_ln",
+                        lambda x, prec: precisions.append(prec) or real_ln(x, prec))
+    alpha, x, q = Fraction(3, 10), 10**6, Fraction(-(2**400 + 1), 3)
+    with mpmath.workprec(700):
+        endpoint = _mp_fraction(q) * mpmath.power(x, _mp_fraction(alpha)) * mpmath.log(x)
+        s = int(mpmath.floor(endpoint))
+        assert s < endpoint < s + 1
+    assert compare_to_window_endpoint(s, q, x, alpha) == -1
+    assert compare_to_window_endpoint(s + 1, q, x, alpha) == 1
+    assert min(precisions) == 80 and max(precisions) > 400
+
+
 # ------------------------------------------------- expectation formulas
 
 def test_expected_W_hand_computed():
@@ -298,7 +349,7 @@ def test_floor_of_f_preimage_beyond_float_range(target):
     # The float inverse has no finite seed here; the floor must still be
     # exact, checked at a precision above the preimage's bit length,
     # independently of the interval comparisons the search uses.
-    m = analytics._floor_of_f_preimage(target, analytics._Comparer(Fraction(3, 10)))
+    m = analytics._floor_of_f_preimage(target, Fraction(3, 10))
     assert m.bit_length() > 1024
     with mpmath.workprec(2 * m.bit_length()):
         t = mpmath.mpf(target.numerator) / target.denominator
@@ -385,7 +436,9 @@ def test_part2_rows_match_the_exact_definitions(beta, r, i_max):
 def test_iroot_is_the_floor_root(p):
     rnd = random.Random(p)
     xs = [0, 1] + [rnd.getrandbits(10_000) for _ in range(3)]
-    for k in [*range(1, 20), 2**200 + 3]:
+    # The last two k put k^p past 10^5 bits, where the root is built from
+    # the root of the top bits.
+    for k in [*range(1, 20), 2**200 + 3, rnd.getrandbits(40_000) | 1, 2**35_000 - 1]:
         xs += [k**p - 1, k**p, k**p + 1]
     for x in xs:
         root = analytics._iroot(x, p)
@@ -400,12 +453,15 @@ def test_part2_size_check_falls_back_to_exact_on_ties(monkeypatch):
     power_leq = analytics._power_leq
     monkeypatch.setattr(analytics, "_power_leq",
                         lambda *args: exact.append(args) or power_leq(*args))
-    cmp = analytics._Comparer(Fraction(3, 5))
-    assert not cmp.power_leq(2**10 + 1, 2**40, Fraction(1, 4))
-    assert not cmp.power_leq(2**10, 2**40 - 1, Fraction(1, 4))
+
+    def leq(v, x, beta):
+        return analytics._Comparer(Fraction(3, 5), x).power_leq(v, beta)
+
+    assert not leq(2**10 + 1, 2**40, Fraction(1, 4))
+    assert not leq(2**10, 2**40 - 1, Fraction(1, 4))
     assert not exact
-    assert cmp.power_leq(2**10, 2**40, Fraction(1, 4))
-    assert cmp.power_leq(3**20, 3**90, Fraction(2, 9))
+    assert leq(2**10, 2**40, Fraction(1, 4))
+    assert leq(3**20, 3**90, Fraction(2, 9))
     assert len(exact) == 2
 
 
@@ -559,16 +615,16 @@ def test_analytics_rows_are_pinned_exactly(key):
 def test_window_report_encloses_f_once_per_precision(monkeypatch, window):
     # One call compares every candidate floor against both endpoints at
     # the same n, so it needs one enclosure of f(n) per precision level;
-    # an identical second call does the same work again (nothing is kept
-    # between calls).
+    # an identical second call does the same work again (no enclosure is
+    # kept between calls).
     precisions = []
-    real_log = analytics.iv.log
+    real_ln = analytics._enclose_ln
 
-    def counting_log(x):
-        precisions.append(analytics.iv.prec)
-        return real_log(x)
+    def counting_ln(x, prec):
+        precisions.append(prec)
+        return real_ln(x, prec)
 
-    monkeypatch.setattr(analytics.iv, "log", counting_log)
+    monkeypatch.setattr(analytics, "_enclose_ln", counting_ln)
     for n in (10**4, 10**8, 10**12):
         report = window_report(n, 0.3, 10, r=2, window=window)
         first, precisions[:] = list(precisions), []
@@ -576,6 +632,14 @@ def test_window_report_encloses_f_once_per_precision(monkeypatch, window):
         assert window_report(n, 0.3, 10, r=2, window=window) == report
         assert precisions == first
         precisions.clear()
+
+
+def test_part1_constants_of_equal_arguments_of_two_types_stay_apart():
+    # 0.3 means 3/10, while Fraction(0.3) is the binary float's exact value.
+    # The two compare and hash equal, so constants kept across calls and
+    # keyed on values alone would hand the second call the first's.
+    assert sequence_part1(3, 0.3, 10).constants.alpha == Fraction(3, 10)
+    assert sequence_part1(3, Fraction(0.3), 10).constants.alpha == Fraction(0.3)
 
 
 def test_window_report_part2():
