@@ -62,8 +62,8 @@ WORKLOADS = [
 
 def labeled(pattern, host, mode):
     _, count, expansions, _ = _pure.search(
-        pattern.n, pattern.bits, host.n, host.bits, default_order(pattern),
-        base_masks(pattern, host), mode, None, 10**9,
+        pattern.bits, host.bits, default_order(pattern), base_masks(pattern, host),
+        mode, 10**9,
     )
     return count, expansions
 

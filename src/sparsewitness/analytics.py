@@ -194,12 +194,12 @@ def f(x: float, alpha: float) -> float:
         return math.inf
 
 
-def inverse_f(target: float, alpha: float, rtol: float = 1e-12) -> float:
+def inverse_f(target: float, alpha: float) -> float:
     """Unique x >= 1 with f(x) = target, by float bisection on f.
 
-    The bracket is narrowed until its width is at most rtol times its low
-    end (or until floats cannot split it).  f is evaluated in floats, so
-    the result is an estimate good to about rtol plus a few ulps; the
+    The bracket is narrowed until its width is at most 1e-12 times its
+    low end (or until floats cannot split it).  f is evaluated in floats,
+    so the result is an estimate good to about 1e-12 plus a few ulps; the
     exact floor search takes it only as a seed.
     """
     if not math.isfinite(target):
@@ -212,7 +212,7 @@ def inverse_f(target: float, alpha: float, rtol: float = 1e-12) -> float:
     while f(hi, alpha) < target:
         hi *= 2.0
     lo = max(1.0, hi / 2.0)
-    while hi - lo > rtol * lo:
+    while hi - lo > 1e-12 * lo:
         mid = (lo + hi) / 2
         if not lo < mid < hi:
             break
@@ -511,28 +511,27 @@ class Part1Constants:
     C: Fraction
 
 
-def part1_constants(
-    alpha, gamma: int, C1=None, C2=None, C=None, c=None, epsilon=1
-) -> Part1Constants:
+def part1_constants(alpha, gamma: int) -> Part1Constants:
+    """The part-1 constants, fixed from b = (1 - alpha) / k_gamma:
+    C1 = b + 1/20, C2 = 19/20, C = (b + 1)/2, c = 4b/5 and epsilon = 1.
+
+    The part-1 argument needs b < C < 1, C1 < C < C2 and 0 < c < b.  With
+    these choices each holds exactly when b < 9/10 (b > 0 since
+    k_gamma > 0).
+    """
     alpha = _as_fraction(alpha)
     if not 0 < alpha < 1:
         raise ParameterError("alpha must lie in (0, 1)")
     k = _k_gamma_frac(gamma, alpha)
     if k <= 0:
         raise ParameterError("k_gamma must be positive (gamma too small for alpha)")
-    bound = (1 - alpha) / k
-    C1 = bound + Fraction(1, 20) if C1 is None else _as_fraction(C1)
-    C2 = Fraction(19, 20) if C2 is None else _as_fraction(C2)
-    C = (C1 + C2) / 2 if C is None else _as_fraction(C)
-    c = Fraction(4, 5) * bound if c is None else _as_fraction(c)
-    epsilon = _as_fraction(epsilon)
-    if not bound < C < 1:
-        raise ParameterError(f"need (1-alpha)/k < C < 1, got C={C}, bound={bound}")
-    if not C1 < C < C2:
-        raise ParameterError("need C1 < C < C2")
-    if not 0 < c < bound:
-        raise ParameterError("need 0 < c < (1-alpha)/k_gamma")
-    return Part1Constants(alpha, gamma, k, c, epsilon, C1, C2, C)
+    b = (1 - alpha) / k
+    if not b < Fraction(9, 10):
+        raise ParameterError(f"need (1-alpha)/k_gamma < 9/10, got {b}")
+    return Part1Constants(
+        alpha, gamma, k, c=Fraction(4, 5) * b, epsilon=Fraction(1),
+        C1=b + Fraction(1, 20), C2=Fraction(19, 20), C=(b + 1) / 2,
+    )
 
 
 def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
@@ -608,16 +607,16 @@ class Part1Row:
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def _part1_setup(alpha, gamma: int, C1, C2, C, c, epsilon) -> tuple:
+def _part1_setup(alpha, gamma: int) -> tuple:
     """part1_constants and the (low_q, high_q, add) of the two part-1
     windows at x: the closed existence window [C1 k f(x), C2 k f(x)] and
-    the open gap window (c k f(x), k f(x) + epsilon).  They depend on the
-    arguments alone, so they are built once per argument tuple and kept
-    across calls; their Fraction arithmetic is about a quarter of a
-    window report at n = 10^6.  The arguments are keyed with their
-    types, since equal values of two types (0.1 and its binary Fraction)
-    may convert to different constants."""
-    consts = part1_constants(alpha, gamma, C1, C2, C, c, epsilon)
+    the open gap window (c k f(x), k f(x) + epsilon).  They depend on
+    (alpha, gamma) alone, so they are built once per pair and kept across
+    calls; their Fraction arithmetic is about a quarter of a window
+    report at n = 10^6.  alpha is keyed with its type, since equal values
+    of two types (0.1 and its binary Fraction) convert to different
+    constants."""
+    consts = part1_constants(alpha, gamma)
     k = consts.k
     existence = (consts.C1 * k, consts.C2 * k, Fraction(0))
     return consts, existence, (consts.c * k, k, consts.epsilon)
@@ -654,9 +653,7 @@ def _part1_window(
     return tuple(inside)
 
 
-def sequence_part1(
-    i: int, alpha, gamma: int, C1=None, C2=None, C=None, c=None, epsilon=1
-) -> Part1Row:
+def sequence_part1(i: int, alpha, gamma: int) -> Part1Row:
     """Witness pair (m_i, n_i) for the part-1 gap/existence windows.
 
     m_i = floor(y_i) with 3(1-alpha) f(y_i) = 4^i / 3; its certificate
@@ -670,7 +667,7 @@ def sequence_part1(
         raise ParameterError("i must be >= 1")
     if gamma <= 9:
         raise ParameterError("part 1 requires gamma > 9")
-    consts, existence, gap = _part1_setup(alpha, gamma, C1, C2, C, c, epsilon)
+    consts, existence, gap = _part1_setup(alpha, gamma)
     al, k = consts.alpha, consts.k
 
     m_target = Fraction(4**i, 9) / (1 - al)
@@ -711,7 +708,7 @@ def part2_check_params(alpha: Fraction, beta: Fraction, gamma: int, r: int) -> N
 class Part2Certificate:
     a: int
     size_ok: bool       # V(a) <= x^beta
-    growth_ok: bool     # V(a+1) > k x^alpha ln x + epsilon
+    growth_ok: bool     # V(a+1) > k x^alpha ln x + 1
 
     @property
     def holds(self) -> bool:
@@ -769,11 +766,11 @@ def _power_leq(v: int, x: int, beta: Fraction) -> bool:
     return v**beta.denominator <= x**beta.numerator
 
 
-def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2Row:
+def sequence_part2(i: int, alpha, beta, gamma: int, r: int) -> Part2Row:
     """Witness pair (n_i, m_i) for the part-2 floors a1 = 2i (even, for
     n_i) and a2 = 2i + 1 (odd, for m_i), with the certificates
 
-        V(a) <= x^beta   and   V(a+1) > k_gamma x^alpha ln x + epsilon.
+        V(a) <= x^beta   and   V(a+1) > k_gamma x^alpha ln x + 1.
 
     Each row builds the towers omega(omega(a)) for a = a1, a1 + 1, a1 + 2
     once and reads V(a) = |W*(a)| off them.  The size certificate is
@@ -788,7 +785,7 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2R
     """
     if i < 1:
         raise ParameterError("i must be >= 1")
-    alpha, beta, epsilon = _as_fraction(alpha), _as_fraction(beta), _as_fraction(epsilon)
+    alpha, beta = _as_fraction(alpha), _as_fraction(beta)
     part2_check_params(alpha, beta, gamma, r)
     k = _k_gamma_frac(gamma, alpha)
     a1, a2 = 2 * i, 2 * i + 1
@@ -802,7 +799,7 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int, epsilon=1) -> Part2R
         return Part2Certificate(
             a=a,
             size_ok=at_x.power_leq(sizes[a], beta),
-            growth_ok=at_x.compare(sizes[a + 1], k, epsilon) > 0,
+            growth_ok=at_x.compare(sizes[a + 1], k, Fraction(1)) > 0,
         )
 
     def log_of(x: int) -> float:
@@ -846,24 +843,19 @@ def window_report(
     mode: str = "part1",
     window: str = "existence",
     beta=None,
-    C1=None,
-    C2=None,
-    C=None,
-    c=None,
-    epsilon=1,
 ) -> ThresholdReport:
     """Which floors a are admissible at size n.
 
     part1/existence: closed window [C1 k f(n), C2 k f(n)] on s(a).
     part1/gap: open window (c k f(n), k f(n) + epsilon) on s(a).
     part2: a admissible when V(a) <= n^beta; window_high reports the
-    growth threshold k n^alpha ln n + epsilon.  It has one window, so
+    growth threshold k n^alpha ln n + 1.  It has one window, so
     ``window`` is only checked to be a part-1 window name.
     """
     if window not in ("existence", "gap"):
         raise ValueError(f"unknown window {window!r}")
     if mode == "part1":
-        consts, existence, gap = _part1_setup(alpha, gamma, C1, C2, C, c, epsilon)
+        consts, existence, gap = _part1_setup(alpha, gamma)
         closed = window == "existence"
         bounds = existence if closed else gap
         low_q, high_q, add = bounds
@@ -902,6 +894,6 @@ def window_report(
         alpha=float(al), gamma=gamma, r=r, k_gamma=float(k), f_n=fn,
         window="part2",
         window_low=low,
-        window_high=float(k) * fn + float(epsilon) if math.isfinite(fn) else math.inf,
+        window_high=float(k) * fn + 1.0 if math.isfinite(fn) else math.inf,
         admissible_a=tuple(admissible),
     )

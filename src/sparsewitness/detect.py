@@ -47,13 +47,13 @@ class DetectionResult:
 
 
 def _pattern_order(ws: witness.WitnessGraph) -> list[int]:
-    if ws.a == 1 and not ws.starred:
+    if ws.a == 1:
         # The pattern is a bare path: walk it from one endpoint.
         g = ws.graph
         start = next(v for v in range(g.n) if g.degree(v) == 1)
         return hotpath.default_order(g, start=start)
     order = hotpath.default_order(ws.graph, start=ws.f2[0])
-    if ws.a >= 2 and ws.gamma == 0 and not ws.starred:
+    if ws.a >= 2 and ws.gamma == 0:
         # f1[1] is adjacent to every child of the root: placed second, it
         # bounds each of them by two rows instead of one.
         order.remove(ws.f1[1])
@@ -68,17 +68,15 @@ def find_induced_W(
     r: int,
     mode: str = "find",
     budget: int = DEFAULT_BUDGET,
-    starred: bool = False,
 ) -> DetectionResult:
-    """Search for induced copies of W(a) (or W*(a)) in g.
+    """Search for induced copies of W(a) in g.
 
     mode "find" stops at the first copy; "count" counts all labeled
     embeddings.  Both search one embedding per automorphism class where
     that prunes (see hotpath.embed_search), so the embedding "find"
     reports is the first class representative in the search order.
     """
-    build = witness.build_W_star if starred else witness.build_W
-    ws = build(a, gamma, r)
+    ws = witness.build_W(a, gamma, r)
     if ws.graph.n > g.n:
         return DetectionResult("none", a=a)
     kernel_mode = hotpath.MODE_FIND if mode == "find" else hotpath.MODE_COUNT
@@ -145,12 +143,13 @@ def find_dominating_induced_W(
     return DetectionResult("none", count=total, expansions=expansions)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -160,14 +159,14 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 
 @dataclass(frozen=True)
 class DominatingSetVerdict:
-    """exists is definite in exact mode; in sampled mode it reflects the
-    trials only and the Wilson interval qualifies the fraction."""
+    """Whether some k-subset dominates, decided by exhaustive search.
+
+    checked counts the subsets tried; exhausted is False when the budget
+    ran out first, and then exists is False without being definite.
+    """
 
     exists: bool
-    mode: str
     checked: int
-    fraction: float | None = None
-    ci: tuple[float, float] | None = None
     witness: tuple[int, ...] | None = None
     exhausted: bool = True
 
@@ -176,14 +175,10 @@ class DominatingSetVerdict:
 
 
 def exists_dominating_set_of_size(
-    g: Graph,
-    k: int,
-    mode: str = "exact",
-    budget: int = DEFAULT_BUDGET,
-    trials: int = 10000,
-    seed: int = 0,
+    g: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> DominatingSetVerdict:
-    """Decide (exact) or estimate (sampled) whether some k-subset dominates.
+    """Decide whether some k-subset dominates g, trying k-subsets in
+    lexicographic order until one does or budget of them have been tried.
 
     A set S dominates iff the union of closed neighborhoods N[s], s in S,
     covers every vertex.
@@ -192,42 +187,17 @@ def exists_dominating_set_of_size(
         raise ValueError(f"k={k} out of range")
     closed = [g.bits[v] | (1 << v) for v in range(g.n)]
     full = (1 << g.n) - 1
-    if mode == "exact":
-        checked = 0
-        for combo in itertools.combinations(range(g.n), k):
-            checked += 1
-            if checked > budget:
-                return DominatingSetVerdict(False, "exact", checked - 1,
-                                            exhausted=False)
-            cover = 0
-            for v in combo:
-                cover |= closed[v]
-            if cover == full:
-                return DominatingSetVerdict(True, "exact", checked, witness=combo)
-        return DominatingSetVerdict(False, "exact", checked)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    import numpy as np
-
-    # A uint64 array keeps every key word exact; numpy would round a list
-    # holding a word >= 2**63 through float64.
-    key = np.array([seed & (2**64 - 1), 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    hits = 0
-    found = None
-    for _ in range(trials):
-        combo = rng.choice(g.n, size=k, replace=False)
+    checked = 0
+    for combo in itertools.combinations(range(g.n), k):
+        checked += 1
+        if checked > budget:
+            return DominatingSetVerdict(False, checked - 1, exhausted=False)
         cover = 0
         for v in combo:
-            cover |= closed[int(v)]
+            cover |= closed[v]
         if cover == full:
-            hits += 1
-            if found is None:
-                found = tuple(sorted(int(v) for v in combo))
-    return DominatingSetVerdict(
-        hits > 0, "sampled", trials, fraction=hits / trials,
-        ci=wilson_interval(hits, trials), witness=found,
-    )
+            return DominatingSetVerdict(True, checked, witness=combo)
+    return DominatingSetVerdict(False, checked)
 
 
 def check_connector_property(
@@ -287,10 +257,6 @@ def check_connector_property(
                 raise BudgetExceededError(
                     f"connector search exceeded budget of {budget}"
                 )
-            if length == 1:
-                if attach_ok(s, v):
-                    return True
-                continue
             if extend([s], 1 << s):
                 return True
         return False

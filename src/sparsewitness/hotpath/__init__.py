@@ -177,7 +177,7 @@ def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int,
             masks = list(pins)
             masks[v] = 1 << w
             found, _, expansions, exceeded = _pure.search(
-                n, bits, n, bits, self_order, masks, MODE_FIND, None, budget - spent
+                bits, bits, self_order, masks, MODE_FIND, budget - spent
             )
             spent += expansions
             if exceeded:
@@ -241,7 +241,6 @@ def embed_search(
     host: Graph,
     mode: int = MODE_FIND,
     order: list[int] | None = None,
-    limit: int | None = None,
     budget: int = DEFAULT_BUDGET,
     backend: str | None = None,
     raise_on_budget: bool = False,
@@ -250,8 +249,8 @@ def embed_search(
     """Run the kernel on Graph inputs, preparing masks and search order.
 
     order must be a permutation of range(pattern.n); None picks
-    default_order.  limit caps the copies MODE_COLLECT gathers; None means
-    no cap.  backend must be None or a name from available_backends().
+    default_order.  backend must be None or a name from
+    available_backends().
 
     Every mode but MODE_COLLECT without fixing first derives the
     stabilizer_chain of the pattern in this order.  When a condition
@@ -276,8 +275,6 @@ def embed_search(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be None or at least 1, got {limit}")
     if backend not in (None, *available_backends()):
         raise ValueError(
             f"unknown backend {backend!r}; available: {', '.join(available_backends())}"
@@ -305,8 +302,8 @@ def embed_search(
         emb, count, expansions, exceeded = [], 0, derived, True
     else:
         emb, count, expansions, exceeded = _pure.search(
-            pattern.n, pattern.bits, host.n, host.bits, order,
-            base_masks(pattern, host), mode, limit, budget - derived, smaller,
+            pattern.bits, host.bits, order, base_masks(pattern, host), mode,
+            budget - derived, smaller,
         )
         count *= automorphisms
         expansions += derived

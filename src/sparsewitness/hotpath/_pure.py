@@ -45,8 +45,7 @@ MODE_FIND_DOMINATING = 3
 MODE_COUNT_DOMINATING = 4
 
 
-def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, budget,
-           smaller=None):
+def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=None):
     """Backtracking search for induced copies of the pattern in the host.
 
     pattern_masks: pattern adjacency rows as bitmasks over pattern vertices.
@@ -66,6 +65,7 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
     the module docstring), so they spend at most the expansions of the
     same search in MODE_COUNT.
     """
+    n_p, n_h = len(pattern_masks), len(host_masks)
     dominating = mode in (MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING)
     counting = mode in (MODE_COUNT, MODE_COUNT_DOMINATING)
     if n_p == 0:
@@ -171,7 +171,7 @@ def search(n_p, pattern_masks, n_h, host_masks, order, base_masks, mode, limit, 
                 for i in range(n_p):
                     emb[order[i]] = assign[i]
                 embeddings.append(tuple(emb))
-            if finding or (mode == MODE_COLLECT and limit and count >= limit):
+            if finding:
                 return True
         return False
 

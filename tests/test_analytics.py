@@ -270,6 +270,34 @@ def test_part1_rejects_small_gamma():
         sequence_part1(3, 0.3, 9)
 
 
+# (k, C1, C2, C, c, epsilon) of part1_constants(0.3, gamma): with
+# b = (1 - alpha) / k, C1 = b + 1/20, C2 = 19/20, C = (b + 1)/2, c = 4b/5
+# and epsilon = 1.  b = 77/148 at gamma = 10 and 49/95 at gamma = 13.
+PART1_CONSTANTS = {
+    10: (Fraction(74, 55), Fraction(211, 370), Fraction(19, 20), Fraction(225, 296),
+         Fraction(77, 185), Fraction(1)),
+    13: (Fraction(19, 14), Fraction(43, 76), Fraction(19, 20), Fraction(72, 95),
+         Fraction(196, 475), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(PART1_CONSTANTS))
+def test_part1_constants_are_fixed(gamma):
+    consts = part1_constants(0.3, gamma)
+    got = (consts.k, consts.C1, consts.C2, consts.C, consts.c, consts.epsilon)
+    assert got == PART1_CONSTANTS[gamma]
+    assert all(type(x) is Fraction for x in got)
+
+
+def test_part1_constants_need_b_below_nine_tenths():
+    # At gamma = 0, k = 2 (1 - 2 alpha): b = 7/8 at alpha = 0.3 is
+    # admissible, b = 69/76 (about 0.908) at 0.31 and 17/18 at 0.32 are not.
+    assert part1_constants(0.3, 0).C == Fraction(15, 16)
+    for alpha in (0.31, 0.32):
+        with pytest.raises(ParameterError, match="9/10"):
+            part1_constants(alpha, 0)
+
+
 def test_part1_windows_are_nested_sanely():
     row = sequence_part1(4, 0.3, 13)
     consts = row.constants

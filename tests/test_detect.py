@@ -1,5 +1,6 @@
 """Witness-copy detection against the brute-force oracle, budget
-semantics, Wilson intervals, and the connector-path predicate."""
+semantics, Wilson intervals, the exact dominating-set search, and the
+connector-path predicate."""
 
 import itertools
 import random
@@ -58,8 +59,7 @@ def test_count_modes_are_labeled_counts():
     # "count" searches one embedding per automorphism class and multiplies
     # by |Aut| (240 for W(2, 0, 4)); it must still equal the labeled count.
     rnd = random.Random(17)
-    star = build_W_star(1, 1, 2).graph
-    hosts = [build_W(2, 0, 4).graph, star] + [
+    hosts = [build_W(2, 0, 4).graph, build_W_star(1, 1, 2).graph] + [
         random_graph(rnd.randint(6, 11), rnd.choice([0.3, 0.5]), rnd) for _ in range(30)
     ]
     for g in hosts:
@@ -69,8 +69,6 @@ def test_count_modes_are_labeled_counts():
         )
         res = find_dominating_induced_W(g, 0, 4, (1, 2), mode="count")
         assert res.count == expected
-        res = find_induced_W(g, 1, 1, 2, mode="count", starred=True)
-        assert res.count == len(induced_embeddings(star, g))
 
 
 def test_found_embeddings_revalidate():
@@ -154,27 +152,29 @@ def test_exists_dominating_set_exact():
     assert exists_dominating_set_of_size(p3, 1)
 
 
-def test_exists_dominating_set_sampled_matches_exact_when_hit():
-    g = path(3)
-    verdict = exists_dominating_set_of_size(
-        g, 1, mode="sampled", trials=500, seed=1
-    )
-    assert verdict  # {1} dominates and is hit with overwhelming probability
-
-
-def test_sampled_seeds_draw_distinct_streams():
-    # The Philox key is built as uint64 words, so seeds at and past 2**63
-    # keep every bit; seed 1 draws as it did with the key given as a list.
-    c12 = cycle(12)
-
-    def draw(seed):
-        v = exists_dominating_set_of_size(c12, 5, mode="sampled", trials=300, seed=seed)
-        return v.fraction, v.witness
-
-    assert draw(1) == (0.09, (1, 3, 4, 7, 10))
-    big = [draw(s) for s in (2**63, 2**63 + 1, 2**63 + 2, 2**64 - 1)]
-    assert len(set(big)) == len(big)
-    assert draw(2**64 + 1) == draw(1)  # seeds are taken modulo 2**64
+def test_exists_dominating_set_matches_brute_force():
+    # The search tries k-subsets in lexicographic order, so its verdict,
+    # witness and checked count are those of a plain scan.
+    rnd = random.Random(31)
+    for trial in range(40):
+        g = random_graph(rnd.randint(1, 9), rnd.choice([0.2, 0.4, 0.6]), rnd)
+        for k in range(g.n + 1):
+            combos = list(itertools.combinations(range(g.n), k))
+            hits = [i for i, c in enumerate(combos) if is_dominating(g, c)]
+            verdict = exists_dominating_set_of_size(g, k)
+            assert verdict.exhausted
+            assert bool(verdict) == bool(hits), (trial, k)
+            if hits:
+                assert verdict.witness == combos[hits[0]]
+                assert verdict.checked == hits[0] + 1
+            else:
+                assert verdict.witness is None
+                assert verdict.checked == len(combos)
+            # One subset short of the budget the decision needs.
+            budget = verdict.checked - 1
+            short = exists_dominating_set_of_size(g, k, budget=budget)
+            assert not short and not short.exhausted
+            assert short.checked == budget and short.witness is None
 
 
 def test_connector_property():

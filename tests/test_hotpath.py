@@ -129,16 +129,6 @@ def test_budget_reporting(backend):
     assert res.expansions > 10
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("limit", [0, -1])
-def test_limit_below_one_is_rejected(backend, limit):
-    host = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    pat = Graph(2, [(0, 1)])
-    for mode in MODES:
-        with pytest.raises(ValueError, match="limit"):
-            embed_search(pat, host, mode=mode, limit=limit, backend=backend)
-
-
 def test_unknown_backend_is_rejected():
     host = Graph(3, [(0, 1)])
     pat = Graph(2, [(0, 1)])
@@ -177,13 +167,6 @@ def test_default_order_breaks_degree_ties_by_index():
         7, 6, 26, 33, 35, 37, 39, 5, 24, 29, 31, 25, 34, 36, 38, 40, 22, 27, 23, 30,
         32, 4, 11, 12, 13, 14, 21, 28, 3, 9, 10, 2, 20, 8, 18, 16, 19, 17, 15, 1, 0,
     ]
-
-
-def test_collect_limit():
-    host = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    pat = Graph(2, [(0, 1)])
-    res = embed_search(pat, host, mode=MODE_COLLECT, limit=4)
-    assert len(res.embeddings) == 4
 
 
 # (count, expansions, before) of the complete labeled search.  before is
@@ -241,8 +224,7 @@ def _kernel(pattern, host, mode, order, budget):
     """The labeled search, straight from the kernel (no conditions)."""
     order = default_order(pattern) if order is None else order
     _, count, expansions, exceeded = _pure.search(
-        pattern.n, pattern.bits, host.n, host.bits, order, base_masks(pattern, host),
-        mode, None, budget,
+        pattern.bits, host.bits, order, base_masks(pattern, host), mode, budget,
     )
     return count, expansions, exceeded
 
@@ -487,8 +469,7 @@ def test_symmetry_broken_count_matches_oracle(instance, mode):
     assert automorphisms == automorphism_count(pattern)
     labeled = _kernel(pattern, host, mode, order, 10**9)
     _, classes, broken, _ = _pure.search(
-        pattern.n, pattern.bits, host.n, host.bits, order, base_masks(pattern, host),
-        mode, None, 10**9, smaller,
+        pattern.bits, host.bits, order, base_masks(pattern, host), mode, 10**9, smaller,
     )
     assert automorphisms * classes == labeled[0] == len(oracle)
     # The constrained search tree is a subtree of the labeled one.
@@ -526,34 +507,30 @@ def search_instances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(search_instances(), st.sampled_from(MODES), st.sampled_from([None, 1, 3]))
-def test_kernel_matches_oracle_at_budget_boundary(instance, mode, limit):
+@given(search_instances(), st.sampled_from(MODES))
+def test_kernel_matches_oracle_at_budget_boundary(instance, mode):
     pattern, host, order = instance
     oracle = induced_embeddings(pattern, host)
     if mode in (MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING):
         oracle = [e for e in oracle if is_dominating(host, e)]
     oracle_set = set(oracle)
-    exact = embed_search(pattern, host, mode=mode, order=order, limit=limit,
-                         budget=10**9)
+    exact = embed_search(pattern, host, mode=mode, order=order, budget=10**9)
     assert not exact.exceeded
     expected = len(oracle)
     if mode in (MODE_FIND, MODE_FIND_DOMINATING):
         expected = min(expected, 1)
-    elif mode == MODE_COLLECT and limit is not None:
-        expected = min(expected, limit)
     assert exact.count == expected
     if mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
         assert exact.embeddings == []
     else:
         assert len(exact.embeddings) == expected
         assert set(exact.embeddings) <= oracle_set
-    if mode == MODE_COLLECT and limit is None:
+    if mode == MODE_COLLECT:
         assert set(exact.embeddings) == oracle_set
 
     e = exact.expansions
     for budget in sorted({e // 2, max(e - 1, 0), e, e + 1}):
-        res = embed_search(pattern, host, mode=mode, order=order, limit=limit,
-                           budget=budget)
+        res = embed_search(pattern, host, mode=mode, order=order, budget=budget)
         if budget >= e:
             assert (res.count, res.expansions, res.exceeded) == (
                 exact.count, e, False)
@@ -600,8 +577,8 @@ def test_symmetry_broken_find_matches_oracle(instance, mode):
             assert _meets(smaller, order, res.embeddings[0])
     # The derivation is charged on every call, cached or not.
     searched = _pure.search(
-        pattern.n, pattern.bits, host.n, host.bits, order, base_masks(pattern, host),
-        mode, None, 10**9, smaller if constrained else None,
+        pattern.bits, host.bits, order, base_masks(pattern, host), mode, 10**9,
+        smaller if constrained else None,
     )[2]
     assert res.expansions == derived + searched
     if derived:
