@@ -339,22 +339,6 @@ class _Endpoint:
         )
 
 
-def compare_to_window_endpoint(
-    s, q: Fraction, x: int, alpha, add: Fraction = Fraction(0)
-) -> int:
-    """Sign of s - (q * f(x) + add) with s rational, decided rigorously.
-
-    f(1) = 0 makes the endpoint rational and the comparison exact.  For
-    x >= 2 the endpoint q * f(x) + add is enclosed once per precision,
-    s is placed against it as a point (an integer s is exact while it
-    fits the precision), and the precision escalates until the two
-    separate.  The window reports and sequences share one enclosure of
-    f(x) per x and precision across all comparisons of one call, and
-    each endpoint's enclosure across all candidates.
-    """
-    return _Comparer(_as_fraction(alpha), x).compare(_as_fraction(s), q, add)
-
-
 def _iroot(x: int, p: int) -> int:
     """floor(x ** (1/p)) for nonnegative integer x, exact.
 

@@ -7,10 +7,12 @@ then expands breadth-first, which keeps every prefix of the pattern
 connected, with one exception: in W(a) with a >= 2 and gamma = 0 the
 path vertex f1[1] comes second, before the root's children.  It is
 adjacent to each of them, so each child is bounded by two host rows
-instead of one, and in W(2) = K_{2,5} the kernel's domination look-ahead
-applies at depth 1.  For gamma >= 1, f1[1] reaches the tree only through
-connectors and the breadth-first order stays.  Path patterns (a = 1)
-start from a path endpoint instead.
+instead of one.  In W(2) = K_{2,5} the five leaves then come last, an
+interchangeable tail, so the kernel's domination look-ahead applies at
+depths 1 to 4 (see hotpath._pure); breadth-first from the root, f1[1]
+would come last and no depth would have the tail.  For gamma >= 1, f1[1]
+reaches the tree only through connectors and the breadth-first order
+stays.  Path patterns (a = 1) start from a path endpoint instead.
 """
 
 from __future__ import annotations

@@ -255,8 +255,8 @@ def test_criterion_7_nonconvergence_certificates():
         gamma10[3].m_i == 34
         and _f(34, 0.3) <= 4**3 / (9 * 0.7) < _f(35, 0.3)
         and gamma10[3].constants.k == k10 == Fraction(74, 55)
-        and analytics.compare_to_window_endpoint(12, 1 - alpha, 34, alpha) > 0
-        and analytics.compare_to_window_endpoint(12, k10, 34, alpha) < 0
+        and analytics._Comparer(alpha, 34).compare(12, 1 - alpha) > 0
+        and analytics._Comparer(alpha, 34).compare(12, k10) < 0
     )
 
     # r = 2 fails the growth half of both certificates at every i.

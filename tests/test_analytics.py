@@ -15,7 +15,7 @@ from sparsewitness import analytics
 from sparsewitness.analytics import (
     LogReal,
     ParameterError,
-    compare_to_window_endpoint,
+    _Comparer,
     domination_probability,
     expected_W,
     expected_W_dominating,
@@ -108,10 +108,10 @@ def test_compare_to_window_endpoint_exact_cases():
     # At x = e^... pick a rational-friendly case: alpha such that the
     # comparison is forced either way.
     al = Fraction(3, 10)
-    assert compare_to_window_endpoint(100, Fraction(1), 2, al) > 0
-    assert compare_to_window_endpoint(1, Fraction(10), 100, al) < 0
+    assert _Comparer(al, 2).compare(100, Fraction(1)) > 0
+    assert _Comparer(al, 100).compare(1, Fraction(10)) < 0
     # q = 0 makes the endpoint just `add`: exact rational branch.
-    assert compare_to_window_endpoint(5, Fraction(0), 100, al, add=Fraction(5)) == 0
+    assert _Comparer(al, 100).compare(5, Fraction(0), Fraction(5)) == 0
 
 
 def _mp_fraction(q: Fraction):
@@ -139,7 +139,7 @@ def test_compare_to_window_endpoint_matches_mpmath(x, alpha, q, add, den, offset
         diff = _mp_fraction(s) - endpoint
         assume(abs(diff) > mpmath.mpf(10) ** -40 * (1 + abs(endpoint)))
         want = 1 if diff > 0 else -1
-    assert compare_to_window_endpoint(s, q, x, alpha, add=add) == want
+    assert _Comparer(alpha, x).compare(s, q, add) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -172,7 +172,7 @@ def test_compare_to_window_endpoint_past_the_first_precision(
         want = 1 if diff > 0 else -1
     if den == 1:
         s = s.numerator
-    assert compare_to_window_endpoint(s, q, x, alpha, add=add) == want
+    assert _Comparer(alpha, x).compare(s, q, add) == want
 
 
 def test_window_comparison_escalates_where_80_bits_cannot_separate(monkeypatch):
@@ -188,8 +188,8 @@ def test_window_comparison_escalates_where_80_bits_cannot_separate(monkeypatch):
         endpoint = _mp_fraction(q) * mpmath.power(x, _mp_fraction(alpha)) * mpmath.log(x)
         s = int(mpmath.floor(endpoint))
         assert s < endpoint < s + 1
-    assert compare_to_window_endpoint(s, q, x, alpha) == -1
-    assert compare_to_window_endpoint(s + 1, q, x, alpha) == 1
+    assert _Comparer(alpha, x).compare(s, q) == -1
+    assert _Comparer(alpha, x).compare(s + 1, q) == 1
     assert min(precisions) == 80 and max(precisions) > 400
 
 
@@ -396,8 +396,8 @@ def test_part1_floors_past_float_integers_meet_their_definition(i):
         (row.n_i, Fraction(w_vertex_count(i, 13, 4)) / (consts.C * consts.k)),
     ):
         assert m > 2**53
-        assert compare_to_window_endpoint(target, Fraction(1), m, alpha) >= 0
-        assert compare_to_window_endpoint(target, Fraction(1), m + 1, alpha) < 0
+        assert _Comparer(alpha, m).compare(target, Fraction(1)) >= 0
+        assert _Comparer(alpha, m + 1).compare(target, Fraction(1)) < 0
 
 
 def test_part1_certificates_hold_for_gamma13_large_i():
@@ -426,7 +426,7 @@ def _part2_exact(i, alpha, beta, gamma, r, epsilon=1):
     """(x, size_ok, growth_ok) for a = 2i and 2i + 1 as the definitions
     read: omega from (r^a - 1)/(r - 1), x = 2 floor(B^(1/beta)) through **
     and _iroot, V(a)^q <= x^p on exact integers, and the growth window
-    through compare_to_window_endpoint."""
+    through _Comparer."""
     alpha, beta = Fraction(str(alpha)), Fraction(beta)
     p, q = beta.numerator, beta.denominator
     k = 2 * (1 - alpha * (gamma + 2) / (gamma + 1))
@@ -441,7 +441,7 @@ def _part2_exact(i, alpha, beta, gamma, r, epsilon=1):
     for a in (2 * i, 2 * i + 1):
         x = 2 * analytics._iroot(((gamma + 1) * om(om(a))) ** q, p)
         out.append((x, size(a) ** q <= x**p,
-                    compare_to_window_endpoint(size(a + 1), k, x, alpha, epsilon) > 0))
+                    _Comparer(alpha, x).compare(size(a + 1), k, epsilon) > 0))
     return out
 
 

@@ -8,7 +8,8 @@ modes' symmetry-broken one, whose |Aut| is checked against
 ``graphs.automorphism_count``.  The symmetry-broken find modes and
 collection with ``fixing`` are checked against the oracle grouped by
 class key.  The dominating modes' look-ahead is checked against the
-oracle on seeded witness hosts, and its tree against the count mode's
+oracle on seeded witness hosts and, for its interchangeable-tail rule, on
+drawn patterns that end in twins, and its tree against the count mode's
 tree.  Tests that take ``backend`` run on each
 name ``available_backends()`` lists.
 """
@@ -18,7 +19,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsewitness import detect, gnp
@@ -218,6 +219,16 @@ PINNED_MC_GRID_COUNT_MODE = [
     pytest.param(25, 7, 1, 480, 77 + 1748, 77 + 1762, id="n25"),
     pytest.param(40, 7, 0, 480, 77 + 9294, 77 + 10467, id="n40"),
 ]
+# The grid hosts searched by embed_search in count-dominating mode in
+# detect's order, the one the grid searches (f1[1] second).  There the
+# five leaves of K_{2,5} are an interchangeable tail from depth 1 on, so
+# before is what the search spent without the tail rule.  The chain costs
+# 77 expansions in this order too.
+PINNED_MC_GRID_DETECT_ORDER = [
+    pytest.param(15, 7, 0, 0, 77 + 85, 77 + 215, id="n15"),
+    pytest.param(25, 7, 1, 480, 77 + 365, 77 + 739, id="n25"),
+    pytest.param(40, 7, 0, 480, 77 + 822, 77 + 1366, id="n40"),
+]
 
 
 def _kernel(pattern, host, mode, order, budget):
@@ -286,6 +297,16 @@ def test_pinned_symmetry_broken_counters_mc_grid_hosts(n, seed, trial, count,
     ws = build_W(2, 0, 4)
     _assert_pinned(_embed, ws.graph, _mc_grid_host(n, seed, trial),
                    MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions, before)
+
+
+@pytest.mark.parametrize("n, seed, trial, count, expansions, before",
+                         PINNED_MC_GRID_DETECT_ORDER)
+def test_pinned_counters_mc_grid_hosts_in_detect_order(n, seed, trial, count,
+                                                       expansions, before):
+    ws = build_W(2, 0, 4)
+    _assert_pinned(_embed, ws.graph, _mc_grid_host(n, seed, trial),
+                   MODE_COUNT_DOMINATING, detect._pattern_order(ws), count, expansions,
+                   before)
 
 
 def test_derivation_over_budget_is_reported_not_raised():
@@ -385,6 +406,63 @@ def test_domination_lookahead_matches_oracle(params, host):
                     assert res.count <= exact[0]
 
 
+@st.composite
+def twin_tail_instances(draw):
+    # A random core, then two to four twins with one shared set of core
+    # neighbours, mutually adjacent or not.  Searched core first, the
+    # twins are an interchangeable tail; an order drawn whole may break
+    # the tail up or end it with core vertices.
+    n_core = draw(st.integers(1, 3))
+    n_p = n_core + draw(st.integers(2, 4))
+    twins = range(n_core, n_p)
+    edges = [e for e in itertools.combinations(range(n_core), 2) if draw(st.booleans())]
+    edges += [(c, t) for c in range(n_core) if draw(st.booleans()) for t in twins]
+    if draw(st.booleans()):
+        edges += list(itertools.combinations(twins, 2))
+    pattern = Graph(n_p, edges)
+    if draw(st.booleans()):
+        order = list(draw(st.permutations(range(n_core)))) + list(twins)
+    else:
+        order = list(draw(st.permutations(range(n_p))))
+    n_h = draw(st.integers(n_p, 9))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    host = {e for e in itertools.combinations(range(n_h), 2) if rnd.random() < p}
+    # Plant one induced copy, so counts are not all 0.
+    image = rnd.sample(range(n_h), n_p)
+    host = {(u, v) for u, v in host if not (u in image and v in image)}
+    host |= {tuple(sorted((image[u], image[v]))) for u, v in edges}
+    return pattern, Graph(n_h, sorted(host)), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_tail_instances(), st.sampled_from([MODE_COUNT_DOMINATING, MODE_FIND_DOMINATING]))
+# Two isolated core vertices and two adjacent twins.  Searched in this
+# order, depth 1 is bounded below by depth 0 and the twins are not, so the
+# twins' images need not lie in depth 1's child mask: depth 0 has no
+# interchangeable tail.
+@example((Graph(4, [(2, 3)]), Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)]), [0, 1, 2, 3]),
+         MODE_COUNT_DOMINATING)
+def test_interchangeable_tail_matches_oracle(instance, mode):
+    # The tail rule only skips children with no dominating leaf, labeled
+    # and symmetry-broken, and its tree is a subtree of the count mode's.
+    pattern, host, order = instance
+    oracle = [e for e in induced_embeddings(pattern, host) if is_dominating(host, e)]
+    expected = len(oracle) if mode == MODE_COUNT_DOMINATING else min(len(oracle), 1)
+    for search in (_kernel, _embed):
+        count, e, exceeded = search(pattern, host, mode, order, 10**9)
+        assert (count, exceeded) == (expected, False)
+        assert e <= search(pattern, host, MODE_COUNT, order, 10**9)[1]
+        for budget in (e - 1, e, e + 1):
+            res = search(pattern, host, mode, order, budget)
+            if budget >= e:
+                assert res == (expected, e, False)
+            else:
+                assert res[1:] == (budget + 1, True) and res[0] <= expected
+    found = embed_search(pattern, host, mode=mode, order=order).embeddings
+    assert set(found) <= set(oracle)
+
+
 WITNESSES = (
     [(build_W, a, gamma, r) for a in (1, 2) for gamma in (0, 1, 2) for r in (2, 3, 4)]
     + [(build_W_star, 1, gamma, r) for gamma in (0, 1, 2) for r in (2, 3, 4)]
@@ -460,6 +538,12 @@ def symmetric_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(symmetric_instances(), st.sampled_from([MODE_COUNT, MODE_COUNT_DOMINATING]))
+# Searched in this order, the isolated pattern vertices 1, 2 and the pair
+# 0, 3 leave depth 0 an interchangeable tail that depth 1's condition
+# breaks: the constrained search must still skip what the labeled one
+# skips there.
+@example((Graph(4, [(0, 3)]), Graph(5, [(0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]),
+          [1, 2, 0, 3]), MODE_COUNT_DOMINATING)
 def test_symmetry_broken_count_matches_oracle(instance, mode):
     pattern, host, order = instance
     oracle = induced_embeddings(pattern, host)
