@@ -78,6 +78,8 @@ def find_induced_W(
     that prunes (see hotpath.embed_search), so the embedding "find"
     reports is the first class representative in the search order.
     """
+    if mode not in ("find", "count"):
+        raise ValueError(f"unknown mode {mode!r}")
     ws = witness.build_W(a, gamma, r)
     if ws.graph.n > g.n:
         return DetectionResult("none", a=a)
@@ -110,6 +112,8 @@ def find_dominating_induced_W(
     summed over the range, as in find_induced_W; expansions is what those
     searches spent.
     """
+    if mode not in ("find", "count"):
+        raise ValueError(f"unknown mode {mode!r}")
     a_lo, a_hi = a_range
     if a_lo < 1 or a_hi < a_lo:
         raise ValueError(f"bad a_range {a_range}")

@@ -39,6 +39,17 @@ class ExperimentConfig:
     workers: int = 1
     record_runtime: bool = False
 
+    def __post_init__(self):
+        # Checked here, so that a bad value fails before any trial runs.
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {self.budget}")
+        if self.a_min < 1 or self.a_max < self.a_min:
+            raise ValueError(f"bad a range: a_min={self.a_min}, a_max={self.a_max}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         known = {f for f in cls.__dataclass_fields__}

@@ -16,35 +16,26 @@ node is kept small:
   closed-neighbourhood cover of the path replaces the per-leaf domination
   scan;
 * the dominating modes look ahead (Haralick and Elliott's forward
-  checking, applied to domination): at a look-ahead depth, a child whose
-  still-open images leave some host vertex outside the path's cover
-  without a closed neighbour has no dominating leaf, and its subtree is
-  skipped.  There are two kinds of look-ahead depth k:
-
-  - an interchangeable tail: every depth d from k + 2 on has the pattern
-    adjacency of depth k + 1 to the depths up to k and a base mask within
-    depth k + 1's.  If d also has every condition of depth k + 1 among
-    its own, directly or through a chain (so img(d) > img(j) whenever
-    depth k + 1 needs img(k + 1) > img(j)), every image at depths k + 1
-    to the last lies in the child's mask for depth k + 1: a child with
-    fewer than last - k candidates is skipped, and that mask alone is the
-    open images.  Otherwise a depth d may take an image that the
-    conditions cut from the child's mask, and the count bound on it would
-    skip dominating leaves; the rule then applies to the child's mask
-    before the conditions of depth k + 1 cut it, the mask a labeled
-    search has there.  In K_{2,5} searched hubs first this covers depths
-    1 to 4;
-  - otherwise, every depth from k + 2 on has at least two pattern
-    neighbours among the depths up to k, one of them k itself.  The open
-    images are the child's mask for the next depth and, for each later
-    depth, its base mask within the rows of its placed neighbours.  With
-    a single row per depth these cover nearly the whole host, and the
-    check costs more than it prunes.
-
-  Both rules depend on the order, the conditions and the base masks
-  alone.  A skipped child is still charged its one expansion, so a
-  dominating search tree is a subtree of the MODE_COUNT tree for the
-  same order and conditions.
+  checking, applied to domination) at the depths k with an
+  interchangeable tail: every depth d from k + 2 on has the pattern
+  adjacency of depth k + 1 to the depths up to k and a base mask within
+  depth k + 1's.  A child there has no dominating leaf, and is skipped,
+  when its open images (the host vertices depths k + 1 to the last can
+  still take) number fewer than last - k, or leave some host vertex
+  outside the path's cover without a closed neighbour.  If every such d
+  also has every condition of depth k + 1 among its own, directly or
+  through a chain (so img(d) > img(j) whenever depth k + 1 needs
+  img(k + 1) > img(j)), the open images are the child's mask for depth
+  k + 1.  Otherwise a depth d may take an image that the conditions cut
+  from that mask, and the count bound on it would skip dominating
+  leaves; the open images are then the child's mask before the
+  conditions of depth k + 1 cut it, the mask a labeled search has there.
+  In K_{2,5} searched hubs first this covers depths 1 to 4.  The rule
+  depends on the order, the conditions and the base masks alone.  A
+  skipped child is still charged its one expansion, so a dominating
+  search tree is a subtree of the MODE_COUNT tree for the same order and
+  conditions, and in MODE_COUNT_DOMINATING that whole tree when no depth
+  has an interchangeable tail.
 
 Optional symmetry-breaking conditions (``smaller``) name, per depth, the
 earlier depths whose image must be the smaller host vertex.  Each is one
@@ -122,15 +113,12 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     # A vertex set dominates iff the union of its closed neighbourhoods
     # covers the host.
     closed = [row | (1 << v) for v, row in enumerate(host_masks)] if dominating else None
-    # Per depth k, None, or for a look-ahead depth (see the module
-    # docstring) (need, groups): a child with fewer than need candidates
-    # is skipped, and groups holds the depths d >= k + 2 grouped by their
-    # placed neighbours, the depths <= k they touch, as (the union of the
-    # group's base masks, those depths).  A depth with an interchangeable
-    # tail needs last - k candidates and has no groups: every later image
-    # lies in the child mask, or, when wide[k], in the child mask before
-    # the conditions of depth k + 1 cut it.
-    ahead = [None] * n_p
+    # Per depth k, 0, or at a depth with an interchangeable tail (see the
+    # module docstring) last - k: a child with fewer candidates is
+    # skipped.  Every later image lies in the child mask, or, when
+    # wide[k], in the child mask before the conditions of depth k + 1 cut
+    # it.
+    ahead = [0] * n_p
     wide = [False] * n_p
     if dominating:
         # below[d]: the depths whose image smaller keeps below the image
@@ -149,18 +137,8 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             tail = range(k + 2, n_p)
             if all(pattern_masks[order[d]] & placed_mask == adjacency
                    and not base_masks[order[d]] & ~base_masks[first] for d in tail):
-                ahead[k] = (last - k, ())
+                ahead[k] = last - k
                 wide[k] = not all(below[k + 1] <= below[d] for d in tail)
-                continue
-            groups = {}
-            for d in range(k + 2, n_p):
-                row = pattern_masks[order[d]]
-                placed = tuple(j for j in range(k + 1) if row >> order[j] & 1)
-                if len(placed) < 2 or placed[-1] != k:
-                    break
-                groups[placed] = groups.get(placed, 0) | base_masks[order[d]]
-            else:
-                ahead[k] = (0, [(mask, placed) for placed, mask in groups.items()])
 
     assign = [0] * n_p
     rows = [0] * n_p  # host adjacency row of each assigned image
@@ -215,21 +193,11 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
                 return True
         return False
 
-    def cannot_dominate(look, child, used, cover):
-        # True when the child has fewer candidates than look needs, or some
-        # host vertex outside cover has no closed neighbour among the
-        # images still open to the later depths: the child mask for the
-        # next depth, and for each group of depths after it (see ahead)
-        # their base masks within the rows of their placed neighbours.
-        need, groups = look
-        if child.bit_count() < need:
+    def cannot_dominate(need, images, cover):
+        # True when fewer than need images are open to the later depths, or
+        # some host vertex outside cover has no closed neighbour among them.
+        if images.bit_count() < need:
             return True
-        images = child
-        for mask, placed in groups:
-            for j in placed:
-                mask &= rows[j]
-            images |= mask
-        images &= ~used
         missing = full & ~cover
         if images.bit_count() < missing.bit_count():
             reach = 0
@@ -268,7 +236,7 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             return False
         adjacent = pattern_masks[order[nxt]] >> order[k] & 1
         bounded = lower_parent[nxt]
-        look = ahead[k]
+        need = ahead[k]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -286,12 +254,12 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             assign[k] = v
             rows[k] = row
             child_cover = cover | closed[v] if dominating else 0
-            if look is not None:
+            if need:
                 if open_pre:
                     images = open_pre & row if adjacent else open_pre & ~(row | low)
                 else:
                     images = child
-                if cannot_dominate(look, images, used | low, child_cover):
+                if cannot_dominate(need, images, child_cover):
                     continue
             if nxt == last:
                 if leaves(child, child_cover):

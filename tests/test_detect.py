@@ -114,6 +114,16 @@ def test_budget_exceeded_is_reported_not_raised():
     assert not res
 
 
+def test_unknown_mode_is_rejected():
+    # Rejected before any search, also where the pattern does not fit the
+    # host.
+    for g in (build_W(2, 0, 4).graph, path(3)):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            find_induced_W(g, 2, 0, 4, mode="bogus")
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            find_dominating_induced_W(g, 0, 4, (1, 2), mode="bogus")
+
+
 def test_monotone_in_a_on_fixed_graphs():
     # A dominating copy at stage a+1 is strictly harder than at stage a,
     # so on any fixed graph set, success counts must be non-increasing.

@@ -29,6 +29,23 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"n_values": [10], "bogus": 1})
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"workers": 0}, "workers"),
+    ({"workers": -3}, "workers"),
+    ({"budget": -5}, "budget"),
+    ({"trials": 0}, "trials"),
+    ({"a_min": 0}, "a range"),
+    ({"a_min": 3, "a_max": 2}, "a range"),
+])
+def test_config_rejects_bad_values(bad, match):
+    # Without the check workers=0 runs serially and budget=-5 writes a CSV
+    # in which every trial reads as over budget.
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict({"n_values": [10], **bad})
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(SMALL, **bad)
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_values": [10], "trials": 5, "seed": 1}))
