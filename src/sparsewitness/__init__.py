@@ -16,10 +16,8 @@ from .witness import (
     WitnessGraph,
     build_W,
     build_W_star,
-    gamma_product,
     has_gamma_r_property,
     omega,
-    ordered_gamma_product,
     process_init,
     process_run,
     process_step,

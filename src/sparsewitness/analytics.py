@@ -72,7 +72,8 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LogReal:
-    """A real number as sign in {-1, 0, 1} and natural-log magnitude."""
+    """A nonnegative real as sign (0 for zero, else 1) and natural-log
+    magnitude: the record that the first moments return."""
 
     sign: int
     log: float
@@ -82,25 +83,8 @@ class LogReal:
         return cls(0, float("-inf"))
 
     @classmethod
-    def one(cls) -> "LogReal":
-        return cls(1, 0.0)
-
-    @classmethod
-    def from_log(cls, log: float, sign: int = 1) -> "LogReal":
-        return cls.zero() if log == float("-inf") else cls(sign, log)
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogReal":
-        if x == 0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_int(cls, x: int) -> "LogReal":
-        if x == 0:
-            return cls.zero()
-        # math.log accepts arbitrarily large Python ints.
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
+    def from_log(cls, log: float) -> "LogReal":
+        return cls.zero() if log == float("-inf") else cls(1, log)
 
     def to_float(self) -> float:
         if self.sign == 0:
@@ -109,62 +93,6 @@ class LogReal:
             return self.sign * math.exp(self.log)
         except OverflowError:
             return self.sign * math.inf
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0 or other.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.log + other.log)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogReal division by zero")
-        if self.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.sign * other.sign, self.log - other.log)
-
-    def __pow__(self, e) -> "LogReal":
-        if self.sign == 0:
-            return LogReal.one() if e == 0 else LogReal.zero()
-        if self.sign < 0:
-            if isinstance(e, int):
-                return LogReal(-1 if e % 2 else 1, self.log * e)
-            raise ValueError("non-integer power of a negative LogReal")
-        return LogReal(1, self.log * e)
-
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.sign, self.log)
-
-    def __abs__(self) -> "LogReal":
-        return LogReal(abs(self.sign), self.log)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.log >= other.log else (other, self)
-        d = lo.log - hi.log  # <= 0
-        if self.sign == other.sign:
-            return LogReal(self.sign, hi.log + math.log1p(math.exp(d)))
-        if d == 0.0:
-            return LogReal.zero()
-        return LogReal(hi.sign, hi.log + math.log1p(-math.exp(d)))
-
-    def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-other)
-
-    def __lt__(self, other: "LogReal") -> bool:
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        if self.sign == 0:
-            return False
-        return self.log < other.log if self.sign > 0 else self.log > other.log
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self == other or self < other
-
-    def __repr__(self) -> str:
-        return f"LogReal(sign={self.sign}, log={self.log!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +385,7 @@ def expected_W_dominating(n: int, p: float, a: int, gamma: int) -> LogReal:
     fixed s-set dominates the rest."""
     base = expected_W(n, p, a, gamma)
     s = w_vertex_count(a, gamma, 4)
-    return base * LogReal.from_log(_log_domination_factor(n, s, p))
+    return LogReal.from_log(base.log + _log_domination_factor(n, s, p))
 
 
 def expected_W_star(n: int, p: float, a: int, gamma: int, r: int) -> LogReal:

@@ -133,9 +133,15 @@ def cmd_sequences(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = experiment.ExperimentConfig.from_file(args.config)
-    if args.workers is not None:
-        cfg = dataclasses.replace(cfg, workers=args.workers)
+    # A bad config (invalid JSON, an unknown or missing key, a rejected
+    # value) is reported like an argparse error, not as a traceback.
+    try:
+        cfg = experiment.ExperimentConfig.from_file(args.config)
+        if args.workers is not None:
+            cfg = dataclasses.replace(cfg, workers=args.workers)
+    except ValueError as exc:
+        print(f"sparsewitness experiment: error: {exc}", file=sys.stderr)
+        return 2
     csv_text = experiment.run_experiment(cfg)
     if args.out:
         with open(args.out, "w") as fh:

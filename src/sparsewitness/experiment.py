@@ -56,10 +56,9 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        raw = dict(raw)
-        if "n_values" in raw:
-            raw["n_values"] = tuple(raw["n_values"])
-        return cls(**raw)
+        if "n_values" not in raw:
+            raise ValueError("missing config key: n_values")
+        return cls(**{**raw, "n_values": tuple(raw["n_values"])})
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

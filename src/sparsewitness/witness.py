@@ -1,12 +1,12 @@
 """Witness graph families and the (gamma, r) graph process.
 
-The building block is the gamma-product: two rooted trees are laid side by
-side and every pair of vertices at equal depth is joined by a fresh path
-with gamma inner vertices.  The plain witness graph W(a) is the
-gamma-product of a path on ``a`` vertices with a perfect r-ary tree on
-omega(a) = (r^a - 1)/(r - 1) vertices.
+The building block is the gamma-product of a path and a perfect r-ary
+tree: the two are laid side by side and every pair of vertices at equal
+depth is joined by a fresh path with gamma inner vertices.  The plain
+witness graph W(a) is the gamma-product of a path on ``a`` vertices with
+a perfect r-ary tree on omega(a) = (r^a - 1)/(r - 1) vertices.
 
-The starred witness graph W*(a) glues together two such products:
+The starred witness graph W*(a) glues together three blocks:
 
 * W(a) itself, on the path F1 and the r-ary tree F2;
 * a second product on a path TF1 with omega(a) vertices and a perfect
@@ -14,6 +14,11 @@ The starred witness graph W*(a) glues together two such products:
 * connector paths matching the k-th vertex of F2 in breadth-first order
   with the k-th vertex of TF1, one path per rank (the rank-bijective
   ordered product).
+
+The product is written in one place, _Builder.join_by_depth, which wires
+each tree rank to the path vertex at its depth: build_W calls it for
+(F1, F2), build_W_star for (F1, F2) and (TF1, TF2), with the
+rank-bijective connectors from F2 to TF1 between the two calls.
 
 With that third block W*(1) collapses to a path on 3*gamma + 4 vertices,
 and the graph process below reproduces every W*(a) exactly.
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_BUDGET, Graph, iter_mask, mask_of
+from .graphs import DEFAULT_BUDGET, Graph, mask_of
 from . import hotpath
 
 ROLE_F1 = "F1"
@@ -98,30 +103,6 @@ def w_star_edge_count(a: int, gamma: int, r: int) -> int:
     return a + 2 * (gamma + 2) * omega(a, r) + (gamma + 2) * omega(omega(a, r), r) - 4
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """A tree given as a Graph plus a distinguished root."""
-
-    graph: Graph
-    root: int
-
-    def depths(self) -> list[int]:
-        depth = [-1] * self.graph.n
-        depth[self.root] = 0
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in iter_mask(self.graph.bits[v]):
-                    if depth[w] < 0:
-                        depth[w] = depth[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        if min(depth) < 0 or self.graph.m != self.graph.n - 1:
-            raise WitnessError("rooted tree input is not a tree")
-        return depth
-
-
 class _Builder:
     """Writes a witness graph as int adjacency rows, with one role per
     vertex.  It starts empty or from a copy of a graph and its roles (the
@@ -154,14 +135,6 @@ class _Builder:
             prev = w
         self.edge(prev, v)
 
-    def copy(self, g: Graph, role: str) -> range:
-        """Add a disjoint copy of g, all of one role; returns its new ids."""
-        start = len(self.rows)
-        self.rows.extend(row << start for row in g.bits)
-        self.roles.extend([role] * g.n)
-        self.m += g.m
-        return range(start, start + g.n)
-
     def grow(self, tree: list[int], r: int, role: str) -> int:
         """Append a vertex to a breadth-first numbered tree: rank k > 0
         hangs off rank (k - 1) // r, so r = 1 grows a path."""
@@ -191,50 +164,6 @@ class _Builder:
 
     def graph(self) -> Graph:
         return Graph._from_rows(self.rows, self.m)
-
-
-def gamma_product(f1: RootedTree, f2: RootedTree, gamma: int) -> Graph:
-    """Join every equal-depth pair (u in f1, v in f2) by a fresh path with
-    gamma inner vertices; the two trees keep their own edges."""
-    if gamma < 0:
-        raise WitnessError("gamma must be nonnegative")
-    d1, d2 = f1.depths(), f2.depths()
-    b = _Builder(gamma)
-    map1 = b.copy(f1.graph, ROLE_F1)
-    map2 = b.copy(f2.graph, ROLE_F2)
-    for u in range(f1.graph.n):
-        for v in range(f2.graph.n):
-            if d1[u] == d2[v]:
-                b.connector(map1[u], map2[v])
-    return b.graph()
-
-
-def ordered_gamma_product(
-    f1: Graph,
-    levels1: list[list[int]],
-    f2: Graph,
-    levels2: list[list[int]],
-    gamma: int,
-) -> Graph:
-    """Gamma-product driven by explicit level orders: vertices are paired
-    when they sit at the same level index.  A linear order (all levels
-    singletons) pairs by rank; coarser orders pair whole levels."""
-    if gamma < 0:
-        raise WitnessError("gamma must be nonnegative")
-    for g, levels in ((f1, levels1), (f2, levels2)):
-        flat = [v for lvl in levels for v in lvl]
-        if sorted(flat) != list(range(g.n)):
-            raise WitnessError("levels must partition the vertex set")
-        if not levels or len(levels[0]) != 1:
-            raise WitnessError("order lacks a unique minimum")
-    b = _Builder(gamma)
-    map1 = b.copy(f1, ROLE_F1)
-    map2 = b.copy(f2, ROLE_F2)
-    for lvl1, lvl2 in zip(levels1, levels2):
-        for u in lvl1:
-            for v in lvl2:
-                b.connector(map1[u], map2[v])
-    return b.graph()
 
 
 @dataclass(frozen=True)

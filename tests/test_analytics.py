@@ -30,49 +30,12 @@ from sparsewitness.analytics import (
 )
 from sparsewitness.witness import w_vertex_count
 
-finite_floats = st.floats(
-    min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-
-
 # ------------------------------------------------------------- LogReal
 
-def test_logreal_basics():
-    two, three = LogReal.from_int(2), LogReal.from_int(3)
-    assert math.isclose((two * three).to_float(), 6.0)
-    assert math.isclose((two + three).to_float(), 5.0)
-    assert math.isclose((three - two).to_float(), 1.0)
-    assert math.isclose((two - three).to_float(), -1.0)
-    assert math.isclose((three / two).to_float(), 1.5)
-    assert math.isclose((two**10).to_float(), 1024.0)
+def test_logreal_zero_and_overflow():
     assert LogReal.zero().to_float() == 0.0
-    assert (two + LogReal.zero()).to_float() == 2.0
-    assert two < three and three <= three
-    assert abs(-two).to_float() == 2.0
-
-
-def test_logreal_handles_huge_magnitudes():
-    big = LogReal.from_log(1e6)  # e^(10^6), far beyond float range
-    bigger = big * LogReal.from_int(2)
-    assert big < bigger
-    assert (bigger / big).to_float() == pytest.approx(2.0)
-    assert big.to_float() == math.inf
-
-
-@settings(max_examples=80)
-@given(finite_floats, finite_floats)
-def test_logreal_roundtrip_consistency(x, y):
-    lx, ly = LogReal.from_float(x), LogReal.from_float(y)
-    assert (lx * ly).to_float() == pytest.approx(x * y, rel=1e-9)
-    assert (lx + ly).to_float() == pytest.approx(x + y, rel=1e-9)
-    assert (lx < ly) == (x < y)
-
-
-@settings(max_examples=50)
-@given(finite_floats, finite_floats)
-def test_logreal_subtraction_sign(x, y):
-    diff = LogReal.from_float(x) - LogReal.from_float(y)
-    assert diff.to_float() == pytest.approx(x - y, rel=1e-6, abs=1e-9)
+    assert LogReal.from_log(float("-inf")) == LogReal.zero()
+    assert LogReal.from_log(1e6).to_float() == math.inf  # e^(10^6)
 
 
 # --------------------------------------------------- f, inverse, k_gamma

@@ -167,3 +167,19 @@ def test_experiment(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2 and lines[0].startswith("n,alpha,p,")
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ('{"n_values": [12], "workers": 0}', (), "workers must be at least 1"),
+    ('{"n_values": [12]}', ("--workers", "0"), "workers must be at least 1"),
+    ('{"n_values": [12], "trails": 10}', (), "unknown config keys: ['trails']"),
+    ('{"n_values": [12],', (), "Expecting"),
+    ('{"trials": 10}', (), "missing config key: n_values"),
+], ids=["workers-key", "workers-flag", "unknown-key", "invalid-json", "no-n-values"])
+def test_experiment_bad_config_is_an_error_line(tmp_path, capsys, text, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "experiment", "--config", str(cfg), *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("sparsewitness experiment: error: ")
+    assert message in err and "Traceback" not in err

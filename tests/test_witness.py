@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsewitness.graphs import (
-    Graph,
     automorphism_count,
     induced_embeddings,
     iter_mask,
@@ -17,14 +16,11 @@ from sparsewitness.graphs import (
 from sparsewitness.hotpath import MODE_COLLECT, embed_search
 from sparsewitness.witness import (
     ProcessError,
-    RootedTree,
     WitnessError,
     build_W,
     build_W_star,
-    gamma_product,
     has_gamma_r_property,
     omega,
-    ordered_gamma_product,
     process_init,
     process_run,
     process_step,
@@ -144,32 +140,81 @@ def test_w2_gamma_r4_is_theta_like():
         assert automorphism_count(g) == 2 * 120
 
 
-def test_gamma_product_count_identities():
-    # Joining a rooted P_2 with a single vertex pairs only the two depth-0
-    # roots: n = n1 + n2 + gamma, m = m1 + m2 + gamma + 1.
-    p2 = Graph(2, [(0, 1)])
-    single = Graph(1, [])
-    for gamma in range(3):
-        g = gamma_product(RootedTree(p2, 0), RootedTree(single, 0), gamma)
-        assert g.n == 3 + gamma
-        assert g.m == 1 + gamma + 1
+def _bfs_depths(g, tree):
+    """Depth of each vertex of tree below tree[0], by breadth-first search
+    over the edges of g that join two vertices of tree."""
+    inside = set(tree)
+    depth = {tree[0]: 0}
+    frontier = [tree[0]]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if w in inside and w not in depth:
+                    depth[w] = depth[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    assert len(depth) == len(tree)
+    return depth
 
 
-def test_gamma_product_rejects_non_trees():
-    c3 = Graph(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(WitnessError):
-        gamma_product(RootedTree(c3, 0), RootedTree(Graph(1, []), 0), 1)
+def _joins(ws):
+    """Every pair of non-connector vertices joined by an edge or by a path
+    through connector vertices only, mapped to that path's inner vertices.
+    Each path is walked from both of its ends; the two walks must agree."""
+    g = ws.graph
+    conn = {v for v, role in enumerate(ws.roles) if role == "CONN"}
+    walks = {}
+    for u in set(range(g.n)) - conn:
+        for w in g.neighbors(u):
+            prev, inner = u, []
+            while w in conn:
+                assert g.degree(w) == 2
+                inner.append(w)
+                prev, w = w, next(x for x in g.neighbors(w) if x != prev)
+            assert (u, w) not in walks, "two paths join the same pair"
+            walks[u, w] = tuple(inner)
+    for (u, w), inner in walks.items():
+        assert walks[w, u] == inner[::-1]
+    assert {v for inner in walks.values() for v in inner} == conn
+    return {frozenset(e): inner for e, inner in walks.items()}
 
 
-def test_ordered_gamma_product_validation():
-    p2 = Graph(2, [(0, 1)])
-    with pytest.raises(WitnessError, match="unique minimum"):
-        ordered_gamma_product(p2, [[0, 1]], p2, [[0, 1]], 1)
-    with pytest.raises(WitnessError, match="partition"):
-        ordered_gamma_product(p2, [[0]], p2, [[0], [1]], 1)
-    # Rank-paired linear orders on two P_2s give a ladder of connectors.
-    g = ordered_gamma_product(p2, [[0], [1]], p2, [[0], [1]], 0)
-    assert g.n == 4 and g.m == 4
+# W*(3, gamma, 3) is left out: its TF2 alone has omega(13) = 797,161 vertices.
+PRODUCT_CASES = [
+    (starred, a, r)
+    for starred in (False, True) for a in (1, 2, 3) for r in (2, 3)
+    if not (starred and a == r == 3)
+]
+
+
+@pytest.mark.parametrize(
+    "starred, a, r", PRODUCT_CASES,
+    ids=[f"{'Wstar' if s else 'W'}-a{a}-r{r}" for s, a, r in PRODUCT_CASES],
+)
+def test_builds_join_exactly_the_product_pairs(starred, a, r):
+    # The gamma-product from its definition, with depths found here and not
+    # by the builder: F1 is joined to F2 (and TF1 to TF2 in W*) at equal
+    # depth, F2 to TF1 rank by rank, each by a path with gamma inner
+    # vertices; every other join is a tree edge inside one role.
+    for gamma in (0, 1, 2):
+        ws = (build_W_star if starred else build_W)(a, gamma, r)
+        blocks = [(ws.f1, ws.f2), (ws.tf1, ws.tf2)] if starred else [(ws.f1, ws.f2)]
+        expect = set()
+        for path, tree in blocks:
+            dp, dt = _bfs_depths(ws.graph, path), _bfs_depths(ws.graph, tree)
+            assert [dp[v] for v in path] == list(range(len(path)))
+            expect |= {frozenset((path[dt[v]], v)) for v in tree}
+        if starred:
+            expect |= {frozenset(e) for e in zip(ws.f2, ws.tf1)}
+        joins = _joins(ws)
+        cross = {e for e in joins if len({ws.roles[v] for v in e}) == 2}
+        assert cross == expect, gamma
+        for e, inner in joins.items():
+            assert len(inner) == (gamma if e in cross else 0), (e, inner)
+        # Inside each role the joins are the edges of one tree.
+        trees = (ws.f1, ws.f2, ws.tf1, ws.tf2)
+        assert len(joins) - len(cross) == sum(len(t) - 1 for t in trees if t)
 
 
 def test_process_reaches_w_star_exactly():
@@ -373,16 +418,3 @@ def test_builds_are_pinned_exactly():
             h.update(repr((ws.a, ws.gamma, ws.r, ws.starred,
                            ws.f1, ws.f2, ws.tf1, ws.tf2)).encode())
     assert h.hexdigest() == BUILD_DIGEST
-
-
-def test_gamma_products_write_valid_rows():
-    path3 = Graph(3, [(0, 1), (1, 2)])
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    for gamma in range(3):
-        g = gamma_product(RootedTree(path3, 0), RootedTree(star, 0), gamma)
-        assert_valid_rows(g)
-        # Depth pairs: 1 x 1 at depth 0 and 1 x 3 at depth 1.
-        assert (g.n, g.m) == (7 + 4 * gamma, 5 + 4 * (gamma + 1))
-        g = ordered_gamma_product(path3, [[0], [1, 2]], star, [[0], [1, 2, 3]], gamma)
-        assert_valid_rows(g)
-        assert (g.n, g.m) == (7 + 7 * gamma, 5 + 7 * (gamma + 1))
