@@ -92,7 +92,13 @@ def cmd_detect(args) -> int:
 def cmd_evaluate(args) -> int:
     g = _load_graph(args.graph)
     with open(args.formula) as fh:
-        phi = logic.parse_formula(fh.read())
+        text = fh.read()
+    # A malformed formula exits 2, apart from a false verdict's 1.
+    try:
+        phi = logic.parse_formula(text)
+    except (logic.FormulaSyntaxError, logic.BindingError) as exc:
+        print(f"sparsewitness evaluate: error: {exc}", file=sys.stderr)
+        return 2
     verdict = logic.evaluate(g, phi, budget=args.budget,
                              gamma=args.gamma, r=args.r)
     print("true" if verdict else "false")
@@ -133,13 +139,14 @@ def cmd_sequences(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    # A bad config (invalid JSON, an unknown or missing key, a rejected
-    # value) is reported like an argparse error, not as a traceback.
+    # A bad config (an unreadable file, invalid JSON, an unknown or missing
+    # key, a rejected value) is reported like an argparse error, not as a
+    # traceback.
     try:
         cfg = experiment.ExperimentConfig.from_file(args.config)
         if args.workers is not None:
             cfg = dataclasses.replace(cfg, workers=args.workers)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"sparsewitness experiment: error: {exc}", file=sys.stderr)
         return 2
     csv_text = experiment.run_experiment(cfg)

@@ -23,6 +23,16 @@ CSV_COLUMNS = [
     "admissible_a_count", "seed", "runtime_ms",
 ]
 
+_INT_FIELDS = ("gamma", "r", "a_min", "a_max", "trials", "seed", "budget", "workers")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -41,6 +51,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Checked here, so that a bad value fails before any trial runs.
+        # Values from a JSON config arrive untyped, so types are checked too.
+        if not (isinstance(self.n_values, tuple) and all(map(_is_int, self.n_values))):
+            raise ValueError(f"n_values must be a tuple of integers, got {self.n_values!r}")
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_real(self.alpha):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
+        if self.p_override is not None and not _is_real(self.p_override):
+            raise ValueError(f"p_override must be a number or None, got {self.p_override!r}")
+        if not isinstance(self.record_runtime, bool):
+            raise ValueError(f"record_runtime must be a bool, got {self.record_runtime!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.workers < 1:
@@ -52,13 +74,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {raw!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "n_values" not in raw:
             raise ValueError("missing config key: n_values")
-        return cls(**{**raw, "n_values": tuple(raw["n_values"])})
+        n_values = raw["n_values"]
+        if isinstance(n_values, list):
+            n_values = tuple(n_values)
+        return cls(**{**raw, "n_values": n_values})
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

@@ -17,9 +17,11 @@ Grammar (binding gets looser downward; '&', '|' and '<->' associate left,
               | '@' name '(' name (',' name)* ')'
 
 Variable kind is determined by the binder: EX/ALL bind vertex variables,
-EXSET binds set variables.  Builtins take the host graph plus their
-resolved arguments (vertex ids or vertex-set masks) and may consult the
-evaluation context only for the ambient parameters gamma and r.
+EXSET binds set variables.  Every builtin argument is a set variable.  The
+parser checks bindings as it reads, against the scopes of the enclosing
+quantifiers.  Builtins come from the fixed BUILTINS table; each takes the
+evaluation context plus its vertex-set masks and may consult the context
+only for the host graph and the ambient parameters gamma and r.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class FormulaSyntaxError(ValueError):
 
 
 class BindingError(ValueError):
-    """Unbound variable, kind mismatch, or builtin arity mismatch."""
+    """A variable that no enclosing quantifier of its kind binds."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,8 @@ class ExistsSet:
 
 
 # ---------------------------------------------------------------------------
-# Builtins.  Each spec is (kinds, func) where kinds is a tuple over 'v'
-# (vertex) and 's' (set mask), or the string "s*" for one-or-more sets.
+# Builtins.  Each entry is (arity, func); arity None means one or more
+# sets.
 
 class EvalContext:
     def __init__(self, g: Graph, budget: int, gamma: int, r: int):
@@ -172,11 +174,11 @@ def builtin_edges(ctx: EvalContext, *sets: int) -> bool:
 
 
 BUILTINS = {
-    "max": (("s",), lambda ctx, X: dominates(ctx.g, X)),
-    "isoW": (("s",), builtin_isoW),
-    "even": (("s",), builtin_even),
-    "disjoint": ("s*", builtin_disjoint),
-    "edges": ("s*", builtin_edges),
+    "max": (1, lambda ctx, X: dominates(ctx.g, X)),
+    "isoW": (1, builtin_isoW),
+    "even": (1, builtin_even),
+    "disjoint": (None, builtin_disjoint),
+    "edges": (None, builtin_edges),
 }
 
 
@@ -210,10 +212,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, builtins: dict):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.builtins = builtins
+        self.scopes: dict[str, list[str]] = {"vertex": [], "set": []}
+        # The first unbound variable, raised once the text has parsed so
+        # that a syntax error anywhere is reported first.
+        self.unbound: str | None = None
 
     def peek(self):
         return self.tokens[self.i]
@@ -234,11 +239,19 @@ class _Parser:
             raise FormulaSyntaxError(f"expected a name, found {val!r}", pos)
         return val
 
+    def bound_name(self, kind: str) -> str:
+        name = self.expect_name()
+        if self.unbound is None and name not in self.scopes[kind]:
+            self.unbound = f"unbound {kind} variable {name!r}"
+        return name
+
     def parse(self):
         node = self.formula()
         kind, val, pos = self.peek()
         if kind != "end":
             raise FormulaSyntaxError(f"trailing input {val!r}", pos)
+        if self.unbound is not None:
+            raise BindingError(self.unbound)
         return node
 
     def formula(self):
@@ -285,7 +298,10 @@ class _Parser:
         if kind == "kw" and val in ("EX", "ALL", "EXSET"):
             self.next()
             var = self.expect_name()
+            scope = self.scopes["set" if val == "EXSET" else "vertex"]
+            scope.append(var)
             body = self.unary()
+            scope.pop()
             return {"EX": Exists, "ALL": Forall, "EXSET": ExistsSet}[val](var, body)
         if kind == "op" and val == "@":
             return self.builtin(pos)
@@ -296,75 +312,38 @@ class _Parser:
     def builtin(self, pos: int):
         self.expect_op("@")
         name = self.expect_name()
-        spec = self.builtins.get(name)
-        if spec is None:
+        if name not in BUILTINS:
             raise FormulaSyntaxError(f"unknown builtin @{name}", pos)
         self.expect_op("(")
-        args = [self.expect_name()]
+        args = [self.bound_name("set")]
         while self.peek()[:2] == ("op", ","):
             self.next()
-            args.append(self.expect_name())
+            args.append(self.bound_name("set"))
         self.expect_op(")")
-        kinds = spec[0]
-        if kinds == "s*":
-            if not args:
-                raise FormulaSyntaxError(f"@{name} needs at least one argument", pos)
-        elif len(args) != len(kinds):
+        arity = BUILTINS[name][0]
+        if arity is not None and len(args) != arity:
             raise FormulaSyntaxError(
-                f"@{name} takes {len(kinds)} arguments, got {len(args)}", pos
+                f"@{name} takes {arity} arguments, got {len(args)}", pos
             )
         return BuiltinAtom(name, tuple(args))
 
     def atom(self):
-        left = self.expect_name()
+        left = self.bound_name("vertex")
         kind, val, pos = self.next()
         if kind == "op" and val == "~":
-            return Adj(left, self.expect_name())
+            return Adj(left, self.bound_name("vertex"))
         if kind == "op" and val == "=":
-            return Eq(left, self.expect_name())
+            return Eq(left, self.bound_name("vertex"))
         if kind == "kw" and val == "in":
-            return Member(left, self.expect_name())
+            return Member(left, self.bound_name("set"))
         raise FormulaSyntaxError(f"expected ~, = or 'in' after {left!r}", pos)
 
 
-def _check_bindings(node, fo: frozenset, so: frozenset, builtins: dict) -> None:
-    if isinstance(node, (Adj, Eq)):
-        for v in (node.left, node.right):
-            if v not in fo:
-                raise BindingError(f"unbound vertex variable {v!r}")
-    elif isinstance(node, Member):
-        if node.element not in fo:
-            raise BindingError(f"unbound vertex variable {node.element!r}")
-        if node.container not in so:
-            raise BindingError(f"unbound set variable {node.container!r}")
-    elif isinstance(node, BuiltinAtom):
-        kinds = builtins[node.name][0]
-        if kinds == "s*":
-            kinds = ("s",) * len(node.args)
-        for arg, k in zip(node.args, kinds):
-            pool = fo if k == "v" else so
-            if arg not in pool:
-                label = "vertex" if k == "v" else "set"
-                raise BindingError(f"unbound {label} variable {arg!r}")
-    elif isinstance(node, Not):
-        _check_bindings(node.body, fo, so, builtins)
-    elif isinstance(node, (And, Or, Implies, Iff)):
-        _check_bindings(node.left, fo, so, builtins)
-        _check_bindings(node.right, fo, so, builtins)
-    elif isinstance(node, (Exists, Forall)):
-        _check_bindings(node.body, fo | {node.var}, so, builtins)
-    elif isinstance(node, ExistsSet):
-        _check_bindings(node.body, fo, so | {node.var}, builtins)
-    else:
-        raise TypeError(f"unknown AST node {node!r}")
-
-
-def parse_formula(text: str, builtins: dict | None = None):
-    """Parse DSL text into an AST, checking bindings and builtin arities."""
-    builtins = builtins or BUILTINS
-    node = _Parser(text, builtins).parse()
-    _check_bindings(node, frozenset(), frozenset(), builtins)
-    return node
+def parse_formula(text: str):
+    """Parse DSL text into an AST, checking bindings and builtin arities.
+    A syntax error anywhere is raised ahead of a BindingError, which names
+    the first unbound variable in source order."""
+    return _Parser(text).parse()
 
 
 def is_emso(node) -> bool:
@@ -392,12 +371,11 @@ def _conjuncts(node) -> list:
     return [node]
 
 
-def _isoW_guarded(node: ExistsSet, builtins: dict):
+def _isoW_guarded(node: ExistsSet):
     """psi when node is EXSET X (C1 & ... & Ck), grouped in any way, with
-    some Ci = @isoW(X) for the default @isoW: the conjunction of the other
-    conjuncts in their order.  None otherwise, and for a body that is the
-    guard alone."""
-    if not isinstance(node.body, And) or builtins.get("isoW", (None, None))[1] is not builtin_isoW:
+    some Ci = @isoW(X): the conjunction of the other conjuncts in their
+    order.  None otherwise, and for a body that is the guard alone."""
+    if not isinstance(node.body, And):
         return None
     conjuncts = _conjuncts(node.body)
     guard = BuiltinAtom("isoW", (node.var,))
@@ -425,25 +403,20 @@ def _witness_copies(ctx: EvalContext):
         a += 1
 
 
-def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4,
-             builtins: dict | None = None) -> bool:
+def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4) -> bool:
     """Truth of phi on g by enumeration: vertex quantifiers range over
     0..n-1, set quantifiers over all 2^n subsets in rank order.  Each
     quantifier instantiation charges one unit of budget.
 
     A set quantifier whose body is a conjunction, grouped in any way, with
-    the default @isoW(X) among its conjuncts ranges over the witness copies
+    @isoW(X) among its conjuncts ranges over the witness copies
     instead, and the other conjuncts are checked on each in their order:
     the image sets of induced W(a) copies, found by the kernel one per
     copy, are exactly the sets on which the guard holds, so the verdict is
     the exhaustive one.  The budget is charged each copy search's
     expansions and one unit per copy tried, so it runs out at other points
     than the exhaustive enumeration's.
-
-    builtins replaces the BUILTINS table; each entry maps a name to
-    (kinds, func), kinds a tuple over "v" and "s" or the string "s*".
     """
-    builtins = builtins or BUILTINS
     ctx = EvalContext(g, budget, gamma, r)
 
     def ev(node, fo: dict, so: dict) -> bool:
@@ -454,16 +427,8 @@ def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4,
         if isinstance(node, Member):
             return bool((so[node.container] >> fo[node.element]) & 1)
         if isinstance(node, BuiltinAtom):
-            kinds = builtins[node.name][0]
-            func = builtins[node.name][1]
-            if kinds == "s*":
-                kinds = ("s",) * len(node.args)
-            vals = [
-                fo[a] if k == "v" else so[a]
-                for a, k in zip(node.args, kinds)
-            ]
             ctx.charge()
-            return func(ctx, *vals)
+            return BUILTINS[node.name][1](ctx, *(so[a] for a in node.args))
         if isinstance(node, Not):
             return not ev(node.body, fo, so)
         if isinstance(node, And):
@@ -487,7 +452,7 @@ def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4,
                     return False
             return True
         if isinstance(node, ExistsSet):
-            psi = _isoW_guarded(node, builtins)
+            psi = _isoW_guarded(node)
             if psi is None:
                 body, masks = node.body, range(1 << g.n)
             else:

@@ -97,6 +97,24 @@ def test_evaluate(tmp_path, capsys):
     assert code == 0 and out.strip() == "true"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("EX x (x ~", "expected a name"),
+    ("EX x x ~ y", "unbound vertex variable 'y'"),
+], ids=["syntax-error", "unbound-variable"])
+def test_evaluate_bad_formula_is_an_error_line(tmp_path, capsys, text, message):
+    # Status 2, apart from a false verdict's 1.
+    graph_file = tmp_path / "g.edges"
+    formula_file = tmp_path / "phi.txt"
+    run(capsys, "build", "--family", "w", "--a", "1", "--gamma", "0",
+        "--r", "2", "--out", str(graph_file))
+    formula_file.write_text(text + "\n")
+    code, out, err = run(capsys, "evaluate", "--graph", str(graph_file),
+                         "--formula", str(formula_file))
+    assert code == 2 and out == ""
+    assert err.startswith("sparsewitness evaluate: error: ")
+    assert message in err and "Traceback" not in err
+
+
 def test_thresholds(capsys):
     code, out, _ = run(capsys, "thresholds", "--n", "500", "--alpha", "0.3",
                        "--gamma", "13")
@@ -175,10 +193,16 @@ def test_experiment(tmp_path, capsys):
     ('{"n_values": [12], "trails": 10}', (), "unknown config keys: ['trails']"),
     ('{"n_values": [12],', (), "Expecting"),
     ('{"trials": 10}', (), "missing config key: n_values"),
-], ids=["workers-key", "workers-flag", "unknown-key", "invalid-json", "no-n-values"])
+    ('{"n_values": [12], "trials": "5"}', (), "trials must be an integer, got '5'"),
+    ('{"n_values": 12}', (), "n_values must be a tuple of integers, got 12"),
+    ('[1, 2]', (), "config must be a JSON object, got [1, 2]"),
+    (None, (), "No such file or directory"),
+], ids=["workers-key", "workers-flag", "unknown-key", "invalid-json", "no-n-values",
+        "string-trials", "scalar-n-values", "json-list", "missing-file"])
 def test_experiment_bad_config_is_an_error_line(tmp_path, capsys, text, flags, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    if text is not None:
+        cfg.write_text(text)
     code, out, err = run(capsys, "experiment", "--config", str(cfg), *flags)
     assert code == 2 and out == ""
     assert err.startswith("sparsewitness experiment: error: ")

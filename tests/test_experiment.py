@@ -36,6 +36,12 @@ def test_config_rejects_unknown_keys():
     ({"trials": 0}, "trials"),
     ({"a_min": 0}, "a range"),
     ({"a_min": 3, "a_max": 2}, "a range"),
+    ({"trials": "5"}, "trials must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"n_values": ("12",)}, "n_values must be a tuple of integers"),
+    ({"alpha": "0.3"}, "alpha must be a number"),
+    ({"p_override": "0.5"}, "p_override must be a number"),
+    ({"record_runtime": 1}, "record_runtime must be a bool"),
 ])
 def test_config_rejects_bad_values(bad, match):
     # Without the check workers=0 runs serially and budget=-5 writes a CSV

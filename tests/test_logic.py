@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsewitness import detect, gnp
+from sparsewitness import detect, gnp, logic
 from sparsewitness.graphs import BudgetExceededError, Graph
 from sparsewitness.logic import (
-    BUILTINS,
     And,
     BindingError,
     Eq,
+    EvalContext,
     Exists,
     FormulaSyntaxError,
     Iff,
     Implies,
     Or,
-    builtin_isoW,
     evaluate,
     is_emso,
     parse_formula,
@@ -56,6 +55,24 @@ def test_parse_rejects_unbound_variables():
     with pytest.raises(BindingError):
         # Binder kind decides the variable kind: X here is a set.
         parse_formula("EXSET X EX y X ~ y")
+
+
+def test_variable_is_out_of_scope_after_its_quantifier():
+    parse_formula("(EX x x = x) & EX x x = x")
+    with pytest.raises(BindingError, match="unbound vertex variable 'x'"):
+        parse_formula("(EX x x = x) & x = x")
+
+
+def test_syntax_error_is_reported_ahead_of_an_unbound_variable():
+    # x and y are unbound before the stray ')' is read.
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("x ~ y)")
+
+
+def test_first_unbound_variable_in_source_order_is_named():
+    with pytest.raises(BindingError) as info:
+        parse_formula("EX x (y ~ x & z ~ x)")
+    assert str(info.value) == "unbound vertex variable 'y'"
 
 
 def test_parse_checks_builtin_arity():
@@ -176,30 +193,22 @@ def test_evaluate_agrees_with_brute_force_domination():
         assert evaluate(g, phi) == expect
 
 
-def test_custom_builtin_with_a_vertex_argument():
-    # @nbin(x, X): x has a neighbour in X.  X dominates iff every vertex
-    # is in X or has a neighbour in it.
-    builtins = {**BUILTINS, "nbin": (("v", "s"), lambda ctx, x, X: bool(ctx.g.bits[x] & X))}
+def test_max_is_first_order_domination():
+    # X dominates iff every vertex is in X or has a neighbour in it.
     verdicts = set()
     for g in [path(4), path(5), cycle(5), Graph(3, []), Graph(4, [(0, 1), (0, 2), (0, 3)])]:
         for prefix in ("", "@even(X) & "):
-            via_nbin = parse_formula(f"EXSET X ({prefix}ALL x (x in X | @nbin(x, X)))", builtins)
-            via_max = parse_formula(f"EXSET X ({prefix}@max(X))", builtins)
-            verdict = evaluate(g, via_nbin, builtins=builtins)
-            assert verdict == evaluate(g, via_max, builtins=builtins)
+            via_fo = f"EXSET X ({prefix}ALL x (x in X | EX y (y in X & x ~ y)))"
+            verdict = ev(g, via_fo)
+            assert verdict == ev(g, f"EXSET X ({prefix}@max(X))")
             verdicts.add(verdict)
     assert verdicts == {False, True}
     with pytest.raises(BindingError):
-        parse_formula("EXSET X @nbin(X, X)", builtins)
-    with pytest.raises(BindingError):
-        parse_formula("EXSET X EX x @nbin(x, x)", builtins)
+        # Builtins take set variables only.
+        parse_formula("EXSET X EX x @max(x)")
 
 
 # ------------------------------------------- set quantifiers under @isoW
-
-# An @isoW that is not the default builtin makes the evaluator enumerate
-# every subset, the reference for the guarded path.
-EXHAUSTIVE = {**BUILTINS, "isoW": (("s",), lambda ctx, X: builtin_isoW(ctx, X))}
 
 # (gamma, r) with W(1) and W(2) of at most 10 vertices.
 SMALL_WITNESSES = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]
@@ -256,25 +265,21 @@ def guarded_instances(draw):
 def test_guarded_set_quantifier_matches_exhaustive(instance):
     g, text, gamma, r = instance
     guarded = evaluate(g, parse_formula(text), gamma=gamma, r=r)
-    exhaustive = evaluate(g, parse_formula(text, EXHAUSTIVE), gamma=gamma, r=r,
-                          builtins=EXHAUSTIVE)
+    # !!@isoW(X) is not an @isoW conjunct, so the reference enumerates all
+    # 2^n subsets.
+    reference = text.replace("@isoW(X)", "!!@isoW(X)")
+    exhaustive = evaluate(g, parse_formula(reference), gamma=gamma, r=r)
     assert guarded == exhaustive
 
 
 def test_guarded_set_quantifier_visits_each_copy_once():
     # K_{3,3} at gamma = 0, r = 2: W(1) is an edge and W(2) is K_{2,3}
-    # (|Aut| = 12).  Nine edges and six induced K_{2,3}s, each tried once.
+    # (|Aut| = 12).  The guarded quantifier ranges over these copies: nine
+    # edges and six induced K_{2,3}s, each yielded once.
     g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    sizes = []
-
-    def spy(ctx, X):
-        sizes.append(bin(X).count("1"))
-        return False
-
-    builtins = {**BUILTINS, "spy": (("s",), spy)}
-    phi = parse_formula("EXSET X (@isoW(X) & @spy(X))", builtins)
-    assert not evaluate(g, phi, gamma=0, r=2, builtins=builtins)
-    assert sorted(sizes) == [2] * 9 + [5] * 6
+    copies = list(logic._witness_copies(EvalContext(g, 10**6, 0, 2)))
+    assert len(set(copies)) == len(copies)
+    assert sorted(X.bit_count() for X in copies) == [2] * 9 + [5] * 6
 
 
 def test_guarded_set_quantifier_runs_on_the_budget():
