@@ -10,13 +10,14 @@ Times, per call, these groups of ``detect`` calls:
   four n = 40 grid hosts, G(40, 0.3) and G(60, 0.2) at seed 5;
 * controls, ``find_dominating_induced_W`` in find and in count mode for
   W(2, 1, 4), W(2, 2, 4) and W(3, 0, 4) on the first n = 40 grid host,
-  G(40, 0.3) and G(30, 0.4) at seed 5.  No depth of their search orders
-  has an interchangeable tail, so the kernel's domination look-ahead
-  never runs there;
+  G(40, 0.3) and G(30, 0.4) at seed 5.  No depth of the first two
+  search orders has an interchangeable tail, so the kernel's domination
+  look-ahead never runs there; W(3, 0, 4)'s has one only at depths 19
+  to 21, where its last four leaves are twins;
 * W(3, 0, 4) in count-dominating mode on two grid hosts at n = 60, where
-  its search is expensive.  The hubs-first order of W(a >= 2, gamma = 0)
-  changes W(3, 0, 4)'s tree, and this group and the W(3, 0, 4) controls
-  show it on sparse and on dense hosts.
+  its search is expensive.  The pins of W(a >= 2, gamma = 0) change
+  W(3, 0, 4)'s tree, and this group and the W(3, 0, 4) controls show it
+  on sparse and on dense hosts.
 
 A round is one fresh interpreter that runs every group once to warm up,
 then five passes, and reports each group's median pass as microseconds

@@ -2,9 +2,9 @@
 """Benchmark the induced-embedding search kernel.
 
 Runs five induced-copy counting workloads and three find workloads on
-seeded random hosts and prints two rows per workload: the labeled search
-straight from the kernel, which visits every embedding, and
-``embed_search``, whose count and find modes visit one embedding per
+seeded random hosts and prints two rows per workload, both in the default
+order ``hotpath.search_order(pattern)``: the labeled search straight from
+the kernel, which visits every embedding, and ``embed_search``, whose count and find modes visit one embedding per
 automorphism class where a condition bounds a depth before the last (its
 expansions include the stabilizer chain's, which is cached after the
 first call).  The host of the W(3) find workloads has no copy, so those
@@ -41,8 +41,8 @@ from sparsewitness.hotpath import (
     MODE_FIND_DOMINATING,
     _pure,
     base_masks,
-    default_order,
     embed_search,
+    search_order,
     stabilizer_chain,
 )
 from sparsewitness.witness import build_W
@@ -62,7 +62,7 @@ WORKLOADS = [
 
 def labeled(pattern, host, mode):
     _, count, expansions, _ = _pure.search(
-        pattern.bits, host.bits, default_order(pattern), base_masks(pattern, host),
+        pattern.bits, host.bits, search_order(pattern), base_masks(pattern, host),
         mode, 10**9,
     )
     return count, expansions

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import analytics, detect, experiment, gnp, hotpath, logic, witness
-from .graphs import read_edge_list, write_edge_list
+from .graphs import GraphError, read_edge_list, write_edge_list
 
 
 def _emit_graph(graph, role_lines, out, roles_out):
@@ -36,6 +36,13 @@ def _emit_graph(graph, role_lines, out, roles_out):
 def _load_graph(path: str):
     with open(path) as fh:
         return read_edge_list(fh.read())
+
+
+def _input_error(command: str, exc: Exception) -> int:
+    """Report bad input like an argparse error: one line and status 2,
+    apart from the status 1 of a false verdict."""
+    print(f"sparsewitness {command}: error: {exc}", file=sys.stderr)
+    return 2
 
 
 def cmd_build(args) -> int:
@@ -63,7 +70,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    g = _load_graph(args.graph)
+    try:
+        g = _load_graph(args.graph)
+    except (OSError, GraphError) as exc:
+        return _input_error("detect", exc)
     mode = "count" if args.count else "find"
     start = time.perf_counter()
     if args.a is not None and not args.dominating:
@@ -90,15 +100,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    g = _load_graph(args.graph)
-    with open(args.formula) as fh:
-        text = fh.read()
-    # A malformed formula exits 2, apart from a false verdict's 1.
     try:
-        phi = logic.parse_formula(text)
-    except (logic.FormulaSyntaxError, logic.BindingError) as exc:
-        print(f"sparsewitness evaluate: error: {exc}", file=sys.stderr)
-        return 2
+        g = _load_graph(args.graph)
+        with open(args.formula) as fh:
+            phi = logic.parse_formula(fh.read())
+    except (OSError, GraphError, logic.FormulaSyntaxError, logic.BindingError) as exc:
+        return _input_error("evaluate", exc)
     verdict = logic.evaluate(g, phi, budget=args.budget,
                              gamma=args.gamma, r=args.r)
     print("true" if verdict else "false")
@@ -139,16 +146,14 @@ def cmd_sequences(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    # A bad config (an unreadable file, invalid JSON, an unknown or missing
-    # key, a rejected value) is reported like an argparse error, not as a
-    # traceback.
+    # A bad config: an unreadable file, invalid JSON, an unknown or missing
+    # key, a rejected value.
     try:
         cfg = experiment.ExperimentConfig.from_file(args.config)
         if args.workers is not None:
             cfg = dataclasses.replace(cfg, workers=args.workers)
     except (ValueError, OSError) as exc:
-        print(f"sparsewitness experiment: error: {exc}", file=sys.stderr)
-        return 2
+        return _input_error("experiment", exc)
     csv_text = experiment.run_experiment(cfg)
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,18 +1,19 @@
 """Detection of induced witness copies, dominating sets, and connector
 structure in host graphs.
 
-All searches run on the hotpath kernel.  The search order anchors on the
-r-ary tree root f2[0] of the pattern (its rarest high-degree vertex) and
-then expands breadth-first, which keeps every prefix of the pattern
-connected, with one exception: in W(a) with a >= 2 and gamma = 0 the
-path vertex f1[1] comes second, before the root's children.  It is
-adjacent to each of them, so each child is bounded by two host rows
-instead of one.  In W(2) = K_{2,5} the five leaves then come last, an
+All searches run on the hotpath kernel in hotpath.search_order, which
+takes pinned vertices first and then each time the vertex with the most
+placed neighbours; detect only chooses the pins.  Path patterns (a = 1)
+pin a path endpoint.  W(a) with a >= 2 pins the r-ary tree root f2[0]
+(its rarest high-degree vertex), and for gamma = 0 the path vertex f1[1]
+second, before the root's children: it is adjacent to each of them, so
+each child is bounded by two host rows instead of one.  In W(2) =
+K_{2,5} these pins are the two hubs and the five leaves follow, an
 interchangeable tail, so the kernel's domination look-ahead applies at
-depths 1 to 4 (see hotpath._pure); breadth-first from the root, f1[1]
-would come last and no depth would have the tail.  For gamma >= 1, f1[1]
-reaches the tree only through connectors and the breadth-first order
-stays.  Path patterns (a = 1) start from a path endpoint instead.
+depths 1 to 4 (see hotpath._pure).  In W(3, 0, 4) the root's four
+children follow, then f1[0] and the hub f1[2], so each of the sixteen
+leaves is bounded by two host rows.  For gamma >= 1, f1[1] reaches the
+tree only through connectors, and only the root is pinned.
 """
 
 from __future__ import annotations
@@ -49,18 +50,16 @@ class DetectionResult:
 
 
 def _pattern_order(ws: witness.WitnessGraph) -> list[int]:
+    """hotpath.search_order from pins that start at the rarest vertices."""
+    g = ws.graph
     if ws.a == 1:
         # The pattern is a bare path: walk it from one endpoint.
-        g = ws.graph
-        start = next(v for v in range(g.n) if g.degree(v) == 1)
-        return hotpath.default_order(g, start=start)
-    order = hotpath.default_order(ws.graph, start=ws.f2[0])
-    if ws.a >= 2 and ws.gamma == 0:
-        # f1[1] is adjacent to every child of the root: placed second, it
-        # bounds each of them by two rows instead of one.
-        order.remove(ws.f1[1])
-        order.insert(1, ws.f1[1])
-    return order
+        pinned = (next(v for v in range(g.n) if g.degree(v) == 1),)
+    elif ws.gamma == 0:
+        pinned = (ws.f2[0], ws.f1[1])
+    else:
+        pinned = (ws.f2[0],)
+    return hotpath.search_order(g, pinned)
 
 
 def find_induced_W(

@@ -265,13 +265,17 @@ def read_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError(f"bad header line: {lines[0]!r}") from None
-    edges = []
+    edges = {}  # (lower end, upper end) -> the line that gave it
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise GraphError(f"bad edge line: {ln!r}") from None
+        key = (min(u, v), max(u, v))
+        if key in edges:
+            raise GraphError(f"duplicate edge: {ln!r} repeats {edges[key]!r}")
+        edges[key] = ln
     g = Graph(n, edges)
-    if g.m != m or len(edges) != m:
-        raise GraphError(f"header claims {m} edges, found {len(edges)}")
+    if g.m != m:
+        raise GraphError(f"header claims {m} edges, found {g.m}")
     return g

@@ -5,6 +5,12 @@ the bitset backtracking kernel in ``_pure``, the one kernel backend; the
 tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
 ``backend=`` name that backend, so callers can record which one ran.
 
+One rule orders every search, ``search_order``: pinned vertices first,
+then each time the vertex with the most placed neighbours.  It is the
+default order of ``embed_search`` and ``stabilizer_chain``, the order of
+the chain's self-searches (pinned to the base prefix), and the order of
+``detect``'s witness searches (pinned to the rarest vertices).
+
 Every mode but labeled collection searches each automorphism class of
 embeddings once when that prunes the tree.  ``stabilizer_chain`` derives
 conditions img(v) < img(w) that exactly one embedding per class
@@ -20,9 +26,9 @@ and image of those vertices.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 
-from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph, iter_mask
+from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph
 from . import _pure
 
 MODE_FIND = _pure.MODE_FIND
@@ -40,31 +46,23 @@ def available_backends() -> list[str]:
     return [BACKEND]
 
 
-def default_order(pattern: Graph, start: int | None = None) -> list[int]:
-    """BFS order from a max-degree vertex (or the given anchor), visiting
-    each vertex's neighbours by descending degree, ties by ascending index;
-    any leftover isolated components follow in index order."""
-    if pattern.n == 0:
-        return []
-    if start is None:
-        start = max(range(pattern.n), key=pattern.degree)
-    order = []
-    seen = [False] * pattern.n
-    queue = deque([start])
-    seen[start] = True
-    while queue:
-        v = queue.popleft()
+def search_order(pattern: Graph, pinned: Sequence[int] = ()) -> list[int]:
+    """The search order: the pinned vertices as given, then each time the
+    unplaced vertex with the most placed neighbours, ties to the higher
+    degree, then to the lower index (the rule of RI: Bonnici et al., *BMC
+    Bioinformatics* 2013).  With nothing pinned it starts at the
+    lowest-index vertex of maximum degree.  On a connected pattern every
+    vertex after the first has a placed neighbour, so each depth is bounded
+    by a host row; the most bounded vertex comes first."""
+    bits = pattern.bits
+    order = list(pinned)
+    placed = sum(1 << v for v in order)
+    rest = [v for v in range(pattern.n) if not placed >> v & 1]
+    while rest:
+        v = max(rest, key=lambda u: ((bits[u] & placed).bit_count(), bits[u].bit_count()))
+        rest.remove(v)
         order.append(v)
-        for w in sorted(iter_mask(pattern.bits[v]), key=lambda x: -pattern.degree(x)):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-        if not queue:
-            for w in range(pattern.n):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-                    break
+        placed |= 1 << v
     return order
 
 
@@ -90,7 +88,8 @@ def base_masks(pattern: Graph, host: Graph) -> list[int]:
 
 def stabilizer_chain(pattern: Graph, order: list[int] | None = None,
                      budget: int = DEFAULT_BUDGET, fixing: tuple[int, ...] = ()):
-    """Symmetry-breaking conditions for searching pattern in this order.
+    """Symmetry-breaking conditions for searching pattern in this order
+    (None: search_order(pattern)).
 
     Returns (smaller, automorphisms, expansions): smaller[d] is the tuple
     of earlier search depths whose image must be smaller than the image at
@@ -106,7 +105,8 @@ def stabilizer_chain(pattern: Graph, order: list[int] | None = None,
     Each vertex v becomes a base point in turn.  The fixed vertices are
     only pinned to themselves.  For every later v, while the earlier base
     points are pinned, v's orbit is found by one find-mode self-search of
-    the pattern per later vertex w of v's degree, with v pinned to w.
+    the pattern per later vertex w of v's degree, with v pinned to w, in
+    search_order pinned to the base up to v.
     Each w in the orbit gets the condition img(v) < img(w); w is after v
     in the search order too, so every condition bounds a later depth from
     below.  The group order is the product of the orbit sizes
@@ -116,8 +116,8 @@ def stabilizer_chain(pattern: Graph, order: list[int] | None = None,
     than budget expansions.
     """
     if order is None:
-        order = default_order(pattern)
-    chain = _chain(tuple(pattern.bits), tuple(order), budget, _fixed(pattern, fixing))
+        order = search_order(pattern)
+    chain = _chain(pattern, tuple(order), budget, _fixed(pattern, fixing))
     if chain is None:
         raise BudgetExceededError(
             f"automorphism search exceeded budget of {budget} expansions"
@@ -140,24 +140,24 @@ def _fixed(pattern: Graph, fixing) -> tuple[int, ...]:
 _CHAINS: dict = {}
 
 
-def _chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int,
-           fixing: tuple[int, ...]):
+def _chain(pattern: Graph, order: tuple[int, ...], budget: int, fixing: tuple[int, ...]):
     """The stabilizer chain, or None when deriving it needs more than
     budget expansions.  Which one is returned depends only on the
     derivation's cost, not on what is cached."""
-    key = (bits, order, fixing)
+    key = (tuple(pattern.bits), order, fixing)
     hit = _CHAINS.get(key)
     if hit is None or (hit[0] is None and hit[2] < budget):
         if len(_CHAINS) >= 256:
             _CHAINS.clear()
-        hit = _CHAINS[key] = _derive_chain(bits, order, budget, fixing)
+        hit = _CHAINS[key] = _derive_chain(pattern, order, budget, fixing)
     smaller, _, expansions = hit
     return hit if smaller is not None and expansions <= budget else None
 
 
-def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int,
+def _derive_chain(pattern: Graph, order: tuple[int, ...], budget: int,
                   fixing: tuple[int, ...]):
-    n = len(bits)
+    n = pattern.n
+    bits = pattern.bits
     base = fixing + tuple(v for v in order if v not in fixing)
     degree = [row.bit_count() for row in bits]
     pins = [sum(1 << w for w in range(n) if degree[w] == degree[v]) for v in range(n)]
@@ -168,7 +168,9 @@ def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int,
     spent = 0
     for d in range(len(fixing), n):
         v = base[d]
-        self_order = _pinned_first(bits, base[:d + 1])
+        # Pinned to the base prefix, a pin that no automorphism extends
+        # fails near the top of the self-search tree.
+        self_order = search_order(pattern, base[:d + 1])
         orbit = 1
         for e in range(d + 1, n):
             w = base[e]
@@ -201,24 +203,6 @@ def _derive_chain(bits: tuple[int, ...], order: tuple[int, ...], budget: int,
     return tuple(by_depth), automorphisms, spent
 
 
-def _pinned_first(bits: tuple[int, ...], pinned: tuple[int, ...]) -> list[int]:
-    """Self-search order: the pinned vertices, then each time the vertex
-    with the most neighbours already placed (ties: the lowest index).  A
-    pin that no automorphism extends then fails near the top of the tree;
-    in the search order itself, W(3, 0, 4)'s default order places sixteen
-    mutually non-adjacent vertices before their neighbours and such a
-    self-search runs past 10**8 expansions."""
-    order = list(pinned)
-    placed = sum(1 << v for v in pinned)
-    rest = [v for v in range(len(bits)) if not placed >> v & 1]
-    while rest:
-        v = max(rest, key=lambda u: (bits[u] & placed).bit_count())
-        rest.remove(v)
-        order.append(v)
-        placed |= 1 << v
-    return order
-
-
 class SearchResult:
     __slots__ = ("embeddings", "count", "expansions", "exceeded", "backend")
 
@@ -249,7 +233,7 @@ def embed_search(
     """Run the kernel on Graph inputs, preparing masks and search order.
 
     order must be a permutation of range(pattern.n); None picks
-    default_order.  backend must be None or a name from
+    search_order(pattern).  backend must be None or a name from
     available_backends().
 
     Every mode but MODE_COLLECT without fixing first derives the
@@ -284,13 +268,13 @@ def embed_search(
             raise ValueError("fixing applies to MODE_COLLECT only")
         fixing = _fixed(pattern, fixing)
     if order is None:
-        order = default_order(pattern)
+        order = search_order(pattern)
     elif sorted(order) != list(range(pattern.n)):
         raise ValueError(f"order must be a permutation of range({pattern.n}), got {order}")
     smaller, automorphisms, derived = None, 1, 0
     if mode != MODE_COLLECT or fixing is not None:
         # None: the derivation alone needs more than the budget.
-        chain = _chain(tuple(pattern.bits), tuple(order), budget, fixing or ())
+        chain = _chain(pattern, tuple(order), budget, fixing or ())
         conditions, group, derived = chain or ((), 1, budget + 1)
         # Collection keeps one embedding per class wherever the conditions
         # fall; the other modes use them only where they prune.

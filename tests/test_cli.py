@@ -115,6 +115,34 @@ def test_evaluate_bad_formula_is_an_error_line(tmp_path, capsys, text, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, graph_text, formula_text, message", [
+    ("detect", None, None, "No such file or directory"),
+    ("detect", "3\n", None, "bad header line: '3'"),
+    ("detect", "2 1\n0 x\n", None, "bad edge line: '0 x'"),
+    ("evaluate", None, "EX x x = x", "No such file or directory"),
+    ("evaluate", "2 2\n0 1\n1 0\n", "EX x x = x", "duplicate edge: '1 0' repeats '0 1'"),
+    ("evaluate", "2 1\n0 1\n", None, "No such file or directory"),
+], ids=["detect-missing-graph", "detect-bad-header", "detect-bad-edge",
+        "evaluate-missing-graph", "evaluate-duplicate-edge", "evaluate-missing-formula"])
+def test_bad_input_file_is_an_error_line(tmp_path, capsys, command, graph_text,
+                                         formula_text, message):
+    # Status 2, apart from a false verdict's 1.
+    graph_file = tmp_path / "g.edges"
+    formula_file = tmp_path / "phi.txt"
+    if graph_text is not None:
+        graph_file.write_text(graph_text)
+    if formula_text is not None:
+        formula_file.write_text(formula_text)
+    if command == "detect":
+        flags = ("--gamma", "0", "--r", "4")
+    else:
+        flags = ("--formula", str(formula_file))
+    code, out, err = run(capsys, command, "--graph", str(graph_file), *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"sparsewitness {command}: error: ")
+    assert message in err and "Traceback" not in err
+
+
 def test_thresholds(capsys):
     code, out, _ = run(capsys, "thresholds", "--n", "500", "--alpha", "0.3",
                        "--gamma", "13")

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from sparsewitness.detect import (
+    _pattern_order,
     check_connector_property,
     exists_dominating_set_of_size,
     find_dominating_induced_W,
@@ -42,6 +43,23 @@ def test_find_induced_W_examples():
     star = Graph(5, [(0, i) for i in range(1, 5)])
     res = find_induced_W(star, 1, 0, 4)
     assert res.outcome == "found" and res.embedding is not None
+
+
+def test_pattern_orders():
+    # The patterns the Monte Carlo grids search: the edge W(1, 0, 4), the
+    # path W(1, 1, 4) from an endpoint, and K_{2,5} = W(2, 0, 4) from its
+    # two hubs f2[0] = 2 and f1[1] = 1, then its five leaves.
+    assert _pattern_order(build_W(1, 0, 4)) == [0, 1]
+    assert _pattern_order(build_W(1, 1, 4)) == [0, 2, 1]
+    assert _pattern_order(build_W(2, 0, 4)) == [2, 1, 0, 3, 4, 5, 6]
+    # W(3, 0, 4): path 0-1-2, tree root 3, children 4-7, leaves 8-23; the
+    # root joins f1[0] = 0, the children f1[1] = 1, the leaves the hub
+    # f1[2] = 2 (degree 17).  Pinned: the root, then f1[1].  The children
+    # (degree 6) and f1[0] (degree 2) then have two placed neighbours each,
+    # so the children come first by degree, and then f1[0].  The hub and
+    # every leaf have one; the hub comes first by degree, and then each
+    # leaf has two.
+    assert _pattern_order(build_W(3, 0, 4)) == [3, 1, 4, 5, 6, 7, 0, 2, *range(8, 24)]
 
 
 def test_find_induced_W_count_matches_oracle():

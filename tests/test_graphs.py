@@ -128,6 +128,19 @@ def test_read_edge_list_rejects_garbage():
         read_edge_list("2 1\n0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 1\n0 x\n", "bad edge line: '0 x'"),
+    ("3 1\n0 1 2\n", "bad edge line: '0 1 2'"),
+    ("2 2\n0 1\n1 0\n", "duplicate edge: '1 0' repeats '0 1'"),
+    ("2 2\n0 1\n0 1\n", "duplicate edge: '0 1' repeats '0 1'"),
+    ("3 2\n0 1\n", "header claims 2 edges, found 1"),
+], ids=["non-integer", "three-fields", "reversed-duplicate", "repeated-line", "short"])
+def test_read_edge_list_names_the_bad_line(text, message):
+    with pytest.raises(GraphError) as exc:
+        read_edge_list(text)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 9), st.data())
 def test_edge_list_roundtrip_property(n, data):

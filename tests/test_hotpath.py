@@ -11,7 +11,8 @@ class key.  The dominating modes' look-ahead, the interchangeable-tail
 rule, is checked against the oracle on seeded witness hosts and on drawn
 patterns that end in twins.  Its tree is checked against the count
 mode's: a subtree of it, and the whole tree in every order without an
-interchangeable tail.  Tests that take ``backend`` run on each name
+interchangeable tail.  ``search_order``, the one order rule, is checked
+on drawn graphs and pins.  Tests that take ``backend`` run on each name
 ``available_backends()`` lists.
 """
 
@@ -42,8 +43,8 @@ from sparsewitness.hotpath import (
     _pure,
     available_backends,
     base_masks,
-    default_order,
     embed_search,
+    search_order,
     stabilizer_chain,
 )
 from sparsewitness.witness import build_W, build_W_star
@@ -163,13 +164,61 @@ def test_order_must_be_a_permutation(order):
             embed_search(pat, host, mode=mode, order=order)
 
 
-def test_default_order_breaks_degree_ties_by_index():
-    # Neighbours of equal degree are queued in ascending vertex index.
-    assert default_order(build_W_star(2, 2, 2).graph) == [
-        7, 6, 26, 33, 35, 37, 39, 5, 24, 29, 31, 25, 34, 36, 38, 40, 22, 27, 23, 30,
-        32, 4, 11, 12, 13, 14, 21, 28, 3, 9, 10, 2, 20, 8, 18, 16, 19, 17, 15, 1, 0,
+def test_search_order_breaks_ties_by_degree_then_index():
+    # From the lowest-index vertex of maximum degree, each next vertex has
+    # the most placed neighbours; among those the highest degree, then the
+    # lowest index.
+    assert search_order(build_W_star(2, 2, 2).graph) == [
+        7, 6, 5, 22, 21, 2, 3, 4, 16, 15, 0, 1, 17, 18, 19, 20, 23, 24, 25, 26, 27,
+        28, 8, 9, 10, 11, 12, 13, 14, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40,
     ]
 
+
+def _connected(g):
+    seen = reach = 1 if g.n else 0
+    while reach:
+        seen |= reach
+        reach = 0
+        for v in range(g.n):
+            if seen >> v & 1:
+                reach |= g.bits[v]
+        reach &= ~seen
+    return seen == (1 << g.n) - 1
+
+
+@st.composite
+def order_instances(draw):
+    n = draw(st.integers(0, 9))
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pattern = Graph(n, [e for e in itertools.combinations(range(n), 2) if rnd.random() < p])
+    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+                  if n else st.just([]))
+    return pattern, pinned
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_instances())
+def test_search_order_places_the_pins_then_the_most_bounded_vertex(instance):
+    pattern, pinned = instance
+    order = search_order(pattern, pinned)
+    assert sorted(order) == list(range(pattern.n))
+    assert order[:len(pinned)] == pinned
+    for d in range(len(pinned), pattern.n):
+        placed = sum(1 << v for v in order[:d])
+        bound = [(pattern.bits[v] & placed).bit_count() for v in order]
+        assert bound[d] == max(bound[d:])
+        if d and _connected(pattern):
+            assert bound[d] > 0
+
+
+# Breadth-first orders, by degree from a maximum-degree vertex or (the
+# grid's) from the tree root f2[0].  The first pins below were taken in
+# them; a given order searches the same tree, so they keep their values.
+P3_BFS = [2, 0, 1]
+W2_BFS = [1, 0, 3, 4, 5, 6, 2]
+W2G1_BFS = [1, 0, 8, 9, 10, 11, 7, 3, 4, 5, 6, 2]
+W2_ROOT_BFS = [2, 0, 3, 4, 5, 6, 1]
 
 # (count, expansions, before) of the complete labeled search.  before is
 # what the search spent without the domination look-ahead, pinned from the
@@ -177,45 +226,64 @@ def test_default_order_breaks_degree_ties_by_index():
 # non-dominating modes still visit exactly those nodes, so there
 # expansions equals before.  The dominating modes also skip subtrees whose
 # open images cannot cover the host, so their tree can only shrink and
-# before bounds it from above; in the orders pinned here no depth has an
-# interchangeable tail, so nothing is skipped and expansions equals before
-# again.  Counts and expansions stay exact at every budget.
+# before bounds it from above.  In the breadth-first orders no depth has
+# an interchangeable tail, so nothing is skipped and expansions equals
+# before again; the default order (order None, search_order) of K_{2,5},
+# [1, 0, 2, 3, 4, 5, 6], has one from depth 2.  Counts and expansions stay
+# exact at every budget.
 PINNED_BENCH = [
-    # (a, gamma, r, host n, host p, mode, count, expansions, before); the
-    # hosts are those of benchmarks/bench_kernel.py (seed 2024, default
-    # order).
-    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, 11150, 12182, 12182, id="P3-count-n60"),
-    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, 32916, 35204, 35204, id="P3-count-n120"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, 21600, 328268, 328268, id="W2-count-n40"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, 5520, 328268, 328268,
+    # (a, gamma, r, host n, host p, mode, order, count, expansions,
+    # before); the hosts are those of benchmarks/bench_kernel.py (seed
+    # 2024).
+    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, P3_BFS, 11150, 12182, 12182,
+                 id="P3-count-n60"),
+    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, P3_BFS, 32916, 35204, 35204,
+                 id="P3-count-n120"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, W2_BFS, 21600, 328268, 328268,
+                 id="W2-count-n40"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, W2_BFS, 5520, 328268, 328268,
                  id="W2-dominating-n40"),
-    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, 0, 78068, 78068, id="W2g1-count-n30"),
+    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, W2G1_BFS, 0, 78068, 78068,
+                 id="W2g1-count-n30"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, None, 21600, 115628, 115628,
+                 id="W2-count-n40-default"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, None, 5520, 34370, 115628,
+                 id="W2-dominating-n40-default"),
+    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, None, 0, 55590, 55590,
+                 id="W2g1-count-n30-default"),
 ]
 PINNED_MC_GRID = [
     # (n, experiment seed, trial, count, expansions, before): one trial
     # host of the Monte Carlo grid at alpha = 0.3, searched for W(2),
-    # gamma = 0, r = 4 in count-dominating mode in the breadth-first order
-    # from the tree root (the grid itself places f1[1] second, see
-    # detect._pattern_order).
+    # gamma = 0, r = 4 in count-dominating mode in W2_ROOT_BFS (the grid
+    # itself places f1[1] second, see detect._pattern_order).
     pytest.param(25, 7, 1, 480, 14823, 14823, id="n25"),
     pytest.param(40, 7, 0, 480, 262536, 262536, id="n40"),
 ]
 # The same hosts searched by embed_search, whose expansions are the
-# stabilizer chain's (3 for P_3, 77 for W(2) = K_{2,5}, 277 for W(2, 1, 4))
-# plus the search's, and before again is their sum without the look-ahead.
-# P_3's only condition bounds the last depth, so it is searched labeled;
-# the W patterns (|Aut| = 240) one embedding per class.
+# stabilizer chain's (3 for P_3; 77 for W(2) = K_{2,5}; 277 for W(2, 1, 4)
+# in W2G1_BFS, 289 in its default order) plus the search's, and before
+# again is their sum without the look-ahead.  P_3's only condition bounds
+# the last depth, so it is searched labeled; the W patterns (|Aut| = 240)
+# one embedding per class.  W(2, 1, 4) spends more in its default order
+# than in W2G1_BFS: there the chain's conditions bound later depths.
 PINNED_BENCH_COUNT_MODE = [
-    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, 11150, 3 + 12182, 3 + 12182,
+    pytest.param(1, 1, 4, 60, 0.25, MODE_COUNT, P3_BFS, 11150, 3 + 12182, 3 + 12182,
                  id="P3-count-n60"),
-    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, 32916, 3 + 35204, 3 + 35204,
+    pytest.param(1, 1, 4, 120, 0.15, MODE_COUNT, P3_BFS, 32916, 3 + 35204, 3 + 35204,
                  id="P3-count-n120"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, 21600, 77 + 13243, 77 + 13243,
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, W2_BFS, 21600, 77 + 13243, 77 + 13243,
                  id="W2-count-n40"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, 5520, 77 + 13243, 77 + 13243,
-                 id="W2-dominating-n40"),
-    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, 0, 277 + 5019, 277 + 5019,
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, W2_BFS, 5520, 77 + 13243,
+                 77 + 13243, id="W2-dominating-n40"),
+    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, W2G1_BFS, 0, 277 + 5019, 277 + 5019,
                  id="W2g1-count-n30"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, None, 21600, 77 + 10910, 77 + 10910,
+                 id="W2-count-n40-default"),
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, None, 5520, 77 + 4000,
+                 77 + 10910, id="W2-dominating-n40-default"),
+    pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, None, 0, 289 + 22432, 289 + 22432,
+                 id="W2g1-count-n30-default"),
 ]
 PINNED_MC_GRID_COUNT_MODE = [
     pytest.param(25, 7, 1, 480, 77 + 1762, 77 + 1762, id="n25"),
@@ -235,7 +303,7 @@ PINNED_MC_GRID_DETECT_ORDER = [
 
 def _kernel(pattern, host, mode, order, budget):
     """The labeled search, straight from the kernel (no conditions)."""
-    order = default_order(pattern) if order is None else order
+    order = search_order(pattern) if order is None else order
     _, count, expansions, exceeded = _pure.search(
         pattern.bits, host.bits, order, base_masks(pattern, host), mode, budget,
     )
@@ -260,19 +328,15 @@ def _mc_grid_host(n, seed, trial):
     ))
 
 
-def _mc_grid_order(ws):
-    return default_order(ws.graph, start=ws.f2[0])
-
-
 # ``backend`` names the kernel in ``_pure``, the one backend.
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions, before",
+@pytest.mark.parametrize("a, gamma, r, n, p, mode, order, count, expansions, before",
                          PINNED_BENCH)
-def test_pinned_counters_bench_kernel_hosts(backend, a, gamma, r, n, p, mode, count,
+def test_pinned_counters_bench_kernel_hosts(backend, a, gamma, r, n, p, mode, order, count,
                                             expansions, before):
     pattern = build_W(a, gamma, r).graph
     host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-    _assert_pinned(_kernel, pattern, host, mode, None, count, expansions, before)
+    _assert_pinned(_kernel, pattern, host, mode, order, count, expansions, before)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -280,16 +344,16 @@ def test_pinned_counters_bench_kernel_hosts(backend, a, gamma, r, n, p, mode, co
 def test_pinned_counters_mc_grid_hosts(backend, n, seed, trial, count, expansions, before):
     ws = build_W(2, 0, 4)
     _assert_pinned(_kernel, ws.graph, _mc_grid_host(n, seed, trial),
-                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions, before)
+                   MODE_COUNT_DOMINATING, W2_ROOT_BFS, count, expansions, before)
 
 
-@pytest.mark.parametrize("a, gamma, r, n, p, mode, count, expansions, before",
+@pytest.mark.parametrize("a, gamma, r, n, p, mode, order, count, expansions, before",
                          PINNED_BENCH_COUNT_MODE)
-def test_pinned_count_mode_counters_bench_kernel_hosts(a, gamma, r, n, p, mode, count,
-                                                       expansions, before):
+def test_pinned_count_mode_counters_bench_kernel_hosts(a, gamma, r, n, p, mode, order,
+                                                       count, expansions, before):
     pattern = build_W(a, gamma, r).graph
     host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-    _assert_pinned(_embed, pattern, host, mode, None, count, expansions, before)
+    _assert_pinned(_embed, pattern, host, mode, order, count, expansions, before)
 
 
 @pytest.mark.parametrize("n, seed, trial, count, expansions, before",
@@ -298,7 +362,7 @@ def test_pinned_symmetry_broken_counters_mc_grid_hosts(n, seed, trial, count,
                                                        expansions, before):
     ws = build_W(2, 0, 4)
     _assert_pinned(_embed, ws.graph, _mc_grid_host(n, seed, trial),
-                   MODE_COUNT_DOMINATING, _mc_grid_order(ws), count, expansions, before)
+                   MODE_COUNT_DOMINATING, W2_ROOT_BFS, count, expansions, before)
 
 
 @pytest.mark.parametrize("n, seed, trial, count, expansions, before",
@@ -361,9 +425,10 @@ LOOKAHEAD_HOSTS = {
     "gnp22": lambda pattern: sample_gnp(SamplerConfig(n=22, p=0.4, seed=1)),
     "planted20": lambda pattern: _planted_host(pattern, 20, 0.5, 20),
 }
-# Of these orders only detect's for W(2) = K_{2,5}, which places the five
-# leaves last, has a look-ahead depth: elsewhere no depth has an
-# interchangeable tail.  W(1, 2, 4) is the path P_4.  The oracle is too
+# Of these orders only detect's and the default one for W(2) = K_{2,5},
+# which place the leaves after both hubs, have a look-ahead depth:
+# elsewhere no depth has an interchangeable tail, and neither has K_{2,5}
+# in W2_BFS, which places a hub last.  W(1, 2, 4) is the path P_4.  The oracle is too
 # slow for W(2, 1, 4) at n = 40.
 LOOKAHEAD_CASES = [
     pytest.param((a, gamma, 4), host, id=f"W{a}g{gamma}-{host}")
@@ -384,9 +449,11 @@ def test_domination_lookahead_matches_oracle(params, host):
     ws = build_W(*params)
     host = LOOKAHEAD_HOSTS[host](ws.graph)
     oracle = [e for e in induced_embeddings(ws.graph, host) if is_dominating(host, e)]
-    # Only K_{2,5} in detect's order has a look-ahead depth.
-    for order, look_ahead in ((detect._pattern_order(ws), params == (2, 0, 4)),
-                              (default_order(ws.graph), False)):
+    k25 = params == (2, 0, 4)
+    orders = [(detect._pattern_order(ws), k25), (search_order(ws.graph), k25)]
+    if k25:
+        orders.append((W2_BFS, False))
+    for order, look_ahead in orders:
         labeled = _kernel(ws.graph, host, MODE_COUNT_DOMINATING, order, 10**9)
         counted = _embed(ws.graph, host, MODE_COUNT_DOMINATING, order, 10**9)
         assert labeled[0] == counted[0] == len(oracle)
@@ -479,7 +546,7 @@ WITNESSES = (
 def test_stabilizer_chain_counts_automorphisms(build, a, gamma, r):
     ws = build(a, gamma, r)
     expected = automorphism_count(ws.graph)
-    orders = [None, default_order(ws.graph, start=ws.f2[0]), detect._pattern_order(ws),
+    orders = [None, search_order(ws.graph, (ws.f2[0],)), detect._pattern_order(ws),
               list(range(ws.graph.n))[::-1]]
     for order in orders:
         smaller, automorphisms, _ = stabilizer_chain(ws.graph, order)
@@ -490,11 +557,13 @@ def test_stabilizer_chain_counts_automorphisms(build, a, gamma, r):
 
 def test_stabilizer_chain_of_W3_needs_no_group_listing():
     # W(3, 0, 4): four groups of four twins, permuted within each group and
-    # the groups among themselves, so |Aut| = 24**4 * 24.  In the default
-    # order sixteen twins precede their neighbours; self-searches in that
-    # order ran past 10**8 expansions.
+    # the groups among themselves, so |Aut| = 24**4 * 24.  In the
+    # breadth-first order below sixteen twins precede their neighbours;
+    # self-searches in that order ran past 10**8 expansions, so they are
+    # ordered from their pins instead.
     ws = build_W(3, 0, 4)
-    for order in (None, default_order(ws.graph, start=ws.f2[0]), detect._pattern_order(ws)):
+    bfs = [2, 1, *range(8, 24), 4, 5, 6, 7, 0, 3]
+    for order in (None, bfs, search_order(ws.graph, (ws.f2[0],)), detect._pattern_order(ws)):
         _, automorphisms, expansions = stabilizer_chain(ws.graph, order, budget=10**4)
         assert automorphisms == 24**5
         assert expansions <= 10**4

@@ -269,6 +269,21 @@ def test_property_false_below_and_past_stage():
     assert not has_gamma_r_property(state.graph, 2, 2)
 
 
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_property_at_r3_holds_on_the_completed_stage_only(gamma):
+    # Criterion 8 at r = 3: the self-searches of the stabilizer chain and
+    # the collection are ordered by most placed neighbours, so the
+    # completed stage (50 and 98 vertices) is decided well inside the
+    # budget; in a breadth-first order both ran past it.
+    start = next(s for s in range(200)
+                 if process_run(gamma, 3, s).graph.n >= w_star_vertex_count(2, gamma, 3))
+    verdicts = [bool(has_gamma_r_property(process_run(gamma, 3, steps).graph, gamma, 3,
+                                          budget=10**6))
+                for steps in (start - 1, start, start + 1)]
+    assert verdicts == [False, True, False]
+    assert has_gamma_r_property(build_W_star(2, gamma, 3).graph, gamma, 3, budget=10**6)
+
+
 def _labeled_keys(g, gamma, r, a):
     """(image set, image of the F1 path end) of every labeled embedding of
     W*(a) in g, from the unconstrained kernel collection."""
