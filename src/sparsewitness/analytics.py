@@ -99,13 +99,13 @@ class LogReal:
 # Threshold scalars
 
 def _k_gamma_frac(gamma: int, alpha: Fraction) -> Fraction:
+    if gamma < 0:
+        raise ParameterError("gamma must be nonnegative")
     return 2 * (1 - alpha * (gamma + 2) / (gamma + 1))
 
 
 def k_gamma(gamma: int, alpha: float) -> float:
     """2 * (1 - alpha * (gamma + 2) / (gamma + 1))."""
-    if gamma < 0:
-        raise ParameterError("gamma must be nonnegative")
     if not 0 < alpha < 1:
         raise ParameterError("alpha must lie in (0, 1)")
     return float(_k_gamma_frac(gamma, _as_fraction(alpha)))
@@ -306,19 +306,20 @@ def _iroot(x: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 # Expectations
 
-def _lgamma(x) -> float:
-    if x < 1e15:
-        return math.lgamma(x)
-    with mpmath.workdps(40):
-        return float(mpmath.loggamma(x))
+def _log_falling_factorial(n: int, s: int) -> float:
+    """ln n!/(n - s)! = ln C(n, s) s!, the log of the number of labeled
+    s-vertex patterns in n vertices.
 
-
-def _log_binomial(n, s) -> float:
-    return _lgamma(n + 1) - _lgamma(s + 1) - _lgamma(n - s + 1)
-
-
-def _log_factorial(s) -> float:
-    return _lgamma(s + 1)
+    Up to n = 10^12 it is the float lgamma expression that the first-moment
+    pins were taken with.  Past that the float terms, of size n ln n, keep
+    too few digits of their difference (at n = 10^18, none), so the
+    difference is taken at working precision and rounded once.
+    """
+    if n <= 10**12:
+        lg = math.lgamma
+        return lg(n + 1) - lg(s + 1) - lg(n - s + 1) + lg(s + 1)
+    with mpmath.workdps(len(str(n)) + 20):
+        return float(mpmath.loggamma(n + 1) - mpmath.loggamma(n - s + 1))
 
 
 def _xlogy(e, y: float) -> float:
@@ -346,8 +347,7 @@ def _first_moment(
     if t < 1:
         raise ParameterError("a must be at least 1")
     log = (
-        _log_binomial(n, s)
-        + _log_factorial(s)
+        _log_falling_factorial(n, s)
         - (t - 1) // r * log_r_factorial
         + _xlogy(e, p)
         + _xlogy(s * (s - 1) // 2 - e, 1.0 - p)
@@ -395,7 +395,7 @@ def expected_W_star(n: int, p: float, a: int, gamma: int, r: int) -> LogReal:
     """
     return _first_moment(
         n, p, w_star_vertex_count(a, gamma, r), w_star_edge_count(a, gamma, r),
-        omega(omega(a, r), r), r, _log_factorial(r),
+        omega(omega(a, r), r), r, math.lgamma(r + 1),
     )
 
 

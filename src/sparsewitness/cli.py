@@ -3,6 +3,11 @@
 Subcommands: build, process, sample, detect, evaluate, thresholds,
 sequences, experiment.  Graphs travel as canonical edge lists; witness
 constructions also emit a "vertex role" sidecar.
+
+Bad input to any subcommand (a rejected value, an unreadable file, an
+exhausted evaluation budget) is one `sparsewitness <command>: error: ...`
+line on stderr and exit status 2, as argparse reports a bad argument;
+`detect` and `evaluate` exit 0 and 1 for their verdicts.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import sys
 import time
 
 from . import analytics, detect, experiment, gnp, hotpath, logic, witness
-from .graphs import GraphError, read_edge_list, write_edge_list
+from .graphs import BudgetExceededError, read_edge_list, write_edge_list
 
 
 def _emit_graph(graph, role_lines, out, roles_out):
@@ -38,13 +43,6 @@ def _load_graph(path: str):
         return read_edge_list(fh.read())
 
 
-def _input_error(command: str, exc: Exception) -> int:
-    """Report bad input like an argparse error: one line and status 2,
-    apart from the status 1 of a false verdict."""
-    print(f"sparsewitness {command}: error: {exc}", file=sys.stderr)
-    return 2
-
-
 def cmd_build(args) -> int:
     build = witness.build_W_star if args.family == "wstar" else witness.build_W
     ws = build(args.a, args.gamma, args.r)
@@ -60,8 +58,8 @@ def cmd_process(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.p is None and args.alpha is None:
-        raise SystemExit("sample: provide --p or --alpha")
+    if args.alpha is not None and args.n < 1:
+        raise ValueError(f"--alpha needs n >= 1, got n={args.n}")
     p = args.p if args.p is not None else args.n ** (-args.alpha)
     stream = gnp.derive_stream(args.seed, args.trial)
     g = gnp.sample_gnp(gnp.SamplerConfig(n=args.n, p=p, seed=args.seed, stream=stream))
@@ -70,21 +68,21 @@ def cmd_sample(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-    except (OSError, GraphError) as exc:
-        return _input_error("detect", exc)
+    g = _load_graph(args.graph)
+    if args.a is None and not args.dominating:
+        raise ValueError("a plain search needs --a; --dominating searches "
+                         "[--a-min, --a-max]")
     mode = "count" if args.count else "find"
     start = time.perf_counter()
-    if args.a is not None and not args.dominating:
-        res = detect.find_induced_W(g, args.a, args.gamma, args.r,
-                                    mode=mode, budget=args.budget)
-    else:
+    if args.dominating:
         a_max = args.a if args.a is not None else args.a_max
         res = detect.find_dominating_induced_W(
             g, args.gamma, args.r, (args.a_min, a_max), mode=mode,
             budget=args.budget,
         )
+    else:
+        res = detect.find_induced_W(g, args.a, args.gamma, args.r,
+                                    mode=mode, budget=args.budget)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     record = {
         "outcome": res.outcome,
@@ -100,12 +98,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-        with open(args.formula) as fh:
-            phi = logic.parse_formula(fh.read())
-    except (OSError, GraphError, logic.FormulaSyntaxError, logic.BindingError) as exc:
-        return _input_error("evaluate", exc)
+    g = _load_graph(args.graph)
+    with open(args.formula) as fh:
+        phi = logic.parse_formula(fh.read())
     verdict = logic.evaluate(g, phi, budget=args.budget,
                              gamma=args.gamma, r=args.r)
     print("true" if verdict else "false")
@@ -146,14 +141,9 @@ def cmd_sequences(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    # A bad config: an unreadable file, invalid JSON, an unknown or missing
-    # key, a rejected value.
-    try:
-        cfg = experiment.ExperimentConfig.from_file(args.config)
-        if args.workers is not None:
-            cfg = dataclasses.replace(cfg, workers=args.workers)
-    except (ValueError, OSError) as exc:
-        return _input_error("experiment", exc)
+    cfg = experiment.ExperimentConfig.from_file(args.config)
+    if args.workers is not None:
+        cfg = dataclasses.replace(cfg, workers=args.workers)
     csv_text = experiment.run_experiment(cfg)
     if args.out:
         with open(args.out, "w") as fh:
@@ -186,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample G(n, p)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--alpha", type=float)
+    density = p.add_mutually_exclusive_group(required=True)
+    density.add_argument("--p", type=float)
+    density.add_argument("--alpha", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
     p.set_defaults(func=cmd_sample)
@@ -242,7 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Input checks raise ValueError subclasses; internal faults raise other
+    # types and keep their tracebacks.
+    try:
+        return args.func(args)
+    except (ValueError, OSError, BudgetExceededError) as exc:
+        print(f"sparsewitness {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

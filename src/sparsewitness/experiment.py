@@ -105,12 +105,6 @@ def run_trial(args) -> tuple[bool, int, bool]:
 
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
     return format(x, ".10g")
 
 

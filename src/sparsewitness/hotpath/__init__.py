@@ -160,7 +160,7 @@ def _derive_chain(pattern: Graph, order: tuple[int, ...], budget: int,
     bits = pattern.bits
     base = fixing + tuple(v for v in order if v not in fixing)
     degree = [row.bit_count() for row in bits]
-    pins = [sum(1 << w for w in range(n) if degree[w] == degree[v]) for v in range(n)]
+    pins = base_masks(pattern, pattern)
     for v in fixing:
         pins[v] = 1 << v
     smaller = [[] for _ in range(n)]  # per base position

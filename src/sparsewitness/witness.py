@@ -366,6 +366,8 @@ def process_run(gamma: int, r: int, steps: int) -> ProcessState:
     the row writes themselves) instead of one copy of the graph per step.
     The run walks the stage schedule once, a run of equal rules at a time.
     """
+    if steps < 0:
+        raise ProcessError(f"steps must be nonnegative, got {steps}")
     state = process_init(gamma, r)
     b, trees = _builder_of(state)
     floor = _grow(b, trees, state.floor, r, steps)

@@ -28,7 +28,12 @@ from sparsewitness.analytics import (
     sequence_part2,
     window_report,
 )
-from sparsewitness.witness import w_vertex_count
+from sparsewitness.witness import (
+    omega,
+    w_star_edge_count,
+    w_star_vertex_count,
+    w_vertex_count,
+)
 
 # ------------------------------------------------------------- LogReal
 
@@ -187,6 +192,22 @@ def test_expected_W_star_small():
     falling = math.prod(range(n - s + 1, n + 1))
     expect = falling * p**e * (1 - p) ** (s * (s - 1) // 2 - e)
     assert expected_W_star(n, p, 1, gamma, 2).to_float() == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("n", [10**13, 10**15, 10**18, 10**21, 10**30])
+def test_expected_W_star_past_float_lgamma_matches_mpmath(n):
+    # Past n = 10^12 the float lgamma terms, of size n ln n, would cancel
+    # the digits of ln n!/(n - s)!; the reference takes the same formula
+    # at 60 digits.
+    p, a, gamma, r = n ** -0.6, 2, 2, 2
+    s, e = w_star_vertex_count(a, gamma, r), w_star_edge_count(a, gamma, r)
+    t = omega(omega(a, r), r)
+    with mpmath.workdps(60):
+        ref = (mpmath.loggamma(n + 1) - mpmath.loggamma(n - s + 1)
+               - (t - 1) // r * mpmath.loggamma(r + 1)
+               + e * mpmath.log(p) + (s * (s - 1) // 2 - e) * mpmath.log1p(-p))
+    got = expected_W_star(n, p, a, gamma, r).log
+    assert abs(got - ref) <= 1e-15 * abs(ref), (got, ref)
 
 
 def test_first_moments_reject_a_zero():
@@ -414,6 +435,9 @@ def _part2_exact(i, alpha, beta, gamma, r, epsilon=1):
     # p = 2 > 1 sends the floors through _iroot.
     (Fraction(2, 9), 2, 6),
     (Fraction(2, 9), 4, 3),
+    # r = 3 is no power of two: B^q is raised directly.
+    (Fraction(1, 4), 3, 5),
+    (Fraction(2, 9), 3, 3),
 ])
 def test_part2_rows_match_the_exact_definitions(beta, r, i_max):
     for i in range(1, i_max + 1):

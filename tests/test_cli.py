@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sparsewitness import hotpath
+from sparsewitness import cli, hotpath
+from sparsewitness.analytics import UndecidableComparisonError
 from sparsewitness.cli import main
 from sparsewitness.graphs import read_edge_list
 from sparsewitness.witness import build_W, w_star_vertex_count
@@ -141,6 +142,60 @@ def test_bad_input_file_is_an_error_line(tmp_path, capsys, command, graph_text,
     assert code == 2 and out == ""
     assert err.startswith(f"sparsewitness {command}: error: ")
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--family", "w", "--a", "0", "--gamma", "0", "--r", "4"),
+     "a must be at least 1"),
+    (("process", "--gamma", "0", "--r", "1", "--steps", "3"), "r must be at least 2"),
+    (("process", "--gamma", "0", "--r", "2", "--steps", "-1"),
+     "steps must be nonnegative, got -1"),
+    (("sample", "--n", "-3", "--p", "0.5"), "n must be nonnegative"),
+    (("sample", "--n", "0", "--alpha", "0.3"), "--alpha needs n >= 1, got n=0"),
+    (("thresholds", "--n", "0", "--alpha", "0.3", "--gamma", "10"),
+     "f is defined on [1, inf)"),
+    (("thresholds", "--n", "1000", "--alpha", "1.5", "--gamma", "10"),
+     "alpha must lie in (0, 1)"),
+    (("thresholds", "--n", "1000", "--alpha", "0.3", "--gamma", "-1"),
+     "gamma must be nonnegative"),
+    (("sequences", "--mode", "part1", "--i-max", "4", "--gamma", "5"),
+     "part 1 requires gamma > 9"),
+    (("detect", "--graph", "{graph}", "--gamma", "0", "--r", "2"),
+     "a plain search needs --a"),
+    (("evaluate", "--graph", "{graph}", "--formula", "{formula}", "--gamma", "0",
+      "--r", "2", "--budget", "1"), "search exceeded budget of 1 expansions"),
+], ids=["build-a-zero", "process-r-one", "process-negative-steps", "sample-negative-n",
+        "sample-alpha-at-n-zero", "thresholds-n-zero", "thresholds-alpha-past-one",
+        "thresholds-negative-gamma", "sequences-small-gamma", "detect-without-a",
+        "evaluate-budget"])
+def test_bad_value_is_an_error_line(tmp_path, capsys, argv, message):
+    # Every subcommand: status 2, apart from a false verdict's 1.
+    graph_file = tmp_path / "k23.edges"
+    formula_file = tmp_path / "phi.txt"
+    run(capsys, "build", "--family", "w", "--a", "2", "--gamma", "0",
+        "--r", "2", "--out", str(graph_file))
+    formula_file.write_text("EXSET X (@isoW(X) & @max(X))\n")
+    argv = [arg.format(graph=graph_file, formula=formula_file) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"sparsewitness {argv[0]}: error: ")
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["evaluate", "--graph", "g.edges", "--formula", "phi.txt"],
+     TypeError("unknown node type")),
+    (["sequences", "--mode", "part1", "--i-max", "3"],
+     UndecidableComparisonError("no precision separates them")),
+], ids=["type-error", "undecidable-comparison"])
+def test_internal_fault_is_not_an_input_error(monkeypatch, argv, fault):
+    # Only bad input becomes an error line; a fault keeps its traceback.
+    def broken(args):
+        raise fault
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", broken)
+    with pytest.raises(type(fault)):
+        main(argv)
 
 
 def test_thresholds(capsys):

@@ -252,6 +252,12 @@ def test_process_rejects_bad_params():
         process_init(-1, 2)
 
 
+def test_process_run_rejects_negative_steps():
+    # Not a run of zero steps that reports step -5.
+    with pytest.raises(ProcessError):
+        process_run(0, 2, -5)
+
+
 def test_property_on_exact_stage():
     w2 = build_W_star(2, 2, 2).graph
     verdict = has_gamma_r_property(w2, 2, 2)
