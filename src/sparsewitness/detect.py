@@ -13,11 +13,14 @@ interchangeable tail, so the kernel's domination look-ahead applies at
 depths 1 to 4 (see hotpath._pure).  In W(3, 0, 4) the root's four
 children follow, then f1[0] and the hub f1[2], so each of the sixteen
 leaves is bounded by two host rows.  For gamma >= 1, f1[1] reaches the
-tree only through connectors, and only the root is pinned.
+tree only through connectors, and only the root is pinned.  W(a) and its
+order are built once per (a, gamma, r) and shared by every search, so a
+Monte Carlo trial pays only for its host.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,6 +65,13 @@ def _pattern_order(ws: witness.WitnessGraph) -> list[int]:
     return hotpath.search_order(g, pinned)
 
 
+@functools.lru_cache(maxsize=64)
+def _witness(a: int, gamma: int, r: int) -> tuple[witness.WitnessGraph, tuple[int, ...]]:
+    """W(a) with its search order, built once per (a, gamma, r)."""
+    ws = witness.build_W(a, gamma, r)
+    return ws, tuple(_pattern_order(ws))
+
+
 def find_induced_W(
     g: Graph,
     a: int,
@@ -79,14 +89,11 @@ def find_induced_W(
     """
     if mode not in ("find", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    ws = witness.build_W(a, gamma, r)
+    ws, order = _witness(a, gamma, r)
     if ws.graph.n > g.n:
         return DetectionResult("none", a=a)
     kernel_mode = hotpath.MODE_FIND if mode == "find" else hotpath.MODE_COUNT
-    res = hotpath.embed_search(
-        ws.graph, g, mode=kernel_mode, order=_pattern_order(ws),
-        budget=budget,
-    )
+    res = hotpath.embed_search(ws.graph, g, mode=kernel_mode, order=order, budget=budget)
     if res.exceeded:
         return DetectionResult("budget_exceeded", a=a, count=res.count,
                                expansions=res.expansions)
@@ -121,17 +128,15 @@ def find_dominating_induced_W(
     expansions = 0
     exceeded = False
     for a in range(a_hi, a_lo - 1, -1):
-        ws = witness.build_W(a, gamma, r)
+        ws, order = _witness(a, gamma, r)
         if ws.graph.n > g.n:
             continue
         kernel_mode = (
             hotpath.MODE_FIND_DOMINATING if mode == "find"
             else hotpath.MODE_COUNT_DOMINATING
         )
-        res = hotpath.embed_search(
-            ws.graph, g, mode=kernel_mode, order=_pattern_order(ws),
-            budget=remaining,
-        )
+        res = hotpath.embed_search(ws.graph, g, mode=kernel_mode, order=order,
+                                   budget=remaining)
         expansions += res.expansions
         remaining -= res.expansions
         total += res.count

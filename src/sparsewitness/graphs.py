@@ -177,8 +177,10 @@ def induced_embeddings(
     non-adjacency (induced copies), as labeled embeddings.
 
     Raises BudgetExceededError once more than `budget` candidate vertices
-    have been tried.
+    have been tried, and ValueError for a negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     np_, nh = pattern.n, host.n
     if np_ > nh:
         return []

@@ -4,6 +4,11 @@
 the bitset backtracking kernel in ``_pure``, the one kernel backend; the
 tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
 ``backend=`` name that backend, so callers can record which one ran.
+What a search needs of the pattern alone is built once and cached: the
+stabilizer chain per (pattern, order, fixing) here, and the kernel's
+search plan per (pattern, order, conditions, dominating) in ``_pure``,
+so a call on a new host builds only its base masks and, in the
+dominating modes, its closed neighbourhoods.
 
 One rule orders every search, ``search_order``: pinned vertices first,
 then each time the vertex with the most placed neighbours.  It is the
@@ -75,13 +80,17 @@ def base_masks(pattern: Graph, host: Graph) -> list[int]:
     """
     exact = pattern.n == host.n
     degs = [row.bit_count() for row in host.bits]
+    by_degree = {}  # one host scan per distinct pattern degree
     masks = []
     for row in pattern.bits:
         d = row.bit_count()
-        mask = 0
-        for hv in range(host.n):
-            if degs[hv] == d if exact else degs[hv] >= d:
-                mask |= 1 << hv
+        mask = by_degree.get(d)
+        if mask is None:
+            mask = 0
+            for hv, hd in enumerate(degs):
+                if hd == d if exact else hd >= d:
+                    mask |= 1 << hv
+            by_degree[d] = mask
         masks.append(mask)
     return masks
 
@@ -224,7 +233,7 @@ def embed_search(
     pattern: Graph,
     host: Graph,
     mode: int = MODE_FIND,
-    order: list[int] | None = None,
+    order: Sequence[int] | None = None,
     budget: int = DEFAULT_BUDGET,
     backend: str | None = None,
     raise_on_budget: bool = False,
@@ -255,10 +264,12 @@ def embed_search(
     fixing), so budget bounds both and the result never depends on the
     cache.  When the budget is exceeded, count is the partial count so
     far (a multiple of |Aut| in a constrained count), and 0 if the budget
-    ran out during the derivation.
+    ran out during the derivation.  A negative budget raises ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if backend not in (None, *available_backends()):
         raise ValueError(
             f"unknown backend {backend!r}; available: {', '.join(available_backends())}"

@@ -30,12 +30,29 @@ node is kept small:
   from that mask, and the count bound on it would skip dominating
   leaves; the open images are then the child's mask before the
   conditions of depth k + 1 cut it, the mask a labeled search has there.
-  In K_{2,5} searched hubs first this covers depths 1 to 4.  The rule
-  depends on the order, the conditions and the base masks alone.  A
-  skipped child is still charged its one expansion, so a dominating
-  search tree is a subtree of the MODE_COUNT tree for the same order and
-  conditions, and in MODE_COUNT_DOMINATING that whole tree when no depth
-  has an interchangeable tail.
+  In K_{2,5} searched hubs first this covers depths 1 to 4;
+* when the tail's depths are also pairwise non-adjacent in the pattern,
+  as K_{2,5}'s leaves are, their images are an independent set of the
+  host inside the open images, and the count bound becomes an
+  independence bound (the clique-cover bound of colouring-based clique
+  search; Tomita and Seki, DMTCS 2003).  A greedy matching pairs the
+  lowest unmatched open image with its lowest unmatched neighbour among
+  them.  With c open images, t disjoint edges and the c - 2t images left
+  over cover the open images by c - t cliques, and an independent set
+  meets each clique at most once; so a child whose matching reaches
+  c - (last - k) + 1 edges is skipped.  A superset of the open images
+  has at least their independence number, so the bound holds on the
+  wide mask too.
+
+The look-ahead depends on the order, the conditions and the base masks
+alone.  A skipped child is still charged its one expansion, so a
+dominating search tree is a subtree of the MODE_COUNT tree for the same
+order and conditions, and in MODE_COUNT_DOMINATING that whole tree when
+no depth has an interchangeable tail.  The host-independent part of the
+set-up (the per-depth pattern adjacency, the conditions and the tails)
+is the search plan, built once per pattern, order, conditions and
+whether the mode dominates; per host only the base-mask test of each
+tail and the closed neighbourhoods remain.
 
 Optional symmetry-breaking conditions (``smaller``) name, per depth, the
 earlier depths whose image must be the smaller host vertex.  Each is one
@@ -53,6 +70,78 @@ MODE_FIND_DOMINATING = 3
 MODE_COUNT_DOMINATING = 4
 
 
+# (pattern rows, order, conditions, dominating) -> the search plan.
+_PLANS: dict = {}
+
+
+def _plan(pattern_masks, order, smaller, dominating):
+    """The host-independent part of the set-up, built once per key."""
+    key = (tuple(pattern_masks), tuple(order), smaller, dominating)
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= 256:
+            _PLANS.clear()
+        plan = _PLANS[key] = _build_plan(pattern_masks, order, smaller, dominating)
+    return plan
+
+
+def _build_plan(pattern_masks, order, smaller, dominating):
+    n_p = len(order)
+    # Per search depth d, the depths before d - 1 whose pattern vertices
+    # are neighbors (touch) and non-neighbors (apart) of the one at d.
+    # Depth d - 1 is left out: each of its candidates applies its own row.
+    touch = []
+    apart = []
+    for d, pv in enumerate(order):
+        row = pattern_masks[pv]
+        t = []
+        a = []
+        for j in range(d - 1):
+            (t if row >> order[j] & 1 else a).append(j)
+        touch.append(t)
+        apart.append(a)
+    # Per depth d, the conditions of ``smaller`` split as touch/apart are:
+    # the depths before d - 1 whose image is a lower bound (lower), and
+    # whether depth d - 1 is one (lower_parent).
+    lower = [()] * n_p
+    lower_parent = [False] * n_p
+    if smaller is not None:
+        for d, js in enumerate(smaller):
+            lower[d] = tuple(j for j in js if j < d - 1)
+            lower_parent[d] = d - 1 in js
+    # The depths k whose later depths share depth k + 1's adjacency to the
+    # depths up to k, each as (k, pattern vertex at k + 1, the pattern
+    # vertices after it, wide, independent); a host whose base masks nest
+    # makes them interchangeable tails (see the module docstring).  Every
+    # later image lies in the child mask, or, when wide, in the child mask
+    # before the conditions of depth k + 1 cut it.  independent: the
+    # tail's pattern vertices are pairwise non-adjacent.
+    tails = []
+    if dominating:
+        # below[d]: the depths whose image smaller keeps below the image
+        # at depth d, directly or through a chain of conditions.
+        below = []
+        for js in smaller or [()] * n_p:
+            chain = set(js)
+            for j in js:
+                chain |= below[j]
+            below.append(chain)
+        placed_mask = 0
+        for k in range(n_p - 2):
+            placed_mask |= 1 << order[k]
+            first = order[k + 1]
+            adjacency = pattern_masks[first] & placed_mask
+            later = tuple(order[k + 2:])
+            if all(pattern_masks[v] & placed_mask == adjacency for v in later):
+                tail_mask = (1 << first) | sum(1 << v for v in later)
+                tails.append((
+                    k, first, later,
+                    not all(below[k + 1] <= below[d] for d in range(k + 2, n_p)),
+                    not any(pattern_masks[v] & tail_mask for v in (first, *later)),
+                ))
+    return touch, apart, lower, lower_parent, tails
+
+
 def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=None):
     """Backtracking search for induced copies of the pattern in the host.
 
@@ -61,8 +150,9 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     simple graph: no row contains its own vertex).
     order: permutation of pattern vertices giving the assignment order.
     base_masks: per pattern vertex, bitmask of allowed host images.
-    smaller: None, or per search depth a tuple of earlier depths whose
-    image must be smaller than the image at that depth.  With conditions
+    smaller: None, or a tuple holding per search depth a tuple of earlier
+    depths whose image must be smaller than the image at that depth (it
+    keys the plan cache, so it must be hashable).  With conditions
     that keep one embedding per automorphism class (see
     ``hotpath.stabilizer_chain``) a count mode counts the classes.
 
@@ -88,57 +178,26 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     full = (1 << n_h) - 1
     finding = mode in (MODE_FIND, MODE_FIND_DOMINATING)
     last = n_p - 1
-    # Per search depth d, the depths before d - 1 whose pattern vertices
-    # are neighbors (touch) and non-neighbors (apart) of the one at d.
-    # Depth d - 1 is left out: each of its candidates applies its own row.
-    touch = []
-    apart = []
-    for d, pv in enumerate(order):
-        row = pattern_masks[pv]
-        t = []
-        a = []
-        for j in range(d - 1):
-            (t if row >> order[j] & 1 else a).append(j)
-        touch.append(t)
-        apart.append(a)
-    # Per depth d, the conditions of ``smaller`` split as touch/apart are:
-    # the depths before d - 1 whose image is a lower bound (lower), and
-    # whether depth d - 1 is one (lower_parent).
-    lower = [()] * n_p
-    lower_parent = [False] * n_p
-    if smaller is not None:
-        for d, js in enumerate(smaller):
-            lower[d] = tuple(j for j in js if j < d - 1)
-            lower_parent[d] = d - 1 in js
+    touch, apart, lower, lower_parent, tails = _plan(pattern_masks, order, smaller,
+                                                     dominating)
     # A vertex set dominates iff the union of its closed neighbourhoods
     # covers the host.
     closed = [row | (1 << v) for v, row in enumerate(host_masks)] if dominating else None
-    # Per depth k, 0, or at a depth with an interchangeable tail (see the
-    # module docstring) last - k: a child with fewer candidates is
-    # skipped.  Every later image lies in the child mask, or, when
-    # wide[k], in the child mask before the conditions of depth k + 1 cut
-    # it.
+    # Per depth k, 0, or at a depth with an interchangeable tail last - k:
+    # a child with fewer open images is skipped.  independent[k]: that
+    # tail's depths are pairwise non-adjacent, so the independence bound
+    # applies too.
     ahead = [0] * n_p
     wide = [False] * n_p
-    if dominating:
-        # below[d]: the depths whose image smaller keeps below the image
-        # at depth d, directly or through a chain of conditions.
-        below = []
-        for js in smaller or [()] * n_p:
-            chain = set(js)
-            for j in js:
-                chain |= below[j]
-            below.append(chain)
-        placed_mask = 0
-        for k in range(n_p - 2):
-            placed_mask |= 1 << order[k]
-            first = order[k + 1]
-            adjacency = pattern_masks[first] & placed_mask
-            tail = range(k + 2, n_p)
-            if all(pattern_masks[order[d]] & placed_mask == adjacency
-                   and not base_masks[order[d]] & ~base_masks[first] for d in tail):
-                ahead[k] = last - k
-                wide[k] = not all(below[k + 1] <= below[d] for d in tail)
+    independent = [False] * n_p
+    for k, first, later, w, i in tails:
+        later_masks = 0
+        for v in later:
+            later_masks |= base_masks[v]
+        if not later_masks & ~base_masks[first]:
+            ahead[k] = last - k
+            wide[k] = w
+            independent[k] = i
 
     assign = [0] * n_p
     rows = [0] * n_p  # host adjacency row of each assigned image
@@ -193,13 +252,26 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
                 return True
         return False
 
-    def cannot_dominate(need, images, cover):
-        # True when fewer than need images are open to the later depths, or
-        # some host vertex outside cover has no closed neighbour among them.
-        if images.bit_count() < need:
-            return True
+    def matching(images, edges):
+        # True when a greedy matching of host edges inside images reaches
+        # edges disjoint ones: the lowest unmatched image takes its lowest
+        # unmatched neighbour among them.
+        while images:
+            low = images & -images
+            images ^= low
+            mate = images & host_masks[low.bit_length() - 1]
+            if mate:
+                images ^= mate & -mate
+                edges -= 1
+                if not edges:
+                    return True
+        return False
+
+    def uncovered(c, images, cover):
+        # True when some host vertex outside cover has no closed neighbour
+        # among the c images open to the later depths.
         missing = full & ~cover
-        if images.bit_count() < missing.bit_count():
+        if c < missing.bit_count():
             reach = 0
             while images:
                 low = images & -images
@@ -237,6 +309,7 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
         adjacent = pattern_masks[order[nxt]] >> order[k] & 1
         bounded = lower_parent[nxt]
         need = ahead[k]
+        independent_tail = independent[k]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -251,16 +324,25 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
                 child &= -(low << 1)
             if not child:
                 continue
-            assign[k] = v
-            rows[k] = row
-            child_cover = cover | closed[v] if dominating else 0
             if need:
                 if open_pre:
                     images = open_pre & row if adjacent else open_pre & ~(row | low)
                 else:
                     images = child
-                if cannot_dominate(need, images, child_cover):
+                c = images.bit_count()
+                # c - need + 1 disjoint edges leave no independent set of
+                # need open images.
+                if c < need or independent_tail and matching(images, c - need + 1):
                     continue
+                child_cover = cover | closed[v]
+                if uncovered(c, images, child_cover):
+                    continue
+            elif dominating:
+                child_cover = cover | closed[v]
+            else:
+                child_cover = 0
+            assign[k] = v
+            rows[k] = row
             if nxt == last:
                 if leaves(child, child_cover):
                     return True

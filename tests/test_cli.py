@@ -164,10 +164,14 @@ def test_bad_input_file_is_an_error_line(tmp_path, capsys, command, graph_text,
      "a plain search needs --a"),
     (("evaluate", "--graph", "{graph}", "--formula", "{formula}", "--gamma", "0",
       "--r", "2", "--budget", "1"), "search exceeded budget of 1 expansions"),
+    (("detect", "--graph", "{graph}", "--gamma", "0", "--r", "2", "--a", "1",
+      "--budget", "-1"), "budget must be nonnegative, got -1"),
+    (("evaluate", "--graph", "{graph}", "--formula", "{formula}", "--gamma", "0",
+      "--r", "2", "--budget", "-1"), "budget must be nonnegative, got -1"),
 ], ids=["build-a-zero", "process-r-one", "process-negative-steps", "sample-negative-n",
         "sample-alpha-at-n-zero", "thresholds-n-zero", "thresholds-alpha-past-one",
         "thresholds-negative-gamma", "sequences-small-gamma", "detect-without-a",
-        "evaluate-budget"])
+        "evaluate-budget", "detect-negative-budget", "evaluate-negative-budget"])
 def test_bad_value_is_an_error_line(tmp_path, capsys, argv, message):
     # Every subcommand: status 2, apart from a false verdict's 1.
     graph_file = tmp_path / "k23.edges"

@@ -116,7 +116,8 @@ def test_sparse_edges_are_valid_and_deduplicated():
     assert all(0 <= u < v < 500 for u, v in e)
 
 
-@pytest.mark.parametrize("n, p", [(80, 0.3), (300, 0.01)], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n, p", [(80, 0.3), (300, 0.01), (25, 0.3)],
+                         ids=["dense", "sparse", "sparse-one-word"])
 def test_rows_match_edge_list(n, p):
     # The sampler writes adjacency rows directly; they must be symmetric
     # Python ints that the edge list rebuilds exactly.

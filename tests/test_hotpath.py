@@ -247,7 +247,7 @@ PINNED_BENCH = [
                  id="W2g1-count-n30"),
     pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, None, 21600, 115628, 115628,
                  id="W2-count-n40-default"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, None, 5520, 34370, 115628,
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, None, 5520, 28554, 115628,
                  id="W2-dominating-n40-default"),
     pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, None, 0, 55590, 55590,
                  id="W2g1-count-n30-default"),
@@ -280,7 +280,7 @@ PINNED_BENCH_COUNT_MODE = [
                  id="W2g1-count-n30"),
     pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT, None, 21600, 77 + 10910, 77 + 10910,
                  id="W2-count-n40-default"),
-    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, None, 5520, 77 + 4000,
+    pytest.param(2, 0, 4, 40, 0.35, MODE_COUNT_DOMINATING, None, 5520, 77 + 3619,
                  77 + 10910, id="W2-dominating-n40-default"),
     pytest.param(2, 1, 4, 30, 0.45, MODE_COUNT, None, 0, 289 + 22432, 289 + 22432,
                  id="W2g1-count-n30-default"),
@@ -295,9 +295,9 @@ PINNED_MC_GRID_COUNT_MODE = [
 # before is what the search spent without the tail rule.  The chain costs
 # 77 expansions in this order too.
 PINNED_MC_GRID_DETECT_ORDER = [
-    pytest.param(15, 7, 0, 0, 77 + 85, 77 + 215, id="n15"),
-    pytest.param(25, 7, 1, 480, 77 + 365, 77 + 739, id="n25"),
-    pytest.param(40, 7, 0, 480, 77 + 822, 77 + 1366, id="n40"),
+    pytest.param(15, 7, 0, 0, 77 + 60, 77 + 215, id="n15"),
+    pytest.param(25, 7, 1, 480, 77 + 273, 77 + 739, id="n25"),
+    pytest.param(40, 7, 0, 480, 77 + 716, 77 + 1366, id="n40"),
 ]
 
 
@@ -401,6 +401,27 @@ def test_derivation_over_budget_is_reported_not_raised():
             assert stabilizer_chain(ws.graph, order, budget=budget)[1:] == (240, 77)
     res = detect.find_dominating_induced_W(host, 0, 4, (2, 2), mode="count", budget=76)
     assert (res.outcome, res.count, res.expansions) == ("budget_exceeded", 0, 77)
+
+
+def test_negative_budget_is_rejected_at_the_kernel_entry():
+    # Every caller inherits the check, so detect, logic and the command
+    # line report a negative budget as bad input, never as a search that
+    # ran out of budget.  A budget of 0 is still a search.
+    ws = build_W(2, 0, 4)
+    host = _mc_grid_host(25, 7, 1)
+    for mode in MODES:
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            embed_search(ws.graph, host, mode=mode, budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        induced_embeddings(ws.graph, host, budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -5"):
+        detect.find_induced_W(host, 1, 0, 4, budget=-5)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        detect.find_dominating_induced_W(host, 0, 4, (1, 2), mode="count", budget=-1)
+    res = embed_search(ws.graph, host, mode=MODE_COUNT_DOMINATING, budget=0)
+    assert (res.count, res.expansions, res.exceeded) == (0, 1, True)
+    with pytest.raises(BudgetExceededError):
+        induced_embeddings(ws.graph, host, budget=0)
 
 
 def _planted_host(pattern, n, p, seed):
@@ -515,6 +536,18 @@ def twin_tail_instances(draw):
 # interchangeable tail.
 @example((Graph(4, [(2, 3)]), Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)]), [0, 1, 2, 3]),
          MODE_COUNT_DOMINATING)
+# The star K_{1,3}: its three leaves are non-adjacent twins.  Whichever
+# centre is placed, host 4 or host 1, the four open images induce a star,
+# whose three leaves are the images of a dominating copy.  A greedy
+# matching finds one edge, one short of c - need + 1 = 2; a matching that
+# kept the matched centre for a second edge would skip both copies.
+@example((Graph(4, [(0, 1), (0, 2), (0, 3)]),
+          Graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]),
+          [0, 1, 2, 3]), MODE_COUNT_DOMINATING)
+# The triangle: its two tail vertices are adjacent twins, so their images
+# are an edge, and the independence bound must not apply to them.
+@example((Graph(3, [(0, 1), (0, 2), (1, 2)]), Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+          [0, 1, 2]), MODE_COUNT_DOMINATING)
 def test_interchangeable_tail_matches_oracle(instance, mode):
     # The tail rule only skips children with no dominating leaf, labeled
     # and symmetry-broken, and its tree is a subtree of the count mode's.
