@@ -7,7 +7,8 @@ fresh interpreters, alternating between the package under ``--before SRC``
 beside the scripts, so both are timed by the same code on the same
 machine.  ``time_groups`` and ``group_main`` are the child and the parent
 of scripts that time groups of calls and compare a digest of what the
-calls return.
+calls return.  A round's speed on a shared machine can fall into a slow
+mode, so each side reports its fastest round next to its median.
 """
 
 import argparse
@@ -21,6 +22,8 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# What a time_groups round records besides its groups.
+META = ("backend", "numpy")
 
 
 def parse_args():
@@ -75,10 +78,12 @@ def time_groups(groups, passes):
     ...], summary).  Each group runs once to warm up, then ``passes``
     times; the group's row is its median pass in microseconds per call
     and a sha256 over repr(summary(result)) of every call.  Prints the
-    round as one JSON line with the kernel backend."""
+    round as one JSON line with the kernel backend and the numpy version."""
+    import numpy as np
+
     from sparsewitness import hotpath
 
-    out = {"backend": hotpath.BACKEND}
+    out = {"backend": hotpath.BACKEND, "numpy": np.__version__}
     for label, calls, summary in groups:
         for fn, args, kwargs in calls:  # warm imports and lazy set-up
             fn(*args, **kwargs)
@@ -97,8 +102,8 @@ def time_groups(groups, passes):
 
 def group_main(script, child, passes):
     """The parent side of a ``time_groups`` script: run the rounds, print
-    one table row per group and side, abort if the trees' digests differ,
-    and write the --json record."""
+    one table row per group and side with its median and fastest round,
+    abort if the trees' digests differ, and write the --json record."""
     args = parse_args()
     if args.child:
         child()
@@ -106,11 +111,12 @@ def group_main(script, child, passes):
 
     trees, rounds = run_rounds(script, args.before, args.rounds)
 
-    header = f"{'group':<26}{'side':<8}{'median us/call':>15}  rounds (us/call)"
+    header = (f"{'group':<26}{'side':<8}{'median us/call':>15}{'min us/call':>12}"
+              "  rounds (us/call)")
     print(header)
     print("-" * len(header))
     rows = []
-    labels = [k for k in rounds["after"][0] if k != "backend"]
+    labels = [k for k in rounds["after"][0] if k not in META]
     for label in labels:
         digests = {r[label]["sha256"] for side in trees for r in rounds[side]}
         if len(digests) != 1:
@@ -119,18 +125,20 @@ def group_main(script, child, passes):
                "sha256": digests.pop()}
         for side in trees:
             us = [r[label]["us"] for r in rounds[side]]
-            row[side] = {"median_us": statistics.median(us), "rounds_us": us}
-            print(f"{label:<26}{side:<8}{statistics.median(us):>15.1f}  "
+            row[side] = {"median_us": statistics.median(us), "min_us": min(us),
+                         "rounds_us": us}
+            print(f"{label:<26}{side:<8}{statistics.median(us):>15.1f}{min(us):>12.1f}  "
                   + " ".join(f"{x:.1f}" for x in us))
         if "before" in row:
             row["after_over_before"] = row["after"]["median_us"] / row["before"]["median_us"]
+            row["after_over_before_min"] = row["after"]["min_us"] / row["before"]["min_us"]
         rows.append(row)
     if args.json:
         record = {
             "script": f"benchmarks/{Path(script).name}", "rounds": args.rounds,
             "passes": passes, "cpu_count": os.cpu_count(),
             "python": sys.version.split()[0],
-            "backend": {side: rounds[side][0]["backend"] for side in trees},
+            **{key: {side: rounds[side][0][key] for side in trees} for key in META},
             "before_commit": commit_of(trees["before"]) if args.before else None,
             "rows": rows,
         }

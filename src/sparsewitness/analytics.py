@@ -574,6 +574,16 @@ def sequence_part1(i: int, alpha, gamma: int) -> Part1Row:
 
     n_i = floor(x_i) with f(x_i) = s(i) / (C k); its certificate states
     that SOME integer a has s(a) in [C1 k f(n_i), C2 k f(n_i)].
+
+    The gap certificate holds at every large i only for gamma outside
+    the bands 4^(j+1)/15 < gamma + 1 < 4^j k / (3(1 - alpha)), j >= 0.
+    m_i does not depend on gamma, and c k = 4(1 - alpha)/5, so the gap
+    window is about (4^(i+1)/45, 4^i k / (9(1 - alpha))); s(i - j) is
+    about (gamma + 1) 4^(i-j) / 3, inside it exactly in band j.  At
+    alpha = 0.3 the bands past gamma = 9 are [17, 41], [68, 169],
+    [273, 681], ...  Inside band j a row's violator is a = i - j, except
+    near a band's edges at small i.  Such rows are returned with their
+    violators, not rejected.
     """
     if i < 1:
         raise ParameterError("i must be >= 1")

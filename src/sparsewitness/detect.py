@@ -1,7 +1,7 @@
 """Detection of induced witness copies, dominating sets, and connector
 structure in host graphs.
 
-All searches run on the hotpath kernel in hotpath.search_order, which
+Witness searches run on the hotpath kernel in hotpath.search_order, which
 takes pinned vertices first and then each time the vertex with the most
 placed neighbours; detect only chooses the pins.  Path patterns (a = 1)
 pin a path endpoint.  W(a) with a >= 2 pins the r-ary tree root f2[0]
@@ -15,7 +15,9 @@ children follow, then f1[0] and the hub f1[2], so each of the sixteen
 leaves is bounded by two host rows.  For gamma >= 1, f1[1] reaches the
 tree only through connectors, and only the root is pinned.  W(a) and its
 order are built once per (a, gamma, r) and shared by every search, so a
-Monte Carlo trial pays only for its host.
+Monte Carlo trial pays only for its host.  The connector check calls the
+kernel directly, with a candidate mask per path position (see
+check_connector_property).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .graphs import (
     DEFAULT_BUDGET,
     Embedding,
     Graph,
-    iter_mask,
     mask_of,
 )
 
@@ -223,52 +224,35 @@ def check_connector_property(
 
     For gamma = 0 such a path would need a single vertex adjacent to u only
     and to v only at once, which is impossible for u != v.
+
+    Each pair is one find-mode kernel search for the induced path
+    w_1..w_{gamma+1}, with a candidate mask per position: the outside
+    vertices whose one set neighbour is u (w_1) or v (w_{gamma+1}), and
+    those with none (inner vertices).  budget bounds the expansions of all
+    the searches together; running out raises BudgetExceededError, and a
+    negative budget raises ValueError.
     """
     if gamma < 1:
         raise ValueError("connector property needs gamma >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     vs = sorted(set(vertices))
     vmask = mask_of(vs, g.n)
     bits = g.bits
-    expansions = 0
-
-    def attach_ok(w: int, anchor: int) -> bool:
-        return bits[w] & vmask == 1 << anchor
-
-    def connects(u: int, v: int) -> bool:
-        nonlocal expansions
-        length = gamma + 1
-        starts = [w for w in range(g.n) if not (vmask >> w) & 1 and attach_ok(w, u)]
-
-        def extend(path: list[int], pmask: int) -> bool:
-            nonlocal expansions
-            k = len(path)
-            if k == length:
-                return attach_ok(path[-1], v)
-            prev_mask = mask_of(path[:-1])
-            for w in iter_mask(bits[path[-1]]):
-                expansions += 1
-                if expansions > budget:
-                    raise BudgetExceededError(
-                        f"connector search exceeded budget of {budget}"
-                    )
-                if (vmask >> w) & 1 or (pmask >> w) & 1:
-                    continue
-                if bits[w] & prev_mask:
-                    continue  # would chord the path
-                if k < length - 1 and bits[w] & vmask:
-                    continue  # inner vertices must avoid the set
-                if extend(path + [w], pmask | (1 << w)):
-                    return True
+    outside = [w for w in range(g.n) if not vmask >> w & 1]
+    free = sum(1 << w for w in outside if not bits[w] & vmask)
+    only = {u: sum(1 << w for w in outside if bits[w] & vmask == 1 << u) for u in vs}
+    path = Graph(gamma + 1, [(i, i + 1) for i in range(gamma)]).bits
+    order = tuple(range(gamma + 1))
+    spent = 0
+    for u, v in itertools.permutations(vs, 2):
+        masks = [only[u]] + [free] * (gamma - 1) + [only[v]]
+        _, found, expansions, exceeded = hotpath._pure.search(
+            path, bits, order, masks, hotpath.MODE_FIND, budget - spent
+        )
+        spent += expansions
+        if exceeded:
+            raise BudgetExceededError(f"connector search exceeded budget of {budget}")
+        if not found:
             return False
-
-        for s in starts:
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(
-                    f"connector search exceeded budget of {budget}"
-                )
-            if extend([s], 1 << s):
-                return True
-        return False
-
-    return all(connects(u, v) for u in vs for v in vs if u != v)
+    return True

@@ -10,17 +10,17 @@ buffer, which is all of that generator's state, and so draws the same
 numbers.  Both paths build the adjacency rows with numpy, without a
 Python step per pair:
 
-- the dense path draws one uniform per pair, scatters the hits into the
-  upper triangle of a bool matrix padded to whole 64-bit words,
-  symmetrises it and packs the rows; rows of one word (n <= 64) all come
-  from one ``tolist()`` of the packed words, wider rows from
-  ``int.from_bytes`` each, and both read the same little-endian bits
-  (p = 1 takes this path with no draw);
+- the dense path draws one uniform per pair (p = 1 takes it with no
+  draw);
 - below p ~ 10/n a geometric pair-skipping path avoids touching all
   C(n, 2) pairs: each batch of gaps becomes edge positions through one
-  cumulative sum.  Rows of one word (n <= 64) are packed from a bool
-  matrix as on the dense path; wider rows are OR-ed together one edge at
-  a time by ``Graph.from_arrays``.
+  cumulative sum.
+
+One builder, ``_dense_graph``, turns pair flags into the rows of every
+dense host and every sparse host of one word (n <= 64): it scatters them
+into the upper triangle of a bool matrix padded to whole 64-bit words,
+symmetrises it and packs the rows.  Wider sparse hosts are OR-ed
+together one edge at a time by ``Graph.from_arrays``.
 
 Both produce the same graphs, bit for bit, as the earlier per-pair loops
 did (pinned in tests).  The skipping path draws from the same keyed
@@ -147,13 +147,6 @@ def _dense_graph(n: int, hit, m: int) -> Graph:
     # numpy buffers a ufunc input that overlaps its output, so the OR
     # reads the transpose as it was before the call.
     square |= square.T
-    return _packed_graph(adj, m)
-
-
-def _packed_graph(adj: np.ndarray, m: int) -> Graph:
-    """The graph of a symmetric bool matrix padded to whole 64-bit words:
-    each row packed into a little-endian Python int."""
-    n = adj.shape[0]
     packed = np.packbits(adj, axis=1, bitorder="little")
     if n <= 64:
         # One word per row; tolist() yields Python ints.
@@ -178,10 +171,9 @@ def _sample_sparse(rng: np.random.Generator, n: int, p: float, total: int) -> Gr
         ends = cursor + np.cumsum(gaps)
         chunks.append(ends[ends < total])
         cursor = int(ends[-1])
-    iu, ju = _pair_of_index(np.concatenate(chunks), n)
+    positions = np.concatenate(chunks)
     if n <= 64:
-        adj = np.zeros((n, 64), dtype=bool)
-        adj[iu, ju] = True
-        adj[ju, iu] = True
-        return _packed_graph(adj, len(iu))
-    return Graph.from_arrays(n, iu, ju)
+        hit = np.zeros(total, dtype=bool)
+        hit[positions] = True
+        return _dense_graph(n, hit, positions.size)
+    return Graph.from_arrays(n, *_pair_of_index(positions, n))

@@ -4,6 +4,11 @@
 the bitset backtracking kernel in ``_pure``, the one kernel backend; the
 tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
 ``backend=`` name that backend, so callers can record which one ran.
+The kernel has three callers: ``embed_search``, which serves detect's
+witness searches, logic's ``@isoW`` and witness's parity check; the
+stabilizer chain's pinned self-searches here; and
+``detect.check_connector_property``, whose path searches give every
+position a candidate mask of its own.
 What a search needs of the pattern alone is built once and cached: the
 stabilizer chain per (pattern, order, fixing) here, and the kernel's
 search plan per (pattern, order, conditions, dominating) in ``_pure``,

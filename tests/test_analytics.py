@@ -392,6 +392,42 @@ def test_part1_certificates_hold_for_gamma13_large_i():
         assert row.existence_a == (i,)
 
 
+def part1_bands(gamma, alpha):
+    """The j >= 0 whose part-1 gamma band holds gamma:
+    4^(j+1)/15 < gamma + 1 < 4^j k_gamma / (3(1 - alpha)).
+
+    f(m_i) is about 4^i / (9(1 - alpha)), whatever gamma is, and
+    c k = 4(1 - alpha)/5, so the gap window (c k f(m_i), k f(m_i) + 1) is
+    about (4^(i+1)/45, 4^i k / (9(1 - alpha))).  s(i - j) is about
+    (gamma + 1) 4^(i-j) / 3, which lies inside it exactly when gamma is
+    in band j."""
+    k = 2 * (1 - alpha * Fraction(gamma + 2, gamma + 1))
+    bands = []
+    j = 0
+    while Fraction(4 ** (j + 1), 15) < gamma + 1:
+        if gamma + 1 < 4 ** j * k / (3 * (1 - alpha)):
+            bands.append(j)
+        j += 1
+    return bands
+
+
+def test_part1_bands_at_three_tenths():
+    # Past gamma = 9 the bands are [17, 41] (j = 3) and [68, 169] (j = 4);
+    # gamma = 13 and 16 lie between them.
+    assert [g for g in range(10, 181) if part1_bands(g, Fraction(3, 10))] == [
+        *range(17, 42), *range(68, 170)]
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 10), Fraction(7, 10)])
+def test_part1_gap_certificate_fails_exactly_inside_the_gamma_bands(alpha):
+    for gamma in range(10, 181):
+        bands = part1_bands(gamma, alpha)
+        for i in (10, 12):
+            row = sequence_part1(i, alpha, gamma)
+            assert row.gap_violators == tuple(i - j for j in bands), (gamma, i)
+            assert row.existence_certificate, (gamma, i)
+
+
 def test_part2_fails_for_r2_but_holds_for_r4():
     # r=2 cannot satisfy the growth certificate (needs r > alpha/beta);
     # this is checked honestly rather than patched over.

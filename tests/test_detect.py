@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsewitness.detect import (
     _pattern_order,
@@ -15,7 +17,7 @@ from sparsewitness.detect import (
     find_induced_W,
     wilson_interval,
 )
-from sparsewitness.graphs import Graph, induced_embeddings, is_dominating
+from sparsewitness.graphs import BudgetExceededError, Graph, induced_embeddings, is_dominating
 from sparsewitness.witness import build_W, build_W_star
 
 
@@ -217,3 +219,71 @@ def test_connector_property():
     assert not check_connector_property(cycle(4), [0, 2], 1)
     with pytest.raises(ValueError):
         check_connector_property(p4, [0, 3], 0)
+
+
+def connector_by_enumeration(g, vertices, gamma):
+    """The docstring's conditions checked on every ordered tuple of
+    gamma + 1 distinct vertices outside the set."""
+    vs = set(vertices)
+    outside = [w for w in range(g.n) if w not in vs]
+
+    def set_neighbours(w):
+        return {x for x in vs if g.has_edge(w, x)}
+
+    def connects(u, v):
+        for ws in itertools.permutations(outside, gamma + 1):
+            if set_neighbours(ws[0]) != {u} or set_neighbours(ws[-1]) != {v}:
+                continue
+            if any(set_neighbours(w) for w in ws[1:-1]):
+                continue
+            # Induced path: consecutive vertices adjacent, no other pair.
+            if all(g.has_edge(ws[i], ws[j]) == (j == i + 1)
+                   for i in range(len(ws)) for j in range(i + 1, len(ws))):
+                return True
+        return False
+
+    return all(connects(u, v) for u in vs for v in vs if u != v)
+
+
+@st.composite
+def connector_instances(draw):
+    """Sets of two or three vertices on n <= 10, with a connector planted
+    for some of the set's pairs and random edges that may break them or
+    make other paths."""
+    gamma = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
+    edges = []
+    n = k
+    for u, v in itertools.combinations(range(k), 2):
+        if n + gamma + 1 <= 10 and draw(st.booleans()):
+            ws = range(n, n + gamma + 1)
+            edges += [(u, ws[0]), (ws[-1], v), *zip(ws, ws[1:])]
+            n += gamma + 1
+    n = draw(st.integers(n, 10))
+    edges += draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                           max_size=12))
+    label = draw(st.permutations(range(n)))
+    relabeled = {tuple(sorted((label[a], label[b]))) for a, b in edges}
+    return Graph(n, sorted(relabeled)), [label[v] for v in range(k)], gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(connector_instances())
+def test_connector_property_matches_enumeration(instance):
+    g, vertices, gamma = instance
+    assert check_connector_property(g, vertices, gamma) == connector_by_enumeration(
+        g, vertices, gamma)
+
+
+@pytest.mark.parametrize("g, vertices, gamma, need", [
+    # Per ordered pair, one expansion for each path vertex placed: the
+    # attachments 1 and 2 of P_4, then 1-2-3-4 of P_6.
+    (path(4), [0, 3], 1, 4),
+    (path(6), [0, 5], 3, 8),
+])
+def test_connector_property_budget(g, vertices, gamma, need):
+    assert check_connector_property(g, vertices, gamma, budget=need)
+    with pytest.raises(BudgetExceededError):
+        check_connector_property(g, vertices, gamma, budget=need - 1)
+    with pytest.raises(ValueError):
+        check_connector_property(g, vertices, gamma, budget=-1)
