@@ -62,9 +62,15 @@ def run_rounds(script, before, rounds):
 
 
 def commit_of(src):
+    """The short commit of the git checkout holding ``src``; exits with an
+    error naming ``src`` when it is in none, since a record must say what
+    it compared against."""
     done = subprocess.run(["git", "-C", str(src), "rev-parse", "--short", "HEAD"],
                           capture_output=True, text=True)
-    return done.stdout.strip() or None
+    if done.returncode != 0:
+        raise SystemExit(f"--before {src}: not in a git checkout "
+                         f"({done.stderr.strip()}); clone the commit to compare against")
+    return done.stdout.strip()
 
 
 def write_json(path, record):
@@ -109,6 +115,8 @@ def group_main(script, child, passes):
         child()
         return 0
 
+    # Checked before the rounds, so a --before outside a checkout fails fast.
+    before_commit = commit_of(args.before) if args.before and args.json else None
     trees, rounds = run_rounds(script, args.before, args.rounds)
 
     header = (f"{'group':<26}{'side':<8}{'median us/call':>15}{'min us/call':>12}"
@@ -139,7 +147,7 @@ def group_main(script, child, passes):
             "passes": passes, "cpu_count": os.cpu_count(),
             "python": sys.version.split()[0],
             **{key: {side: rounds[side][0][key] for side in trees} for key in META},
-            "before_commit": commit_of(trees["before"]) if args.before else None,
+            "before_commit": before_commit,
             "rows": rows,
         }
         write_json(args.json, record)

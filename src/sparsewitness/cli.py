@@ -4,10 +4,12 @@ Subcommands: build, process, sample, detect, evaluate, thresholds,
 sequences, experiment.  Graphs travel as canonical edge lists; witness
 constructions also emit a "vertex role" sidecar.
 
-Bad input to any subcommand (a rejected value, an unreadable file, an
-exhausted evaluation budget) is one `sparsewitness <command>: error: ...`
-line on stderr and exit status 2, as argparse reports a bad argument;
-`detect` and `evaluate` exit 0 and 1 for their verdicts.
+Bad input to any subcommand (a rejected value, an unreadable file) is
+one `sparsewitness <command>: error: ...` line on stderr and exit status
+2, as argparse reports a bad argument.  `detect` and `evaluate` exit 0
+and 1 for their verdicts, and 3 when a search ran out of budget and so
+reached none: `detect` still prints its JSON record, and `evaluate` an
+error line.
 """
 
 from __future__ import annotations
@@ -94,6 +96,8 @@ def cmd_detect(args) -> int:
         "embedding": list(res.embedding) if res.embedding else None,
     }
     print(json.dumps(record))
+    if res.outcome == "budget_exceeded":
+        return 3
     return 0 if res else 1
 
 
@@ -233,13 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Input checks raise ValueError subclasses; internal faults raise other
-    # types and keep their tracebacks.
+    # Input checks raise ValueError subclasses, and a search with no verdict
+    # BudgetExceededError; internal faults keep their tracebacks.
     try:
         return args.func(args)
-    except (ValueError, OSError, BudgetExceededError) as exc:
-        print(f"sparsewitness {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as exc:
+        error, status = exc, 2
+    except BudgetExceededError as exc:
+        error, status = exc, 3
+    print(f"sparsewitness {args.command}: error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

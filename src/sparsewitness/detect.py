@@ -14,10 +14,10 @@ depths 1 to 4 (see hotpath._pure).  In W(3, 0, 4) the root's four
 children follow, then f1[0] and the hub f1[2], so each of the sixteen
 leaves is bounded by two host rows.  For gamma >= 1, f1[1] reaches the
 tree only through connectors, and only the root is pinned.  W(a) and its
-order are built once per (a, gamma, r) and shared by every search, so a
-Monte Carlo trial pays only for its host.  The connector check calls the
-kernel directly, with a candidate mask per path position (see
-check_connector_property).
+order are built once per (a, gamma, r) by witness_pattern and shared by
+every search of W(a), logic's included, so a Monte Carlo trial pays only
+for its host.  The connector check calls the kernel directly, with a
+candidate mask per path position (see check_connector_property).
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def _pattern_order(ws: witness.WitnessGraph) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _witness(a: int, gamma: int, r: int) -> tuple[witness.WitnessGraph, tuple[int, ...]]:
-    """W(a) with its search order, built once per (a, gamma, r)."""
+def witness_pattern(a: int, gamma: int, r: int) -> tuple[witness.WitnessGraph, tuple[int, ...]]:
+    """W(a) with the order every search of it takes, built once per
+    (a, gamma, r)."""
     ws = witness.build_W(a, gamma, r)
     return ws, tuple(_pattern_order(ws))
 
@@ -90,7 +91,7 @@ def find_induced_W(
     """
     if mode not in ("find", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    ws, order = _witness(a, gamma, r)
+    ws, order = witness_pattern(a, gamma, r)
     if ws.graph.n > g.n:
         return DetectionResult("none", a=a)
     kernel_mode = hotpath.MODE_FIND if mode == "find" else hotpath.MODE_COUNT
@@ -129,7 +130,7 @@ def find_dominating_induced_W(
     expansions = 0
     exceeded = False
     for a in range(a_hi, a_lo - 1, -1):
-        ws, order = _witness(a, gamma, r)
+        ws, order = witness_pattern(a, gamma, r)
         if ws.graph.n > g.n:
             continue
         kernel_mode = (

@@ -5,8 +5,9 @@ the bitset backtracking kernel in ``_pure``, the one kernel backend; the
 tests check it against ``graphs.induced_embeddings``.  ``BACKEND`` and
 ``backend=`` name that backend, so callers can record which one ran.
 The kernel has three callers: ``embed_search``, which serves detect's
-witness searches, logic's ``@isoW`` and witness's parity check; the
-stabilizer chain's pinned self-searches here; and
+witness searches (logic's ``@isoW`` among them), logic's collection of
+witness copies and witness's parity check; the stabilizer chain's
+pinned self-searches here; and
 ``detect.check_connector_property``, whose path searches give every
 position a candidate mask of its own.
 What a search needs of the pattern alone is built once and cached: the
@@ -241,7 +242,6 @@ def embed_search(
     order: Sequence[int] | None = None,
     budget: int = DEFAULT_BUDGET,
     backend: str | None = None,
-    raise_on_budget: bool = False,
     fixing: tuple[int, ...] | None = None,
 ) -> SearchResult:
     """Run the kernel on Graph inputs, preparing masks and search order.
@@ -307,6 +307,4 @@ def embed_search(
         )
         count *= automorphisms
         expansions += derived
-    if exceeded and raise_on_budget:
-        raise BudgetExceededError(f"search exceeded budget of {budget} expansions")
     return SearchResult(emb, count, expansions, exceeded, BACKEND)

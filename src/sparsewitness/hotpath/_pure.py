@@ -63,6 +63,8 @@ the last depth's conditions.  Without conditions the search tree is
 unchanged.
 """
 
+import functools
+
 MODE_FIND = 0
 MODE_COUNT = 1
 MODE_COLLECT = 2
@@ -70,22 +72,10 @@ MODE_FIND_DOMINATING = 3
 MODE_COUNT_DOMINATING = 4
 
 
-# (pattern rows, order, conditions, dominating) -> the search plan.
-_PLANS: dict = {}
-
-
-def _plan(pattern_masks, order, smaller, dominating):
-    """The host-independent part of the set-up, built once per key."""
-    key = (tuple(pattern_masks), tuple(order), smaller, dominating)
-    plan = _PLANS.get(key)
-    if plan is None:
-        if len(_PLANS) >= 256:
-            _PLANS.clear()
-        plan = _PLANS[key] = _build_plan(pattern_masks, order, smaller, dominating)
-    return plan
-
-
+@functools.lru_cache(maxsize=256)
 def _build_plan(pattern_masks, order, smaller, dominating):
+    """The host-independent part of the set-up, built once per (pattern
+    rows, order, conditions, dominating)."""
     n_p = len(order)
     # Per search depth d, the depths before d - 1 whose pattern vertices
     # are neighbors (touch) and non-neighbors (apart) of the one at d.
@@ -178,8 +168,8 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     full = (1 << n_h) - 1
     finding = mode in (MODE_FIND, MODE_FIND_DOMINATING)
     last = n_p - 1
-    touch, apart, lower, lower_parent, tails = _plan(pattern_masks, order, smaller,
-                                                     dominating)
+    touch, apart, lower, lower_parent, tails = _build_plan(
+        tuple(pattern_masks), tuple(order), smaller, dominating)
     # A vertex set dominates iff the union of its closed neighbourhoods
     # covers the host.
     closed = [row | (1 << v) for v, row in enumerate(host_masks)] if dominating else None

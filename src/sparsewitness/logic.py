@@ -31,9 +31,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from . import witness
+from . import detect, hotpath, witness
 from .graphs import BudgetExceededError, Graph, dominates, iter_mask, mask_of
-from . import hotpath
 
 
 class FormulaSyntaxError(ValueError):
@@ -115,15 +114,18 @@ class ExistsSet:
 
 class EvalContext:
     def __init__(self, g: Graph, budget: int, gamma: int, r: int):
+        if budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
         self.g = g
         self.gamma = gamma
         self.r = r
+        self.budget = budget
         self.remaining = budget
 
     def charge(self, amount: int = 1) -> None:
         self.remaining -= amount
         if self.remaining < 0:
-            raise BudgetExceededError("formula evaluation budget exhausted")
+            raise BudgetExceededError(f"evaluation exceeded budget of {self.budget}")
 
 
 def builtin_isoW(ctx: EvalContext, X: int) -> bool:
@@ -139,15 +141,11 @@ def builtin_isoW(ctx: EvalContext, X: int) -> bool:
             break
         a += 1
     sub = ctx.g.induced(list(iter_mask(X)))
-    pattern = witness.build_W(a, ctx.gamma, ctx.r)
-    if sub.m != pattern.graph.m:
+    if sub.m != witness.w_edge_count(a, ctx.gamma, ctx.r):
         return False
-    res = hotpath.embed_search(
-        pattern.graph, sub, mode=hotpath.MODE_FIND, budget=ctx.remaining,
-        raise_on_budget=True,
-    )
+    res = detect.find_induced_W(sub, a, ctx.gamma, ctx.r, budget=ctx.remaining)
     ctx.charge(res.expansions)
-    return res.count > 0
+    return bool(res)
 
 
 def builtin_even(ctx: EvalContext, X: int) -> bool:
@@ -389,13 +387,13 @@ def _witness_copies(ctx: EvalContext):
     """The vertex masks X on which @isoW(X) holds: the image sets of the
     induced W(a) copies in the host, for every a that fits, one per copy.
     Each a's search is charged to the budget before its copies are
-    yielded."""
+    yielded, and each search takes detect's order."""
     a = 1
     while witness.w_vertex_count(a, ctx.gamma, ctx.r) <= ctx.g.n:
-        pattern = witness.build_W(a, ctx.gamma, ctx.r)
+        ws, order = detect.witness_pattern(a, ctx.gamma, ctx.r)
         res = hotpath.embed_search(
-            pattern.graph, ctx.g, mode=hotpath.MODE_COLLECT, budget=ctx.remaining,
-            raise_on_budget=True, fixing=(),
+            ws.graph, ctx.g, mode=hotpath.MODE_COLLECT, order=order,
+            budget=ctx.remaining, fixing=(),
         )
         ctx.charge(res.expansions)
         for emb in res.embeddings:
@@ -415,7 +413,8 @@ def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4) -> 
     copy, are exactly the sets on which the guard holds, so the verdict is
     the exhaustive one.  The budget is charged each copy search's
     expansions and one unit per copy tried, so it runs out at other points
-    than the exhaustive enumeration's.
+    than the exhaustive enumeration's.  Running out raises
+    BudgetExceededError, and a negative budget ValueError.
     """
     ctx = EvalContext(g, budget, gamma, r)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_BUDGET, Graph, mask_of
+from .graphs import DEFAULT_BUDGET, BudgetExceededError, Graph, mask_of
 from . import hotpath
 
 ROLE_F1 = "F1"
@@ -398,16 +398,19 @@ def has_gamma_r_property(
     varies over copies, and it depends only on the copy's image set and
     the image of the F1 path end.  The kernel collects one embedding per
     such pair (hotpath.embed_search with fixing), so each is checked
-    once.  budget bounds each a's search, symmetry derivation included.
+    once, in the default search order.  budget bounds each a's search,
+    symmetry derivation included, and a search that needs more raises
+    BudgetExceededError.
     """
     a = 2
     while w_star_vertex_count(a, gamma, r) <= g.n:
         ws = build_W_star(a, gamma, r)
         va = ws.f1[-1]
         res = hotpath.embed_search(
-            ws.graph, g, mode=hotpath.MODE_COLLECT, budget=budget,
-            raise_on_budget=True, fixing=(va,),
+            ws.graph, g, mode=hotpath.MODE_COLLECT, budget=budget, fixing=(va,),
         )
+        if res.exceeded:
+            raise BudgetExceededError(f"search exceeded budget of {budget} expansions")
         for emb in res.embeddings:
             mask = mask_of(emb)
             target = 1 << emb[va]

@@ -65,7 +65,7 @@ def test_sample_and_detect_roundtrip(tmp_path, capsys):
                        "--gamma", "0", "--r", "4", "--a", "1", "--count")
     record = json.loads(out)
     assert record["outcome"] in ("found", "none", "budget_exceeded")
-    assert code == (0 if record["outcome"] == "found" else 1)
+    assert code == {"found": 0, "none": 1, "budget_exceeded": 3}[record["outcome"]]
     assert_elapsed_ms(record)
 
 
@@ -162,8 +162,6 @@ def test_bad_input_file_is_an_error_line(tmp_path, capsys, command, graph_text,
      "part 1 requires gamma > 9"),
     (("detect", "--graph", "{graph}", "--gamma", "0", "--r", "2"),
      "a plain search needs --a"),
-    (("evaluate", "--graph", "{graph}", "--formula", "{formula}", "--gamma", "0",
-      "--r", "2", "--budget", "1"), "search exceeded budget of 1 expansions"),
     (("detect", "--graph", "{graph}", "--gamma", "0", "--r", "2", "--a", "1",
       "--budget", "-1"), "budget must be nonnegative, got -1"),
     (("evaluate", "--graph", "{graph}", "--formula", "{formula}", "--gamma", "0",
@@ -171,7 +169,7 @@ def test_bad_input_file_is_an_error_line(tmp_path, capsys, command, graph_text,
 ], ids=["build-a-zero", "process-r-one", "process-negative-steps", "sample-negative-n",
         "sample-alpha-at-n-zero", "thresholds-n-zero", "thresholds-alpha-past-one",
         "thresholds-negative-gamma", "sequences-small-gamma", "detect-without-a",
-        "evaluate-budget", "detect-negative-budget", "evaluate-negative-budget"])
+        "detect-negative-budget", "evaluate-negative-budget"])
 def test_bad_value_is_an_error_line(tmp_path, capsys, argv, message):
     # Every subcommand: status 2, apart from a false verdict's 1.
     graph_file = tmp_path / "k23.edges"
@@ -184,6 +182,24 @@ def test_bad_value_is_an_error_line(tmp_path, capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith(f"sparsewitness {argv[0]}: error: ")
     assert message in err and "Traceback" not in err
+
+
+def test_search_out_of_budget_exits_3(tmp_path, capsys):
+    # No verdict is neither a true (0) nor a false (1) one, nor bad input
+    # (2).  detect still prints its record; evaluate prints an error line
+    # that names the budget it was given.
+    graph_file = tmp_path / "k23.edges"
+    formula_file = tmp_path / "phi.txt"
+    run(capsys, "build", "--family", "w", "--a", "2", "--gamma", "0",
+        "--r", "2", "--out", str(graph_file))
+    formula_file.write_text("EXSET X (@isoW(X) & @max(X))\n")
+    code, out, _ = run(capsys, "detect", "--graph", str(graph_file), "--gamma", "0",
+                       "--r", "2", "--a", "2", "--budget", "1")
+    assert code == 3 and json.loads(out)["outcome"] == "budget_exceeded"
+    code, out, err = run(capsys, "evaluate", "--graph", str(graph_file), "--formula",
+                         str(formula_file), "--gamma", "0", "--r", "2", "--budget", "1")
+    assert code == 3 and out == ""
+    assert err == "sparsewitness evaluate: error: evaluation exceeded budget of 1\n"
 
 
 @pytest.mark.parametrize("argv, fault", [

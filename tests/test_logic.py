@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sparsewitness import detect, gnp, logic
 from sparsewitness.graphs import BudgetExceededError, Graph
+from sparsewitness.hotpath import MODE_COLLECT, embed_search
 from sparsewitness.logic import (
     And,
     BindingError,
@@ -170,6 +171,9 @@ def test_budget_is_enforced():
     falsum = "EXSET X EXSET Y (@disjoint(X, Y) & ! @disjoint(X, Y))"
     with pytest.raises(BudgetExceededError):
         ev(g, falsum, budget=50)
+    # A negative budget is bad input, not a search that ran out.
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        ev(g, "EX x x = x", budget=-1)
 
 
 def test_evaluate_agrees_with_brute_force_domination():
@@ -289,6 +293,34 @@ def test_guarded_set_quantifier_runs_on_the_budget():
     assert not evaluate(g, phi, gamma=0, r=2)
     with pytest.raises(BudgetExceededError):
         evaluate(g, phi, gamma=0, r=2, budget=10)
+
+
+def test_budget_error_names_the_budget_given():
+    # The guarded search runs on what is left after the two vertex
+    # quantifiers' charges, but the error names the whole budget.
+    k23 = build_W(2, 0, 2).graph
+    phi = parse_formula("EX x EX y EXSET X (@isoW(X) & @max(X))")
+    with pytest.raises(BudgetExceededError) as info:
+        evaluate(k23, phi, gamma=0, r=2, budget=10)
+    assert str(info.value) == "evaluation exceeded budget of 10"
+
+
+def test_witness_copies_search_in_detect_order():
+    # Each a's collection takes the order detect searches W(a) in, so the
+    # charge is exactly the sum of those searches' expansions; the default
+    # order would spend 15,056 here.
+    g = gnp.sample_gnp(gnp.SamplerConfig(n=30, p=0.3, seed=1,
+                                         stream=gnp.derive_stream(1, 0)))
+    ctx = EvalContext(g, 10**9, 1, 4)
+    copies = list(logic._witness_copies(ctx))
+    expected = 0
+    for a in (1, 2):
+        ws, order = detect.witness_pattern(a, 1, 4)
+        expected += embed_search(ws.graph, g, mode=MODE_COLLECT, order=order,
+                                 fixing=()).expansions
+    assert w_vertex_count(3, 1, 4) > g.n
+    assert 10**9 - ctx.remaining == expected == 4821
+    assert len(copies) == len(set(copies)) == 653
 
 
 def _mc_grid_host(n, seed, trial):
