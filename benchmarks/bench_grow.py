@@ -6,6 +6,8 @@ grow-certify workload's time, with that workload's arguments:
 
 * ``witness.process_run`` for (gamma, r) in {(0, 2), (1, 2), (1, 3)} at
   250, 500 and 1000 steps;
+* ``witness.has_gamma_r_property`` at r = 2 on W*(1), W*(2) and the
+  process stage one step past W*(2), for gamma in {1, 2} (criterion 8);
 * ``analytics.sequence_part1(i, 0.3, 10)`` for i = 3..10 and
   ``sequence_part2(i, 0.6, 0.25, 4, 2)`` for i = 1..8;
 * ``sequence_part2(i, 0.6, 0.25, 4, 4)`` for i = 1..4, the r = 4 rows
@@ -44,6 +46,14 @@ def groups():
 
     process = [(witness.process_run, (g, r, steps), {})
                for g, r in ((0, 2), (1, 2), (1, 3)) for steps in (250, 500, 1000)]
+    parity = []
+    for gamma in (1, 2):
+        past = witness.process_init(gamma, 2)
+        while past.graph.n <= witness.w_star_vertex_count(2, gamma, 2):
+            past = witness.process_step(past)
+        parity += [(witness.has_gamma_r_property, (g, gamma, 2), {})
+                   for g in (witness.build_W_star(1, gamma, 2).graph,
+                             witness.build_W_star(2, gamma, 2).graph, past.graph)]
     part1 = [(analytics.sequence_part1, (i, 0.3, 10), {}) for i in range(3, 11)]
     part2 = [(analytics.sequence_part2, (i, 0.6, 0.25, 4, 2), {}) for i in range(1, 9)]
     part2_r4 = [(analytics.sequence_part2, (i, 0.6, 0.25, 4, 4), {}) for i in range(1, 5)]
@@ -52,6 +62,7 @@ def groups():
                for n in GRID]
     return [
         ("process_run", process, canon),
+        ("has_gamma_r_property", parity, canon),
         ("sequence_part1", part1, canon),
         ("sequence_part2", part2, canon),
         ("sequence_part2 r=4", part2_r4, canon),

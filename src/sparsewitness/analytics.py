@@ -613,17 +613,28 @@ def sequence_part1(i: int, alpha, gamma: int) -> Part1Row:
 # ---------------------------------------------------------------------------
 # Part-2 sequences
 
-def part2_check_params(alpha: Fraction, beta: Fraction, gamma: int, r: int) -> None:
-    if not 0 < alpha < 1:
+@functools.lru_cache(maxsize=256, typed=True)
+def _part2_setup(alpha, beta, gamma: int, r: int) -> tuple:
+    """The part-2 parameters checked, as ((alpha, beta, k_gamma) as
+    Fractions, the same three as floats).  An inadmissible tuple raises
+    ParameterError on every call, since the cache keeps no exceptions.
+    sequence_part2 and the part-2 window report both take their
+    parameters from here, so the checks and the Fraction arithmetic,
+    about half of a window report, run once per (alpha, beta, gamma, r).
+    alpha and beta are keyed with their types, as in _part1_setup."""
+    al, be = _as_fraction(alpha), _as_fraction(beta)
+    if not 0 < al < 1:
         raise ParameterError("alpha must lie in (0, 1)")
-    if not 0 < beta < min(alpha, Fraction(2, 3) * (1 - alpha)):
+    if not 0 < be < min(al, Fraction(2, 3) * (1 - al)):
         raise ParameterError("need 0 < beta < min(alpha, 2(1-alpha)/3)")
-    if _k_gamma_frac(gamma, alpha) <= 0:
+    k = _k_gamma_frac(gamma, al)
+    if k <= 0:
         raise ParameterError("k_gamma must be positive")
-    if (gamma + 1) * (1 - alpha) <= 3 * alpha:
+    if (gamma + 1) * (1 - al) <= 3 * al:
         raise ParameterError("need gamma + 1 > 3 alpha / (1 - alpha)")
     if r < 2:
         raise ParameterError("r must be >= 2")
+    return (al, be, k), (float(al), float(be), float(k))
 
 
 @dataclass(frozen=True)
@@ -700,16 +711,18 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int) -> Part2Row:
     only where the intervals do not separate; the growth certificate by
     _Comparer's rigorous window comparison.
 
+    The parameters are checked, and turned into Fractions and k_gamma,
+    once per (alpha, beta, gamma, r) by _part2_setup, which the part-2
+    window report shares.
+
     r <= alpha / beta yields rows whose growth certificate fails at every
     i: x^beta is about V(a), so the threshold grows like
     V(a)^(alpha/beta) ln V(a), while V(a+1) grows only like V(a)^r.
-    part2_check_params does not reject such r.
+    The parameter checks do not reject such r.
     """
     if i < 1:
         raise ParameterError("i must be >= 1")
-    alpha, beta = _as_fraction(alpha), _as_fraction(beta)
-    part2_check_params(alpha, beta, gamma, r)
-    k = _k_gamma_frac(gamma, alpha)
+    (alpha, beta, k), _ = _part2_setup(alpha, beta, gamma, r)
     a1, a2 = 2 * i, 2 * i + 1
     towers = {a: omega(omega(a, r), r) for a in (a1, a2, a2 + 1)}
     n_i = _part2_value(a1, gamma, r, beta, towers[a1])
@@ -772,7 +785,10 @@ def window_report(
     part1/gap: open window (c k f(n), k f(n) + epsilon) on s(a).
     part2: a admissible when V(a) <= n^beta; window_high reports the
     growth threshold k n^alpha ln n + 1.  It has one window, so
-    ``window`` is only checked to be a part-1 window name.
+    ``window`` is only checked to be a part-1 window name.  Each part's
+    set-up is built once per parameter tuple and kept across calls:
+    _part1_setup per (alpha, gamma), _part2_setup, shared with
+    sequence_part2, per (alpha, beta, gamma, r).
     """
     if window not in ("existence", "gap"):
         raise ValueError(f"unknown window {window!r}")
@@ -792,12 +808,9 @@ def window_report(
         )
     if mode != "part2":
         raise ValueError(f"unknown mode {mode!r}")
-    al = _as_fraction(alpha)
     if beta is None:
         raise ParameterError("part2 window report requires beta")
-    be = _as_fraction(beta)
-    part2_check_params(al, be, gamma, r)
-    k = _k_gamma_frac(gamma, al)
+    (_, be, _), (alpha_f, beta_f, k_f) = _part2_setup(alpha, beta, gamma, r)
     admissible = []
     a = 1
     while True:
@@ -807,15 +820,15 @@ def window_report(
             break
         admissible.append(a)
         a += 1
-    fn = f(n, float(al))
+    fn = f(n, alpha_f)
     try:
-        low = math.exp(float(be) * math.log(n))
+        low = math.exp(beta_f * math.log(n))
     except OverflowError:
         low = math.inf
     return ThresholdReport(
-        alpha=float(al), gamma=gamma, r=r, k_gamma=float(k), f_n=fn,
+        alpha=alpha_f, gamma=gamma, r=r, k_gamma=k_f, f_n=fn,
         window="part2",
         window_low=low,
-        window_high=float(k) * fn + 1.0 if math.isfinite(fn) else math.inf,
+        window_high=k_f * fn + 1.0 if math.isfinite(fn) else math.inf,
         admissible_a=tuple(admissible),
     )

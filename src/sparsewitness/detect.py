@@ -74,6 +74,14 @@ def witness_pattern(a: int, gamma: int, r: int) -> tuple[witness.WitnessGraph, t
     return ws, tuple(_pattern_order(ws))
 
 
+def _check_budget(budget: int) -> None:
+    """Reject a negative budget before any pattern is compared with the
+    host, so it is bad input even when every pattern asked for is larger
+    than the host and no search runs."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 def find_induced_W(
     g: Graph,
     a: int,
@@ -87,10 +95,12 @@ def find_induced_W(
     mode "find" stops at the first copy; "count" counts all labeled
     embeddings.  Both search one embedding per automorphism class where
     that prunes (see hotpath.embed_search), so the embedding "find"
-    reports is the first class representative in the search order.
+    reports is the first class representative in the search order.  A
+    negative budget raises ValueError, even when W(a) is larger than g.
     """
     if mode not in ("find", "count"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_budget(budget)
     ws, order = witness_pattern(a, gamma, r)
     if ws.graph.n > g.n:
         return DetectionResult("none", a=a)
@@ -118,13 +128,15 @@ def find_dominating_induced_W(
     a_range[0].  Domination is checked once per completed candidate, inside
     the kernel.  In "count" mode, counts dominating labeled embeddings
     summed over the range, as in find_induced_W; expansions is what those
-    searches spent.
+    searches spent.  A negative budget raises ValueError, even when every
+    W(a) in the range is larger than g.
     """
     if mode not in ("find", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     a_lo, a_hi = a_range
     if a_lo < 1 or a_hi < a_lo:
         raise ValueError(f"bad a_range {a_range}")
+    _check_budget(budget)
     remaining = budget
     total = 0
     expansions = 0
@@ -235,8 +247,7 @@ def check_connector_property(
     """
     if gamma < 1:
         raise ValueError("connector property needs gamma >= 1")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     vs = sorted(set(vertices))
     vmask = mask_of(vs, g.n)
     bits = g.bits

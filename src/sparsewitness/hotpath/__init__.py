@@ -20,7 +20,10 @@ One rule orders every search, ``search_order``: pinned vertices first,
 then each time the vertex with the most placed neighbours.  It is the
 default order of ``embed_search`` and ``stabilizer_chain``, the order of
 the chain's self-searches (pinned to the base prefix), and the order of
-``detect``'s witness searches (pinned to the rarest vertices).
+``detect``'s witness searches (pinned to the rarest vertices).  Every
+witness search in the package passes its order, cached with its
+pattern: ``detect.witness_pattern`` for W(a), and for W*(a) the parity
+check's pattern cache, whose order has nothing pinned.
 
 Every mode but labeled collection searches each automorphism class of
 embeddings once when that prunes the tree.  ``stabilizer_chain`` derives

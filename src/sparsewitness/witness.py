@@ -35,10 +35,16 @@ function of the current vertex count alone:
 Tree vertices are numbered breadth-first, so vertex k > 0 of a tree hangs
 off vertex (k - 1) // r; a path is the same rule with r = 1.  New process
 leaves follow that rule too, which reproduces the perfect-tree numbering.
+
+The parity check has_gamma_r_property searches each W*(a) in
+hotpath.search_order with nothing pinned; W*(a) and that order are built
+once per (a, gamma, r) and cached, as detect.witness_pattern does for
+W(a).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import DEFAULT_BUDGET, BudgetExceededError, Graph, mask_of
@@ -386,6 +392,14 @@ class PropertyWitness:
         return self.holds
 
 
+@functools.lru_cache(maxsize=64)
+def _star_pattern(a: int, gamma: int, r: int) -> tuple[WitnessGraph, tuple[int, ...]]:
+    """W*(a) with the order the parity check searches it in, built once
+    per (a, gamma, r)."""
+    ws = build_W_star(a, gamma, r)
+    return ws, tuple(hotpath.search_order(ws.graph))
+
+
 def has_gamma_r_property(
     g: Graph, gamma: int, r: int, budget: int = DEFAULT_BUDGET
 ) -> PropertyWitness:
@@ -398,16 +412,18 @@ def has_gamma_r_property(
     varies over copies, and it depends only on the copy's image set and
     the image of the F1 path end.  The kernel collects one embedding per
     such pair (hotpath.embed_search with fixing), so each is checked
-    once, in the default search order.  budget bounds each a's search,
-    symmetry derivation included, and a search that needs more raises
-    BudgetExceededError.
+    once, in hotpath.search_order of W*(a) with nothing pinned.  W*(a)
+    and that order are built once per (a, gamma, r) by _star_pattern.
+    budget bounds each a's search, symmetry derivation included, and a
+    search that needs more raises BudgetExceededError.
     """
     a = 2
     while w_star_vertex_count(a, gamma, r) <= g.n:
-        ws = build_W_star(a, gamma, r)
+        ws, order = _star_pattern(a, gamma, r)
         va = ws.f1[-1]
         res = hotpath.embed_search(
-            ws.graph, g, mode=hotpath.MODE_COLLECT, budget=budget, fixing=(va,),
+            ws.graph, g, mode=hotpath.MODE_COLLECT, order=order, budget=budget,
+            fixing=(va,),
         )
         if res.exceeded:
             raise BudgetExceededError(f"search exceeded budget of {budget} expansions")

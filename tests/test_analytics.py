@@ -693,6 +693,46 @@ def test_part1_constants_of_equal_arguments_of_two_types_stay_apart():
     assert sequence_part1(3, Fraction(0.3), 10).constants.alpha == Fraction(0.3)
 
 
+def test_part2_setup_of_equal_arguments_of_two_types_stay_apart():
+    # The part-2 twin of the test above.  At gamma = 5, k_gamma of 3/5 and
+    # of the binary Fraction(0.6) differ in the last bit of the float the
+    # window report prints, so a cache keyed on values alone would show it.
+    alphas = (0.6, Fraction(0.6))
+
+    def calls(alpha):
+        return (window_report(10**6, alpha, 5, r=2, mode="part2", beta=0.25),
+                sequence_part2(2, alpha, 0.25, 5, 2))
+
+    cold = []  # not a dict: the two alphas are equal keys
+    for alpha in alphas:
+        analytics._part2_setup.cache_clear()
+        cold.append(calls(alpha))
+    assert cold[0][0].k_gamma != cold[1][0].k_gamma
+    analytics._part2_setup.cache_clear()
+    for _ in range(2):
+        for alpha, want in zip(alphas, cold):
+            assert calls(alpha) == want, repr(alpha)
+
+
+def test_part2_setup_rejects_a_tuple_on_every_call():
+    # The cache keeps no exceptions, so a rejected tuple is checked anew on
+    # every call, also after an admissible tuple of equal alpha is cached.
+    analytics._part2_setup.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="beta"):
+            window_report(10**6, 0.6, 4, r=2, mode="part2", beta=0.5)
+        with pytest.raises(ParameterError, match="beta"):
+            sequence_part2(1, 0.6, 0.5, 4, 2)
+    assert analytics._part2_setup.cache_info().currsize == 0
+    sequence_part2(1, 0.6, 0.25, 4, 2)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="beta"):
+            sequence_part2(1, 0.6, 0.5, 4, 2)
+        with pytest.raises(ParameterError, match="gamma"):
+            window_report(10**6, 0.6, 1, r=2, mode="part2", beta=0.25)
+    assert analytics._part2_setup.cache_info().currsize == 1
+
+
 def test_window_report_part2():
     report = window_report(10**6, 0.6, 4, r=4, mode="part2",
                            window="existence", beta=0.25)

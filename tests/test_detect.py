@@ -34,6 +34,22 @@ def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def test_find_induced_W_rejects_a_negative_budget_before_the_size_check():
+    # W(3, 0, 2) has 24 vertices, more than K_{2,3}: no search runs, yet a
+    # negative budget is still bad input, not a search that found nothing.
+    k23 = build_W(2, 0, 2).graph
+    assert find_induced_W(k23, 3, 0, 2, budget=0).outcome == "none"
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        find_induced_W(k23, 3, 0, 2, budget=-1)
+
+
+def test_find_dominating_induced_W_rejects_a_negative_budget_before_the_size_check():
+    k23 = build_W(2, 0, 2).graph
+    assert find_dominating_induced_W(k23, 0, 2, (3, 3), budget=0).outcome == "none"
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        find_dominating_induced_W(k23, 0, 2, (3, 3), budget=-1)
+
+
 def test_find_induced_W_examples():
     # No induced edge-with-nonedge structure (W at a=2, gamma=0, r=4 has 7
     # vertices) fits in K_5; an isolated-vertex graph has no copies at all.

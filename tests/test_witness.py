@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsewitness import hotpath, witness
 from sparsewitness.graphs import (
     automorphism_count,
     induced_embeddings,
@@ -288,6 +289,27 @@ def test_property_at_r3_holds_on_the_completed_stage_only(gamma):
                 for steps in (start - 1, start, start + 1)]
     assert verdicts == [False, True, False]
     assert has_gamma_r_property(build_W_star(2, gamma, 3).graph, gamma, 3, budget=10**6)
+
+
+@pytest.mark.parametrize("a, gamma, r", [(2, 0, 3), (2, 1, 2), (2, 2, 2)])
+def test_property_searches_the_cached_pattern_in_search_order(monkeypatch, a, gamma, r):
+    # W*(a) and its order are built once per (a, gamma, r); the order is
+    # search_order with nothing pinned, the one the chain-cost pins at
+    # r = 3 were taken in, and the verdict is the one a cold cache gives.
+    g = build_W_star(a, gamma, r).graph
+    witness._star_pattern.cache_clear()
+    cold = has_gamma_r_property(g, gamma, r, budget=10**6)
+    orders = []
+    real_search = hotpath.embed_search
+
+    def recording_search(pattern, host, **kwargs):
+        orders.append(kwargs["order"])
+        return real_search(pattern, host, **kwargs)
+
+    monkeypatch.setattr(hotpath, "embed_search", recording_search)
+    assert has_gamma_r_property(g, gamma, r, budget=10**6) == cold
+    assert cold and cold.a == a
+    assert orders == [tuple(hotpath.search_order(g))]
 
 
 def _labeled_keys(g, gamma, r, a):
