@@ -11,9 +11,9 @@ Times, per call, these groups of ``detect`` calls:
 * controls, ``find_dominating_induced_W`` in find and in count mode for
   W(2, 1, 4), W(2, 2, 4) and W(3, 0, 4) on the first n = 40 grid host,
   G(40, 0.3) and G(30, 0.4) at seed 5.  No depth of the first two
-  search orders has an interchangeable tail, so the kernel's domination
-  look-ahead never runs there; W(3, 0, 4)'s has one only at depths 19
-  to 21, where its last four leaves are twins;
+  search orders looks ahead, so the kernel's domination look-ahead
+  never runs there; in W(3, 0, 4)'s only depths 19 to 21 do, where its
+  last four leaves are twins;
 * W(3, 0, 4) in count-dominating mode on two grid hosts at n = 60, where
   its search is expensive.  The pins of W(a >= 2, gamma = 0) change
   W(3, 0, 4)'s tree, and this group and the W(3, 0, 4) controls show it
@@ -21,14 +21,15 @@ Times, per call, these groups of ``detect`` calls:
 
 A round is one fresh interpreter that runs every group once to warm up,
 then five passes, and reports each group's median pass as microseconds
-per call, with a sha256 over the outcome and count of every call.  The
-embedding a find search returns is left out: it depends on the search
-order.
+per call, with a sha256 over the outcome, count and expansions of every
+call.  The embedding a find search returns is left out: it depends on
+the search order.
 
 With --before SRC the rounds alternate between the package under SRC
 (a ``src`` directory, say of a clone of an earlier commit) and the one
 beside this script, so both are timed by the same code on the same
-machine.  The script aborts if the two trees return different outcomes.
+machine.  The script aborts if the two trees return different outcomes
+or spend different expansions, so any change to a search tree shows.
 
 --json PATH also writes every round, the medians, the kernel backend and
 os.cpu_count() as one JSON record.
@@ -87,7 +88,7 @@ def groups():
 
 
 def verdict(res):
-    return res.outcome, res.a, res.count
+    return res.outcome, res.a, res.count, res.expansions
 
 
 def child():

@@ -33,6 +33,7 @@ from .graphs import (
     DEFAULT_BUDGET,
     Embedding,
     Graph,
+    check_budget,
     mask_of,
 )
 
@@ -74,14 +75,6 @@ def witness_pattern(a: int, gamma: int, r: int) -> tuple[witness.WitnessGraph, t
     return ws, tuple(_pattern_order(ws))
 
 
-def _check_budget(budget: int) -> None:
-    """Reject a negative budget before any pattern is compared with the
-    host, so it is bad input even when every pattern asked for is larger
-    than the host and no search runs."""
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-
-
 def find_induced_W(
     g: Graph,
     a: int,
@@ -100,7 +93,7 @@ def find_induced_W(
     """
     if mode not in ("find", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_budget(budget)
+    check_budget(budget)
     ws, order = witness_pattern(a, gamma, r)
     if ws.graph.n > g.n:
         return DetectionResult("none", a=a)
@@ -136,7 +129,7 @@ def find_dominating_induced_W(
     a_lo, a_hi = a_range
     if a_lo < 1 or a_hi < a_lo:
         raise ValueError(f"bad a_range {a_range}")
-    _check_budget(budget)
+    check_budget(budget)
     remaining = budget
     total = 0
     expansions = 0
@@ -247,7 +240,7 @@ def check_connector_property(
     """
     if gamma < 1:
         raise ValueError("connector property needs gamma >= 1")
-    _check_budget(budget)
+    check_budget(budget)
     vs = sorted(set(vertices))
     vmask = mask_of(vs, g.n)
     bits = g.bits

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import analytics, detect, gnp
+from .graphs import check_budget
 
 CSV_COLUMNS = [
     "n", "alpha", "p", "gamma", "r", "a_min", "a_max", "trials",
@@ -67,8 +68,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.budget < 0:
-            raise ValueError(f"budget must be nonnegative, got {self.budget}")
+        check_budget(self.budget)
         if self.a_min < 1 or self.a_max < self.a_min:
             raise ValueError(f"bad a range: a_min={self.a_min}, a_max={self.a_max}")
 

@@ -30,6 +30,14 @@ class BudgetExceededError(RuntimeError):
     """A search ran out of its node-expansion budget before finishing."""
 
 
+def check_budget(budget: int) -> None:
+    """Raise ValueError for a negative search budget.  Every search entry
+    checks before it compares any pattern with the host, so a negative
+    budget is bad input even where no search would run."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 class Graph:
     """Immutable simple undirected graph stored as adjacency bitmask rows."""
 
@@ -179,8 +187,7 @@ def induced_embeddings(
     Raises BudgetExceededError once more than `budget` candidate vertices
     have been tried, and ValueError for a negative budget.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    check_budget(budget)
     np_, nh = pattern.n, host.n
     if np_ > nh:
         return []

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph
+from ..graphs import BudgetExceededError, DEFAULT_BUDGET, Embedding, Graph, check_budget
 from . import _pure
 
 MODE_FIND = _pure.MODE_FIND
@@ -276,8 +276,7 @@ def embed_search(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    check_budget(budget)
     if backend not in (None, *available_backends()):
         raise ValueError(
             f"unknown backend {backend!r}; available: {', '.join(available_backends())}"

@@ -16,43 +16,37 @@ node is kept small:
   closed-neighbourhood cover of the path replaces the per-leaf domination
   scan;
 * the dominating modes look ahead (Haralick and Elliott's forward
-  checking, applied to domination) at the depths k with an
-  interchangeable tail: every depth d from k + 2 on has the pattern
-  adjacency of depth k + 1 to the depths up to k and a base mask within
-  depth k + 1's.  A child there has no dominating leaf, and is skipped,
-  when its open images (the host vertices depths k + 1 to the last can
-  still take) number fewer than last - k, or leave some host vertex
-  outside the path's cover without a closed neighbour.  If every such d
-  also has every condition of depth k + 1 among its own, directly or
-  through a chain (so img(d) > img(j) whenever depth k + 1 needs
-  img(k + 1) > img(j)), the open images are the child's mask for depth
-  k + 1.  Otherwise a depth d may take an image that the conditions cut
-  from that mask, and the count bound on it would skip dominating
-  leaves; the open images are then the child's mask before the
-  conditions of depth k + 1 cut it, the mask a labeled search has there.
-  In K_{2,5} searched hubs first this covers depths 1 to 4;
-* when the tail's depths are also pairwise non-adjacent in the pattern,
-  as K_{2,5}'s leaves are, their images are an independent set of the
-  host inside the open images, and the count bound becomes an
-  independence bound (the clique-cover bound of colouring-based clique
-  search; Tomita and Seki, DMTCS 2003).  A greedy matching pairs the
-  lowest unmatched open image with its lowest unmatched neighbour among
-  them.  With c open images, t disjoint edges and the c - 2t images left
-  over cover the open images by c - t cliques, and an independent set
-  meets each clique at most once; so a child whose matching reaches
-  c - (last - k) + 1 edges is skipped.  A superset of the open images
-  has at least their independence number, so the bound holds on the
-  wide mask too.
+  checking, applied to domination) at each depth k with an
+  interchangeable tail: the depths k + 1 to the last are one class of
+  twins, whose pattern vertices share one row that holds only vertices
+  placed at depths up to k (so they are pairwise non-adjacent), and
+  every condition of depth k + 1 binds each of them too, directly or
+  through a chain (img(d) > img(j) whenever depth k + 1 needs
+  img(k + 1) > img(j)).  Twins have one degree, so one base mask,
+  and the images of the tail are then an independent set of the host
+  inside the child's mask for depth k + 1.  A child there has no
+  dominating leaf, and is skipped, when that mask has no independent set
+  of last - k vertices or leaves some host vertex outside the path's
+  cover without a closed neighbour in it.  The independence bound is the
+  clique-cover bound of colouring-based clique search (Tomita and Seki,
+  DMTCS 2003): a greedy matching pairs the lowest unmatched vertex of
+  the mask with its lowest unmatched neighbour there.  With c vertices,
+  t disjoint edges and the c - 2t vertices left over cover the mask by
+  c - t cliques, and an independent set meets each clique at most once;
+  so a child with fewer than last - k vertices, or whose matching
+  reaches c - (last - k) + 1 edges, is skipped.  In K_{2,5} searched
+  hubs first this covers depths 1 to 4, and in W(3, 0, 4) in detect's
+  order depths 19 to 21; the witness searches meet no other shape of
+  tail, so no other is looked for.
 
-The look-ahead depends on the order, the conditions and the base masks
+The look-ahead depends on the order, the conditions and the pattern
 alone.  A skipped child is still charged its one expansion, so a
 dominating search tree is a subtree of the MODE_COUNT tree for the same
 order and conditions, and in MODE_COUNT_DOMINATING that whole tree when
-no depth has an interchangeable tail.  The host-independent part of the
-set-up (the per-depth pattern adjacency, the conditions and the tails)
-is the search plan, built once per pattern, order, conditions and
-whether the mode dominates; per host only the base-mask test of each
-tail and the closed neighbourhoods remain.
+no depth looks ahead.  The host-independent set-up (the per-depth
+pattern adjacency, the conditions and the look-ahead depths) is the
+search plan, built once per pattern, order, conditions and whether the
+mode dominates; per host only the closed neighbourhoods remain.
 
 Optional symmetry-breaking conditions (``smaller``) name, per depth, the
 earlier depths whose image must be the smaller host vertex.  Each is one
@@ -99,14 +93,9 @@ def _build_plan(pattern_masks, order, smaller, dominating):
         for d, js in enumerate(smaller):
             lower[d] = tuple(j for j in js if j < d - 1)
             lower_parent[d] = d - 1 in js
-    # The depths k whose later depths share depth k + 1's adjacency to the
-    # depths up to k, each as (k, pattern vertex at k + 1, the pattern
-    # vertices after it, wide, independent); a host whose base masks nest
-    # makes them interchangeable tails (see the module docstring).  Every
-    # later image lies in the child mask, or, when wide, in the child mask
-    # before the conditions of depth k + 1 cut it.  independent: the
-    # tail's pattern vertices are pairwise non-adjacent.
-    tails = []
+    # ahead[k]: last - k at the depths k that look ahead (see the module
+    # docstring), else 0.
+    ahead = [0] * n_p
     if dominating:
         # below[d]: the depths whose image smaller keeps below the image
         # at depth d, directly or through a chain of conditions.
@@ -119,17 +108,12 @@ def _build_plan(pattern_masks, order, smaller, dominating):
         placed_mask = 0
         for k in range(n_p - 2):
             placed_mask |= 1 << order[k]
-            first = order[k + 1]
-            adjacency = pattern_masks[first] & placed_mask
-            later = tuple(order[k + 2:])
-            if all(pattern_masks[v] & placed_mask == adjacency for v in later):
-                tail_mask = (1 << first) | sum(1 << v for v in later)
-                tails.append((
-                    k, first, later,
-                    not all(below[k + 1] <= below[d] for d in range(k + 2, n_p)),
-                    not any(pattern_masks[v] & tail_mask for v in (first, *later)),
-                ))
-    return touch, apart, lower, lower_parent, tails
+            row = pattern_masks[order[k + 1]]
+            if (not row & ~placed_mask
+                    and all(pattern_masks[order[d]] == row and below[k + 1] <= below[d]
+                            for d in range(k + 2, n_p))):
+                ahead[k] = n_p - 1 - k
+    return touch, apart, lower, lower_parent, ahead
 
 
 def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=None):
@@ -139,7 +123,8 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     host_masks: host adjacency rows as bitmasks over host vertices (a
     simple graph: no row contains its own vertex).
     order: permutation of pattern vertices giving the assignment order.
-    base_masks: per pattern vertex, bitmask of allowed host images.
+    base_masks: per pattern vertex, bitmask of allowed host images; the
+    dominating modes need one mask per pattern row, as degree masks give.
     smaller: None, or a tuple holding per search depth a tuple of earlier
     depths whose image must be smaller than the image at that depth (it
     keys the plan cache, so it must be hashable).  With conditions
@@ -168,27 +153,11 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     full = (1 << n_h) - 1
     finding = mode in (MODE_FIND, MODE_FIND_DOMINATING)
     last = n_p - 1
-    touch, apart, lower, lower_parent, tails = _build_plan(
+    touch, apart, lower, lower_parent, ahead = _build_plan(
         tuple(pattern_masks), tuple(order), smaller, dominating)
     # A vertex set dominates iff the union of its closed neighbourhoods
     # covers the host.
     closed = [row | (1 << v) for v, row in enumerate(host_masks)] if dominating else None
-    # Per depth k, 0, or at a depth with an interchangeable tail last - k:
-    # a child with fewer open images is skipped.  independent[k]: that
-    # tail's depths are pairwise non-adjacent, so the independence bound
-    # applies too.
-    ahead = [0] * n_p
-    wide = [False] * n_p
-    independent = [False] * n_p
-    for k, first, later, w, i in tails:
-        later_masks = 0
-        for v in later:
-            later_masks |= base_masks[v]
-        if not later_masks & ~base_masks[first]:
-            ahead[k] = last - k
-            wide[k] = w
-            independent[k] = i
-
     assign = [0] * n_p
     rows = [0] * n_p  # host adjacency row of each assigned image
     embeddings = []
@@ -285,7 +254,6 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
         pre = base_masks[order[nxt]] & ~pre
         for j in touch[nxt]:
             pre &= rows[j]
-        open_pre = pre if wide[k] else 0
         for j in lower[nxt]:
             pre &= -(2 << assign[j])
         if not pre:
@@ -299,7 +267,6 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
         adjacent = pattern_masks[order[nxt]] >> order[k] & 1
         bounded = lower_parent[nxt]
         need = ahead[k]
-        independent_tail = independent[k]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -315,17 +282,13 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             if not child:
                 continue
             if need:
-                if open_pre:
-                    images = open_pre & row if adjacent else open_pre & ~(row | low)
-                else:
-                    images = child
-                c = images.bit_count()
+                c = child.bit_count()
                 # c - need + 1 disjoint edges leave no independent set of
-                # need open images.
-                if c < need or independent_tail and matching(images, c - need + 1):
+                # need images.
+                if c < need or matching(child, c - need + 1):
                     continue
                 child_cover = cover | closed[v]
-                if uncovered(c, images, child_cover):
+                if uncovered(c, child, child_cover):
                     continue
             elif dominating:
                 child_cover = cover | closed[v]

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 
 from . import detect, hotpath, witness
-from .graphs import BudgetExceededError, Graph, dominates, iter_mask, mask_of
+from .graphs import BudgetExceededError, Graph, check_budget, dominates, iter_mask, mask_of
 
 
 class FormulaSyntaxError(ValueError):
@@ -114,8 +114,7 @@ class ExistsSet:
 
 class EvalContext:
     def __init__(self, g: Graph, budget: int, gamma: int, r: int):
-        if budget < 0:
-            raise ValueError(f"budget must be nonnegative, got {budget}")
+        check_budget(budget)
         self.g = g
         self.gamma = gamma
         self.r = r

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cycle, path, random_graph
 from sparsewitness.detect import (
     _pattern_order,
     check_connector_property,
@@ -19,19 +20,6 @@ from sparsewitness.detect import (
 )
 from sparsewitness.graphs import BudgetExceededError, Graph, induced_embeddings, is_dominating
 from sparsewitness.witness import build_W, build_W_star
-
-
-def random_graph(n, p, rnd):
-    edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < p]
-    return Graph(n, edges)
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_find_induced_W_rejects_a_negative_budget_before_the_size_check():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import complete, cycle, path
 from sparsewitness.graphs import (
     BudgetExceededError,
     Graph,
@@ -18,18 +19,6 @@ from sparsewitness.graphs import (
     read_edge_list,
     write_edge_list,
 )
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return Graph(n, itertools.combinations(range(n), 2))
 
 
 def test_construction_and_degrees():

@@ -10,10 +10,12 @@ collection with ``fixing`` are checked against the oracle grouped by
 class key.  The dominating modes' look-ahead, the interchangeable-tail
 rule, is checked against the oracle on seeded witness hosts and on drawn
 patterns that end in twins.  Its tree is checked against the count
-mode's: a subtree of it, and the whole tree in every order without an
-interchangeable tail.  ``search_order``, the one order rule, is checked
-on drawn graphs and pins.  Tests that take ``backend`` run on each name
-``available_backends()`` lists.
+mode's: a subtree of it, and the whole tree in every order where no
+depth looks ahead.  The depths that look ahead are decided by the
+pattern, order and conditions alone; they are pinned for the witness
+searches, and a tail of adjacent twins gets none.  ``search_order``, the
+one order rule, is checked on drawn graphs and pins.  Tests that take
+``backend`` run on each name ``available_backends()`` lists.
 """
 
 import collections
@@ -24,7 +26,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsewitness import detect, gnp
+from conftest import complete, connected, cycle, mc_grid_host, random_graph
+from sparsewitness import detect
 from sparsewitness.gnp import SamplerConfig, sample_gnp
 from sparsewitness.graphs import (
     BudgetExceededError,
@@ -51,11 +54,6 @@ from sparsewitness.witness import build_W, build_W_star
 
 BACKENDS = available_backends()
 MODES = [MODE_FIND, MODE_COUNT, MODE_COLLECT, MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING]
-
-
-def random_graph(n, p, rnd):
-    edges = [e for e in itertools.combinations(range(n), 2) if rnd.random() < p]
-    return Graph(n, edges)
 
 
 def test_active_backend_is_listed():
@@ -174,18 +172,6 @@ def test_search_order_breaks_ties_by_degree_then_index():
     ]
 
 
-def _connected(g):
-    seen = reach = 1 if g.n else 0
-    while reach:
-        seen |= reach
-        reach = 0
-        for v in range(g.n):
-            if seen >> v & 1:
-                reach |= g.bits[v]
-        reach &= ~seen
-    return seen == (1 << g.n) - 1
-
-
 @st.composite
 def order_instances(draw):
     n = draw(st.integers(0, 9))
@@ -208,7 +194,7 @@ def test_search_order_places_the_pins_then_the_most_bounded_vertex(instance):
         placed = sum(1 << v for v in order[:d])
         bound = [(pattern.bits[v] & placed).bit_count() for v in order]
         assert bound[d] == max(bound[d:])
-        if d and _connected(pattern):
+        if d and connected(pattern):
             assert bound[d] > 0
 
 
@@ -322,12 +308,6 @@ def _assert_pinned(search, pattern, host, mode, order, count, expansions, before
             count, expansions, budget < expansions)
 
 
-def _mc_grid_host(n, seed, trial):
-    return sample_gnp(SamplerConfig(
-        n=n, p=n ** -0.3, seed=seed, stream=gnp.derive_stream(seed, trial)
-    ))
-
-
 # ``backend`` names the kernel in ``_pure``, the one backend.
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("a, gamma, r, n, p, mode, order, count, expansions, before",
@@ -343,7 +323,7 @@ def test_pinned_counters_bench_kernel_hosts(backend, a, gamma, r, n, p, mode, or
 @pytest.mark.parametrize("n, seed, trial, count, expansions, before", PINNED_MC_GRID)
 def test_pinned_counters_mc_grid_hosts(backend, n, seed, trial, count, expansions, before):
     ws = build_W(2, 0, 4)
-    _assert_pinned(_kernel, ws.graph, _mc_grid_host(n, seed, trial),
+    _assert_pinned(_kernel, ws.graph, mc_grid_host(n, seed, trial),
                    MODE_COUNT_DOMINATING, W2_ROOT_BFS, count, expansions, before)
 
 
@@ -361,7 +341,7 @@ def test_pinned_count_mode_counters_bench_kernel_hosts(a, gamma, r, n, p, mode, 
 def test_pinned_symmetry_broken_counters_mc_grid_hosts(n, seed, trial, count,
                                                        expansions, before):
     ws = build_W(2, 0, 4)
-    _assert_pinned(_embed, ws.graph, _mc_grid_host(n, seed, trial),
+    _assert_pinned(_embed, ws.graph, mc_grid_host(n, seed, trial),
                    MODE_COUNT_DOMINATING, W2_ROOT_BFS, count, expansions, before)
 
 
@@ -370,7 +350,7 @@ def test_pinned_symmetry_broken_counters_mc_grid_hosts(n, seed, trial, count,
 def test_pinned_counters_mc_grid_hosts_in_detect_order(n, seed, trial, count,
                                                        expansions, before):
     ws = build_W(2, 0, 4)
-    _assert_pinned(_embed, ws.graph, _mc_grid_host(n, seed, trial),
+    _assert_pinned(_embed, ws.graph, mc_grid_host(n, seed, trial),
                    MODE_COUNT_DOMINATING, detect._pattern_order(ws), count, expansions,
                    before)
 
@@ -381,7 +361,7 @@ def test_derivation_over_budget_is_reported_not_raised():
     # not the chain is cached.  The reversed order is used nowhere else, so
     # the first call here derives it.
     ws = build_W(2, 0, 4)
-    host = _mc_grid_host(25, 7, 1)
+    host = mc_grid_host(25, 7, 1)
     order = list(range(ws.graph.n))[::-1]
     for budget in (0, 40, 76, 10**9, 76):
         for mode in (MODE_COUNT, MODE_COUNT_DOMINATING):
@@ -405,7 +385,7 @@ def test_negative_budget_is_rejected_at_the_kernel_entry():
     # line report a negative budget as bad input, never as a search that
     # ran out of budget.  A budget of 0 is still a search.
     ws = build_W(2, 0, 4)
-    host = _mc_grid_host(25, 7, 1)
+    host = mc_grid_host(25, 7, 1)
     for mode in MODES:
         with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
             embed_search(ws.graph, host, mode=mode, budget=-1)
@@ -437,9 +417,9 @@ def _planted_host(pattern, n, p, seed):
 # grid's trial hosts at n = 15, 25 and 40, a G(22, 0.4) with 720
 # dominating K_{2,5} embeddings, and a planted host.
 LOOKAHEAD_HOSTS = {
-    "mc15": lambda pattern: _mc_grid_host(15, 7, 0),
-    "mc25": lambda pattern: _mc_grid_host(25, 7, 1),
-    "mc40": lambda pattern: _mc_grid_host(40, 7, 0),
+    "mc15": lambda pattern: mc_grid_host(15, 7, 0),
+    "mc25": lambda pattern: mc_grid_host(25, 7, 1),
+    "mc40": lambda pattern: mc_grid_host(40, 7, 0),
     "gnp22": lambda pattern: sample_gnp(SamplerConfig(n=22, p=0.4, seed=1)),
     "planted20": lambda pattern: _planted_host(pattern, 20, 0.5, 20),
 }
@@ -542,7 +522,7 @@ def twin_tail_instances(draw):
           Graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]),
           [0, 1, 2, 3]), MODE_COUNT_DOMINATING)
 # The triangle: its two tail vertices are adjacent twins, so their images
-# are an edge, and the independence bound must not apply to them.
+# are an edge, and no depth looks ahead.
 @example((Graph(3, [(0, 1), (0, 2), (1, 2)]), Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
           [0, 1, 2]), MODE_COUNT_DOMINATING)
 def test_interchangeable_tail_matches_oracle(instance, mode):
@@ -563,6 +543,43 @@ def test_interchangeable_tail_matches_oracle(instance, mode):
                 assert res[1:] == (budget + 1, True) and res[0] <= expected
     found = embed_search(pattern, host, mode=mode, order=order).embeddings
     assert set(found) <= set(oracle)
+
+
+# The depths that look ahead in the witness searches, the only dominating
+# searches the package runs: in detect's order and in the default one,
+# labeled and with the stabilizer chain's conditions.  Depth k looks
+# ahead at the last - k depths after it.
+@pytest.mark.parametrize("a, gamma, r, in_detect_order, in_default_order", [
+    pytest.param(2, 0, 4, [1, 2, 3, 4], [2, 3, 4], id="K25"),
+    pytest.param(2, 0, 3, [1, 2, 3], [2, 3], id="W2g0r3"),
+    pytest.param(3, 0, 4, [19, 20, 21], [19, 20, 21], id="W3g0r4"),
+    pytest.param(2, 1, 4, [], [], id="W2g1r4"),
+    pytest.param(2, 2, 4, [], [], id="W2g2r4"),
+])
+def test_lookahead_depths_of_the_witness_searches(a, gamma, r, in_detect_order,
+                                                  in_default_order):
+    ws, detect_order = detect.witness_pattern(a, gamma, r)
+    pattern = ws.graph
+    last = pattern.n - 1
+    for order, depths in ((detect_order, in_detect_order),
+                          (tuple(search_order(pattern)), in_default_order)):
+        smaller = stabilizer_chain(pattern, list(order))[0]
+        for conditions in (None, smaller):
+            ahead = _pure._build_plan(tuple(pattern.bits), order, conditions, True)[4]
+            assert {k: need for k, need in enumerate(ahead) if need} == {
+                k: last - k for k in depths}
+
+
+def test_adjacent_twins_get_no_lookahead():
+    # The triangle searched in order [0, 1, 2]: depths 1 and 2 are twins,
+    # but adjacent, so depth 0 does not look ahead and the labeled
+    # count-dominating search spends what the count search spends.  Six
+    # of its 30 embeddings dominate.
+    triangle = complete(3)
+    host = Graph(9, [(0, 1), (0, 5), (0, 8), (1, 7), (1, 8), (2, 4), (2, 5), (3, 4),
+                     (3, 5), (4, 5), (4, 6), (4, 7), (4, 8), (6, 7), (6, 8)])
+    assert _kernel(triangle, host, MODE_COUNT, [0, 1, 2], 10**9) == (30, 69, False)
+    assert _kernel(triangle, host, MODE_COUNT_DOMINATING, [0, 1, 2], 10**9) == (6, 69, False)
 
 
 WITNESSES = (
@@ -599,18 +616,10 @@ def test_stabilizer_chain_of_W3_needs_no_group_listing():
         assert expansions <= 10**4
 
 
-def _complete(n):
-    return Graph(n, itertools.combinations(range(n), 2))
-
-
-def _cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 SYMMETRIC_PATTERNS = [
     build_W(2, 0, 4).graph,                   # K_{2,5}, |Aut| = 240
-    _cycle(4), _cycle(5), _cycle(7),
-    _complete(1), _complete(3), _complete(5),
+    cycle(4), cycle(5), cycle(7),
+    complete(1), complete(3), complete(5),
     Graph(2, []), Graph(4, []), Graph(6, []),  # edgeless
     Graph(5, [(0, 1), (1, 2)]),               # P_3 plus two isolated vertices
     Graph(6, [(0, 1), (2, 3), (4, 5)]),       # perfect matching

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cycle, mc_grid_host, path
 from sparsewitness import detect, gnp, logic
 from sparsewitness.graphs import BudgetExceededError, Graph
 from sparsewitness.hotpath import MODE_COLLECT, embed_search
@@ -25,14 +26,6 @@ from sparsewitness.logic import (
     parse_formula,
 )
 from sparsewitness.witness import build_W, w_vertex_count
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def ev(g, text, **kw):
@@ -323,11 +316,6 @@ def test_witness_copies_search_in_detect_order():
     assert len(copies) == len(set(copies)) == 653
 
 
-def _mc_grid_host(n, seed, trial):
-    return gnp.sample_gnp(gnp.SamplerConfig(
-        n=n, p=n ** -0.3, seed=seed, stream=gnp.derive_stream(seed, trial)))
-
-
 def test_dominating_witness_sentence_matches_detect_on_mc_grid_hosts():
     # Criterion 4's logic-detect equivalence in the Monte Carlo grid's
     # regime (n = 25 and 40, p = n^-0.3), where the 2^n subsets cannot be
@@ -342,7 +330,7 @@ def test_dominating_witness_sentence_matches_detect_on_mc_grid_hosts():
     for n in (25, 40):
         a_max = max(a for a in range(1, 5) if w_vertex_count(a, 0, 4) <= n)
         for trial in range(6):
-            g = _mc_grid_host(n, 7, trial)
+            g = mc_grid_host(n, 7, trial)
             via_detect = bool(detect.find_dominating_induced_W(g, 0, 4, (1, a_max)))
             for phi in phis:
                 via_logic = evaluate(g, phi, gamma=0, r=4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import connected
 from sparsewitness import hotpath, witness
 from sparsewitness.graphs import (
     automorphism_count,
@@ -38,21 +39,7 @@ def is_path(g) -> bool:
         return degs == [0]
     if degs != [1, 1] + [2] * (g.n - 2):
         return False
-    return g.m == g.n - 1 and _connected(g)
-
-
-def _connected(g) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == g.n
+    return g.m == g.n - 1 and connected(g)
 
 
 def test_omega_closed_form():
@@ -110,7 +97,7 @@ def test_w_star_counts_match_closed_forms(a, gamma, r):
     ws = build_W_star(a, gamma, r)
     assert ws.graph.n == w_star_vertex_count(a, gamma, r)
     assert ws.graph.m == w_star_edge_count(a, gamma, r)
-    assert _connected(ws.graph)
+    assert connected(ws.graph)
 
 
 def test_w_star_base_case_is_a_path():
