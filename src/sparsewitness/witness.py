@@ -36,6 +36,11 @@ Tree vertices are numbered breadth-first, so vertex k > 0 of a tree hangs
 off vertex (k - 1) // r; a path is the same rule with r = 1.  New process
 leaves follow that rule too, which reproduces the perfect-tree numbering.
 
+Growth walks the schedule a run of equal rules at a time, and each run is
+one builder call: the r^{omega(a)+j} TF2 steps of a sub-round hang their
+leaves and connectors in one loop that writes the rows directly.
+process_step and process_run share that path; a step is a run of one.
+
 The parity check has_gamma_r_property searches each W*(a) in
 hotpath.search_order with nothing pinned; W*(a) and that order are built
 once per (a, gamma, r) and cached, as detect.witness_pattern does for
@@ -172,6 +177,11 @@ class _Builder:
         return Graph._from_rows(self.rows, self.m)
 
 
+def _role_lines(roles: tuple[str, ...]) -> str:
+    """The "vertex role" sidecar: one `v role` line per vertex."""
+    return "".join(f"{v} {role}\n" for v, role in enumerate(roles))
+
+
 @dataclass(frozen=True)
 class WitnessGraph:
     """A witness graph with its construction bookkeeping.
@@ -192,7 +202,7 @@ class WitnessGraph:
     tf2: tuple[int, ...] = ()
 
     def role_lines(self) -> str:
-        return "".join(f"{v} {role}\n" for v, role in enumerate(self.roles))
+        return _role_lines(self.roles)
 
 
 def build_W(a: int, gamma: int, r: int) -> WitnessGraph:
@@ -255,7 +265,7 @@ class ProcessState:
     tf2: tuple[int, ...]
 
     def role_lines(self) -> str:
-        return "".join(f"{v} {role}\n" for v, role in enumerate(self.roles))
+        return _role_lines(self.roles)
 
 
 def process_init(gamma: int, r: int) -> ProcessState:
@@ -267,20 +277,56 @@ def process_init(gamma: int, r: int) -> ProcessState:
     )
 
 
-def _extend_f1(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
-    b.grow(trees[0], 1, ROLE_F1)
+def _hang_leaves(
+    b: _Builder, tree: list[int], anchor: int, r: int, role: str, k: int
+) -> None:
+    """Hang k new leaves on the non-empty breadth-first tree `tree`, each
+    wired to anchor by a connector, numbered as k rounds of
+    b.grow(tree, r, role) and b.connector(anchor, leaf) would number
+    them.  The rows are written here directly and anchor's new bits are
+    OR-ed into its row once, so a run of k steps is one call."""
+    rows, gamma = b.rows, b.gamma
+    leaf = len(rows)
+    anchor_bits = 0
+    for _ in range(k):
+        parent = tree[(len(tree) - 1) // r]
+        tree.append(leaf)
+        rows[parent] |= 1 << leaf
+        if gamma:
+            # The connector's inner vertices leaf + 1 .. leaf + gamma run
+            # from anchor to the leaf.
+            anchor_bits |= 2 << leaf
+            rows.append(1 << parent | 1 << (leaf + gamma))
+            prev = anchor
+            for w in range(leaf + 1, leaf + gamma):
+                rows.append(1 << prev | 2 << w)
+                prev = w
+            rows.append(1 << prev | 1 << leaf)
+        else:
+            anchor_bits |= 1 << leaf
+            rows.append(1 << parent | 1 << anchor)
+        leaf += gamma + 1
+    rows[anchor] |= anchor_bits
+    b.roles.extend(([role] + [ROLE_CONNECTOR] * gamma) * k)
+    b.m += k * (gamma + 2)
 
 
-def _extend_f2(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
-    b.connector(trees[0][-1], b.grow(trees[1], r, ROLE_F2))
+def _extend_f1(b: _Builder, trees: tuple[list[int], ...], r: int, k: int) -> None:
+    for _ in range(k):
+        b.grow(trees[0], 1, ROLE_F1)
 
 
-def _extend_tf1(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
-    b.connector(b.grow(trees[2], 1, ROLE_TF1), trees[1][-1])
+def _extend_f2(b: _Builder, trees: tuple[list[int], ...], r: int, k: int) -> None:
+    _hang_leaves(b, trees[1], trees[0][-1], r, ROLE_F2, k)
 
 
-def _extend_tf2(b: _Builder, trees: tuple[list[int], ...], r: int) -> None:
-    b.connector(trees[2][-1], b.grow(trees[3], r, ROLE_TF2))
+def _extend_tf1(b: _Builder, trees: tuple[list[int], ...], r: int, k: int) -> None:
+    for _ in range(k):
+        b.connector(b.grow(trees[2], 1, ROLE_TF1), trees[1][-1])
+
+
+def _extend_tf2(b: _Builder, trees: tuple[list[int], ...], r: int, k: int) -> None:
+    _hang_leaves(b, trees[3], trees[2][-1], r, ROLE_TF2, k)
 
 
 def _stage_schedule(a: int, gamma: int, r: int):
@@ -320,15 +366,15 @@ def _grow(
     b: _Builder, trees: tuple[list[int], ...], floor: int, r: int, steps: int
 ) -> int:
     """Apply `steps` growth steps to b and to the f1, f2, tf1, tf2 lists in
-    trees, walking the stage schedule from the builder's vertex count;
-    returns the new floor."""
+    trees, walking the stage schedule from the builder's vertex count with
+    one rule(b, trees, r, k) call per run of k equal steps; returns the new
+    floor."""
     runs = _runs_from(len(b.rows), floor, b.gamma, r)
     while steps:
         floor, rule, k = next(runs)
         k = min(k, steps)
         steps -= k
-        for _ in range(k):
-            rule(b, trees, r)
+        rule(b, trees, r, k)
     if len(b.rows) == w_star_vertex_count(floor + 1, b.gamma, r):
         return floor + 1
     return floor
@@ -355,7 +401,8 @@ def process_step(state: ProcessState) -> ProcessState:
     vertex count and return the new state (states are never mutated in
     place).
 
-    A step copies the whole state into a builder, so it costs time linear
+    This is process_run's growth path with a run of one step.  A step
+    still copies the whole state into a builder, so it costs time linear
     in the graph size; process_run grows many steps without the copies.
     """
     b, trees = _builder_of(state)
@@ -370,7 +417,8 @@ def process_run(gamma: int, r: int, steps: int) -> ProcessState:
     to one builder and one set of bookkeeping lists, and a single state is
     built at the end, so a run costs time linear in its step count (plus
     the row writes themselves) instead of one copy of the graph per step.
-    The run walks the stage schedule once, a run of equal rules at a time.
+    The run walks the stage schedule once, and each run of equal rules is
+    one builder call.
     """
     if steps < 0:
         raise ProcessError(f"steps must be nonnegative, got {steps}")

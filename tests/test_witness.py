@@ -415,9 +415,10 @@ def _state_key(state):
     "gamma, r", list(PROCESS_DIGESTS), ids=[f"g{g}-r{r}" for g, r in PROCESS_DIGESTS]
 )
 def test_process_run_matches_folded_steps(gamma, r):
-    # process_run grows one builder in place; it must equal process_step
-    # folded the same number of times, at 0 and 1 steps, at every step
-    # where the floor changes (and the one before it), and at 400.
+    # process_run grows one builder in place, a run of equal rules per
+    # call; it must equal process_step folded the same number of times at
+    # every step count up to 400, so also where a run stops inside a run
+    # of TF2 steps.
     init = process_init(gamma, r)
     init_key = _state_key(init)
     folded = [init]
@@ -425,16 +426,34 @@ def test_process_run_matches_folded_steps(gamma, r):
         folded.append(process_step(folded[-1]))
     changes = [s for s in range(1, len(folded)) if folded[s].floor != folded[s - 1].floor]
     assert changes, "400 steps should complete at least one stage"
-    counts = sorted({0, 1, PROCESS_STEPS[-1]} | set(changes) | {s - 1 for s in changes})
-    for steps in counts:
+    for steps, state in enumerate(folded):
         run = process_run(gamma, r, steps)
-        assert _state_key(run) == _state_key(folded[steps]), steps
+        assert _state_key(run) == _state_key(state), steps
     # Two runs never share a row list, and neither touches process_init's.
     a, b = process_run(gamma, r, 50), process_run(gamma, r, 50)
     assert a.graph.bits is not b.graph.bits
     assert a.graph.bits is not init.graph.bits
     assert _state_key(a) == _state_key(b)
     assert _state_key(init) == _state_key(process_init(gamma, r)) == init_key
+
+
+# The nine process runs of the grow-certify benchmark workload, pinned by
+# one sha256 recorded before the process grew a run of equal rules per
+# builder call.
+GROW_CERTIFY_RUNS = [(g, r, s) for g, r in ((0, 2), (1, 2), (1, 3)) for s in (250, 500, 1000)]
+GROW_CERTIFY_DIGEST = "904dc34f3e34f40fc40d3e320da193efacf38da4727ca56788bf4944f9f77b1d"
+
+
+def test_grow_certify_runs_are_pinned_exactly():
+    h = hashlib.sha256()
+    for gamma, r, steps in GROW_CERTIFY_RUNS:
+        state = process_run(gamma, r, steps)
+        assert_bookkeeping(state)
+        h.update(write_edge_list(state.graph).encode())
+        h.update(state.role_lines().encode())
+        h.update(repr((state.f1, state.f2, state.tf1, state.tf2,
+                       state.floor, state.step)).encode())
+    assert h.hexdigest() == GROW_CERTIFY_DIGEST
 
 
 def test_builds_are_pinned_exactly():
