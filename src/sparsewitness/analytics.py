@@ -7,12 +7,14 @@ because the values overflow floats long before interesting parameters.
 Window-membership certificates never trust floats.  A window endpoint
 q * f(x) + add (q, add rational, x a positive integer, f(x) = x^alpha *
 ln x) is enclosed once per precision by outward-rounded interval
-arithmetic, and an integer s(a) is placed against it as a point, two
-endpoint tests per precision; the precision escalates until they
-separate, falling back to an explicit UndecidableComparisonError instead
-of guessing.  The part-2 size inequalities v^q <= x^p are placed on
-interval enclosures of q ln v and p ln x, and decided on exact integers
-only where those never separate.
+arithmetic, and an integer s(a) is placed against it by two int
+comparisons per precision, with the integers ceil and floor of the
+enclosure's ends; the precision escalates until they separate, falling
+back to an explicit UndecidableComparisonError instead of guessing.  The
+enclosures of the rational constants are kept across calls, those of
+f(x) and of the endpoints only within one.  The part-2 size inequalities
+v^q <= x^p are placed on interval enclosures of q ln v and p ln x, and
+decided on exact integers only where those never separate.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import (
@@ -35,6 +38,7 @@ from mpmath.libmp import (
     mpi_mul,
     round_ceiling,
     round_floor,
+    to_int,
 )
 
 from .witness import (
@@ -123,32 +127,55 @@ def f(x: float, alpha: float) -> float:
 
 
 def inverse_f(target: float, alpha: float) -> float:
-    """Unique x >= 1 with f(x) = target, by float bisection on f.
+    """Unique x >= 1 with f(x) = target, in floats.
 
-    The bracket is narrowed until its width is at most 1e-12 times its
-    low end (or until floats cannot split it).  f is evaluated in floats,
-    so the result is an estimate good to about 1e-12 plus a few ulps; the
-    exact floor search takes it only as a seed.
+    Newton's method on ln x (_ln_preimage) rises monotonically to the
+    float root, good to a few ulps of ln x.  Below 2**53, where the exact
+    floor search takes x as its seed, that is up to 2e-15 relative, a few
+    units; one Newton step on f itself, whose residual x^alpha ln x -
+    target keeps the digits that rounding ln x loses, brings the seed
+    within about a unit of the preimage.  A target below 2**-53 gives
+    1.0, since f(x) >= ln x puts its preimage closer to 1 than floats
+    resolve; a preimage past the float range gives inf.
     """
     if not math.isfinite(target):
         raise ValueError("target must be finite")
     if target < 0:
         raise ValueError("target must be nonnegative")
-    if target == 0:
+    if target < 2**-53:
         return 1.0
-    hi = 2.0
-    while f(hi, alpha) < target:
-        hi *= 2.0
-    lo = max(1.0, hi / 2.0)
-    while hi - lo > 1e-12 * lo:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            break
-        if f(mid, alpha) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    try:
+        x = math.exp(_ln_preimage(target, alpha, math))
+    except OverflowError:
+        return math.inf
+    ln_x, power = math.log(x), x**alpha
+    return x - x * ((power * ln_x - target) / (power * (alpha * ln_x + 1)))
+
+
+def _ln_preimage(t, alpha, lib):
+    """L = ln x for the x > 1 with f(x) = t > 0, by Newton's method on
+    g(L) = alpha L + ln L - ln t in lib's arithmetic: math's floats or
+    mpmath's working precision.
+
+    g is increasing and concave, so a Newton step from below the root
+    lands below it again, nearer: from a start below the root the
+    iterates rise monotonically, and the first step that does not raise
+    L marks the rounding floor.  With z = alpha t the root is W(z) / alpha
+    for Lambert's W, and the start is a lower bound of it: W(z) >= z e^-z,
+    close for small z, and W(z) >= ln(1+z) - ln(1 + ln(1+z)) for z >= 1.
+    """
+    z = alpha * t
+    if z < 1:
+        L = z * lib.exp(-z) / alpha
+    else:
+        lz = lib.log1p(z)
+        L = (lz - lib.log1p(lz)) / alpha
+    ln_t = lib.log(t)
+    while True:
+        nxt = L + (ln_t - alpha * L - lib.log(L)) / (alpha + 1 / L)
+        if not nxt > L:
+            return L
+        L = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +193,15 @@ def _place(s, prec: int):
     return mpi_div(_point(s.numerator, prec), _point(s.denominator, prec), prec)
 
 
+@functools.lru_cache(maxsize=512)
+def _constant(q, prec: int):
+    """_place(q, prec) for a rational constant of the windows: alpha, the
+    endpoint factors q and add, and 1.  There are a few per parameter
+    tuple, so their enclosures are kept across calls, one per
+    (rational, precision)."""
+    return _place(q, prec)
+
+
 def _enclose_ln(x: int, prec: int):
     """Enclosure of ln x for an integer x >= 1 at prec bits, the one that
     iv.log(iv.mpf(x)) gives."""
@@ -179,7 +215,8 @@ class _Comparer:
     comparison first needs that precision, with the mpmath.libmp interval
     primitives that mpmath's iv context calls; every endpoint at x shares
     them.  One is made per x of a public call and dropped with it, so no
-    enclosure is kept between calls.
+    enclosure of f(x) is kept between calls; sequence_part1 hands the one
+    its floor search ends on to the window at that floor.
     """
 
     def __init__(self, alpha: Fraction, x: int):
@@ -200,7 +237,7 @@ class _Comparer:
         fx = self._f.get(prec)
         if fx is None:
             ln = self.ln(prec)
-            power = mpi_exp(mpi_mul(_place(self.alpha, prec), ln, prec), prec)
+            power = mpi_exp(mpi_mul(_constant(self.alpha, prec), ln, prec), prec)
             fx = self._f[prec] = mpi_mul(power, ln, prec)
         return fx
 
@@ -226,11 +263,12 @@ class _Comparer:
 class _Endpoint:
     """The window endpoint q * f(x) + add at one _Comparer's x.
 
-    Its enclosure is made once per precision, so placing a candidate s
-    against it is two endpoint tests per precision: s's upper end below
-    the enclosure, or its lower end above it.  An integer s is a point,
-    exact whenever it fits the precision.  f(1) = 0 and q = 0 make the
-    endpoint the rational add, compared exactly.
+    Its enclosure [lo, hi] is made once per precision.  An integer s is
+    placed against it by two int comparisons, with ceil(lo) and floor(hi)
+    also taken once per precision: s < ceil(lo) exactly when s < lo, and
+    s > floor(hi) exactly when s > hi.  A Fraction s is enclosed at each
+    precision and placed by two endpoint tests.  f(1) = 0 and q = 0 make
+    the endpoint the rational add, compared exactly.
     """
 
     def __init__(self, at: _Comparer, q: Fraction, add: Fraction = Fraction(0)):
@@ -239,28 +277,44 @@ class _Endpoint:
         self._add = add
         self._exact = add if at.x == 1 or q == 0 else None
         self._by_prec: dict[int, tuple] = {}
+        self._brackets: dict[int, tuple[int, int]] = {}
 
     def _enclose(self, prec: int):
         e = self._by_prec.get(prec)
         if e is None:
-            e = mpi_mul(_place(self._q, prec), self._at.f(prec), prec)
+            e = mpi_mul(_constant(self._q, prec), self._at.f(prec), prec)
             if self._add:
-                e = mpi_add(e, _place(self._add, prec), prec)
+                e = mpi_add(e, _constant(self._add, prec), prec)
             self._by_prec[prec] = e
         return e
+
+    def _bracket(self, prec: int) -> tuple[int, int]:
+        b = self._brackets.get(prec)
+        if b is None:
+            lo, hi = self._enclose(prec)
+            b = self._brackets[prec] = (to_int(lo, round_ceiling), to_int(hi, round_floor))
+        return b
 
     def sign(self, s) -> int:
         """Sign of s - (q * f(x) + add) for a rational s, decided only
         where an enclosure separates the two."""
         if self._exact is not None:
             return (s > self._exact) - (s < self._exact)
-        for prec in _PRECISIONS:
-            lo, hi = self._enclose(prec)
-            s_lo, s_hi = _place(s, prec)
-            if mpf_lt(s_hi, lo):
-                return -1
-            if mpf_gt(s_lo, hi):
-                return 1
+        if isinstance(s, int):
+            for prec in _PRECISIONS:
+                lo, hi = self._bracket(prec)
+                if s < lo:
+                    return -1
+                if s > hi:
+                    return 1
+        else:
+            for prec in _PRECISIONS:
+                lo, hi = self._enclose(prec)
+                s_lo, s_hi = _place(s, prec)
+                if mpf_lt(s_hi, lo):
+                    return -1
+                if mpf_gt(s_lo, hi):
+                    return 1
         raise UndecidableComparisonError(
             f"comparison of {s} against {self._q}*f({self._at.x})+{self._add} "
             "undecided at max precision"
@@ -447,20 +501,29 @@ def part1_constants(alpha, gamma: int) -> Part1Constants:
 
 
 def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
-    """Largest integer m with f(m) <= target (target > 0).
+    """Largest integer m with f(m) <= target (target > 0)."""
+    return _floor_comparer(target, alpha).x
+
+
+def _floor_comparer(target: Fraction, alpha: Fraction) -> _Comparer:
+    """The _Comparer at the largest integer m with f(m) <= target
+    (target > 0), with the enclosures of f(m) that deciding it made.
 
     An estimate only seeds the search: from it, steps that double each
     time gallop outward until f(lo) <= target < f(hi) is established, and
     the bracket is then bisected.  Every probe is decided rigorously, so
     the seed's error costs O(log |error|) comparisons.  f(1) = 0 makes
     lo = 1 a valid lower end without a probe.  The seed is the float
-    inverse, or _big_seed where that inverse is not finite or reaches
-    2**53: past it a float no longer holds every integer, and the float
-    seed's error, so the gallop, grows with the preimage.
+    inverse, within about a unit of the preimage below 2**53, so the
+    search usually decides m and m + 1 and stops; past 2**53 a float no
+    longer holds every integer, and where the float inverse is not finite
+    or reaches 2**53 the seed is _big_seed instead.
     """
+    probes: dict[int, _Comparer] = {}
 
     def at_most(x: int) -> bool:
-        return _Comparer(alpha, x).compare(target, Fraction(1)) >= 0
+        at = probes[x] = _Comparer(alpha, x)
+        return at.compare(target, Fraction(1)) >= 0
 
     try:
         seed = inverse_f(float(target), float(alpha))
@@ -484,26 +547,19 @@ def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
             lo = mid
         else:
             hi = mid
-    return lo
+    return probes.get(lo) or _Comparer(alpha, lo)
 
 
 def _big_seed(target: Fraction, alpha: Fraction) -> int:
     """An integer near the preimage x of target under f, for targets too
-    large for the float inverse.  With L = ln x, f(x) = target reads
-    alpha L + ln L = ln target; Newton's method solves it at a working
-    precision set by the target's bit length, 64 bits beyond the bits of
-    x, so the seed is off by a few units at most."""
+    large for the float inverse: _ln_preimage at a working precision set
+    by the target's bit length, 64 bits beyond the bits of x, so the seed
+    is off by a few units at most."""
     bits = target.numerator.bit_length() - target.denominator.bit_length() + 1
     with mpmath.workprec(int(bits / float(alpha)) + 64):
-        ln_t = mpmath.log(target.numerator) - mpmath.log(target.denominator)
+        t = mpmath.mpf(target.numerator) / target.denominator
         a = mpmath.mpf(alpha.numerator) / alpha.denominator
-        L = ln_t / a
-        for _ in range(100):
-            step = (a * L + mpmath.log(L) - ln_t) / (a + 1 / L)
-            L -= step
-            if abs(step) < mpmath.eps * L:
-                break
-        return int(mpmath.floor(mpmath.exp(L)))
+        return int(mpmath.floor(mpmath.exp(_ln_preimage(t, a, mpmath))))
 
 
 @dataclass(frozen=True)
@@ -518,44 +574,66 @@ class Part1Row:
     existence_a: tuple[int, ...]
 
 
+class _Window(NamedTuple):
+    """A part-1 window (low_q f(x), high_q f(x) + add) on s(a), closed or
+    open, with the floats of its three rationals."""
+
+    low_q: Fraction
+    high_q: Fraction
+    add: Fraction
+    closed: bool
+    floats: tuple[float, float, float]
+
+
+@dataclass(frozen=True)
+class _Part1Setup:
+    consts: Part1Constants
+    alpha_f: float
+    k_f: float
+    existence: _Window
+    gap: _Window
+
+
 @functools.lru_cache(maxsize=256, typed=True)
-def _part1_setup(alpha, gamma: int) -> tuple:
-    """part1_constants and the (low_q, high_q, add) of the two part-1
-    windows at x: the closed existence window [C1 k f(x), C2 k f(x)] and
-    the open gap window (c k f(x), k f(x) + epsilon).  They depend on
-    (alpha, gamma) alone, so they are built once per pair and kept across
-    calls; their Fraction arithmetic is about a quarter of a window
-    report at n = 10^6.  alpha is keyed with its type, since equal values
-    of two types (0.1 and its binary Fraction) convert to different
-    constants."""
+def _part1_setup(alpha, gamma: int) -> _Part1Setup:
+    """part1_constants, alpha and k as floats, and the two part-1 windows
+    at x: the closed existence window [C1 k f(x), C2 k f(x)] and the open
+    gap window (c k f(x), k f(x) + epsilon).  They depend on (alpha,
+    gamma) alone, so they are built once per pair and kept across calls;
+    their Fraction arithmetic and float conversions are about a quarter
+    of a window report at n = 10^6.  alpha is keyed with its type, since
+    equal values of two types (0.1 and its binary Fraction) convert to
+    different constants."""
     consts = part1_constants(alpha, gamma)
     k = consts.k
-    existence = (consts.C1 * k, consts.C2 * k, Fraction(0))
-    return consts, existence, (consts.c * k, k, consts.epsilon)
+
+    def window(low_q: Fraction, high_q: Fraction, add: Fraction, closed: bool):
+        return _Window(low_q, high_q, add, closed, (float(low_q), float(high_q), float(add)))
+
+    return _Part1Setup(
+        consts, float(consts.alpha), float(k),
+        existence=window(consts.C1 * k, consts.C2 * k, Fraction(0), closed=True),
+        gap=window(consts.c * k, k, consts.epsilon, closed=False),
+    )
 
 
-def _part1_window(
-    consts: Part1Constants,
-    bounds: tuple[Fraction, Fraction, Fraction],
-    x: int,
-    closed: bool,
-    r: int = 4,
-) -> tuple[int, ...]:
+def _part1_window(setup: _Part1Setup, window: _Window, at_x: _Comparer, r: int = 4
+                  ) -> tuple[int, ...]:
     """Every a >= 1 whose size s(a) = w_vertex_count(a, gamma, r) lies
-    inside the part-1 window (low_q, high_q, add) = bounds at x, closed or
-    open, decided rigorously.  The candidates run past a float estimate
-    of the upper endpoint with room to spare; both endpoints are enclosed
-    once per precision for all of them, and the upper one is tested only
+    inside the part-1 window at at_x's x, decided rigorously.  The
+    candidates run past a float estimate of the upper endpoint with room
+    to spare; both endpoints are enclosed once per precision for all of
+    them, on at_x's enclosure of f(x), and the upper one is tested only
     where the lower one lets s inside."""
-    low_q, high_q, add = bounds
-    upper = (float(high_q) * f(x, float(consts.alpha)) + float(add)) * 1.01 + 4
+    low_f, high_f, add_f = window.floats
+    upper = (high_f * f(at_x.x, setup.alpha_f) + add_f) * 1.01 + 4
     if not math.isfinite(upper):
         raise ParameterError("candidate window bound is not finite")
-    at_x = _Comparer(consts.alpha, x)
-    low, high = _Endpoint(at_x, low_q), _Endpoint(at_x, high_q, add)
+    low, high = _Endpoint(at_x, window.low_q), _Endpoint(at_x, window.high_q, window.add)
+    closed, gamma = window.closed, setup.consts.gamma
     inside = []
     a = 1
-    while (s := w_vertex_count(a, consts.gamma, r)) <= upper:
+    while (s := w_vertex_count(a, gamma, r)) <= upper:
         lo = low.sign(s)
         if lo > 0 or (closed and lo == 0):
             hi = high.sign(s)
@@ -589,19 +667,18 @@ def sequence_part1(i: int, alpha, gamma: int) -> Part1Row:
         raise ParameterError("i must be >= 1")
     if gamma <= 9:
         raise ParameterError("part 1 requires gamma > 9")
-    consts, existence, gap = _part1_setup(alpha, gamma)
-    al, k = consts.alpha, consts.k
+    setup = _part1_setup(alpha, gamma)
+    consts = setup.consts
+    al = consts.alpha
 
-    m_target = Fraction(4**i, 9) / (1 - al)
-    m_i = _floor_of_f_preimage(m_target, al)
-    n_target = Fraction(w_vertex_count(i, gamma, 4)) / (consts.C * k)
-    n_i = _floor_of_f_preimage(n_target, al)
-    violators = _part1_window(consts, gap, m_i, closed=False)
-    inside = _part1_window(consts, existence, n_i, closed=True)
+    at_m = _floor_comparer(Fraction(4**i, 9) / (1 - al), al)
+    at_n = _floor_comparer(Fraction(w_vertex_count(i, gamma, 4)) / (consts.C * consts.k), al)
+    violators = _part1_window(setup, setup.gap, at_m)
+    inside = _part1_window(setup, setup.existence, at_n)
     return Part1Row(
         i=i,
-        m_i=m_i,
-        n_i=n_i,
+        m_i=at_m.x,
+        n_i=at_n.x,
         constants=consts,
         gap_certificate=not violators,
         gap_violators=violators,
@@ -635,6 +712,15 @@ def _part2_setup(alpha, beta, gamma: int, r: int) -> tuple:
     if r < 2:
         raise ParameterError("r must be >= 2")
     return (al, be, k), (float(al), float(be), float(k))
+
+
+@functools.lru_cache(maxsize=1024)
+def _w_star_size(a: int, gamma: int, r: int) -> int:
+    """V(a) = |W*(a)|, kept across part-2 window reports.  A report reads
+    V(1), V(2), ... up to the first past n^beta; V grows doubly
+    exponentially in a, so that is a few sizes per (gamma, r), about
+    log log n of them."""
+    return w_star_vertex_count(a, gamma, r)
 
 
 @dataclass(frozen=True)
@@ -788,37 +874,32 @@ def window_report(
     ``window`` is only checked to be a part-1 window name.  Each part's
     set-up is built once per parameter tuple and kept across calls:
     _part1_setup per (alpha, gamma), _part2_setup, shared with
-    sequence_part2, per (alpha, beta, gamma, r).
+    sequence_part2, per (alpha, beta, gamma, r), and the sizes V(a) per
+    (a, gamma, r).
     """
     if window not in ("existence", "gap"):
         raise ValueError(f"unknown window {window!r}")
     if mode == "part1":
-        consts, existence, gap = _part1_setup(alpha, gamma)
-        closed = window == "existence"
-        bounds = existence if closed else gap
-        low_q, high_q, add = bounds
-        al = consts.alpha
-        fn = f(n, float(al))
+        setup = _part1_setup(alpha, gamma)
+        win = setup.existence if window == "existence" else setup.gap
+        low_f, high_f, add_f = win.floats
+        fn = f(n, setup.alpha_f)
         return ThresholdReport(
-            alpha=float(al), gamma=gamma, r=r, k_gamma=float(consts.k), f_n=fn,
+            alpha=setup.alpha_f, gamma=gamma, r=r, k_gamma=setup.k_f, f_n=fn,
             window=window,
-            window_low=float(low_q) * fn,
-            window_high=float(high_q) * fn + float(add),
-            admissible_a=_part1_window(consts, bounds, n, closed, r),
+            window_low=low_f * fn,
+            window_high=high_f * fn + add_f,
+            admissible_a=_part1_window(setup, win, _Comparer(setup.consts.alpha, n), r),
         )
     if mode != "part2":
         raise ValueError(f"unknown mode {mode!r}")
     if beta is None:
         raise ParameterError("part2 window report requires beta")
     (_, be, _), (alpha_f, beta_f, k_f) = _part2_setup(alpha, beta, gamma, r)
-    admissible = []
     a = 1
-    while True:
-        v = w_star_vertex_count(a, gamma, r)
-        if not _power_leq(v, n, be):
-            # V grows doubly exponentially; no larger a can fit.
-            break
-        admissible.append(a)
+    while _power_leq(_w_star_size(a, gamma, r), n, be):
+        # V grows doubly exponentially; past the first a that does not
+        # fit, no larger one can.
         a += 1
     fn = f(n, alpha_f)
     try:
@@ -830,5 +911,5 @@ def window_report(
         window="part2",
         window_low=low,
         window_high=k_f * fn + 1.0 if math.isfinite(fn) else math.inf,
-        admissible_a=tuple(admissible),
+        admissible_a=tuple(range(1, a)),
     )

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsewitness import analytics
@@ -63,6 +63,24 @@ def test_f_and_inverse_roundtrip():
             assert val == pytest.approx(x**alpha * math.log(x))
             assert inverse_f(val, alpha) == pytest.approx(x, rel=1e-9)
     assert f(1.0, 0.3) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.99])
+def test_inverse_f_is_close_to_the_root_and_monotone(alpha):
+    # The root of x^alpha ln x = t is exp(W(alpha t) / alpha), W Lambert's
+    # function, taken at 40 digits with the float alpha the call sees.  A
+    # root past the float range is inf.
+    targets = [10 ** (k / 8) for k in range(-48, 2401)]  # 1e-6 .. 1e300
+    got = [inverse_f(t, alpha) for t in targets]
+    assert got == sorted(got)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for t, x in zip(targets, got):
+            root = mpmath.exp(mpmath.lambertw(a * mpmath.mpf(t)).real / a)
+            if root > mpmath.mpf(2) ** 1024:
+                assert x == math.inf, t
+            else:
+                assert abs(x - root) <= 1e-12 * root, (t, x, root)
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
@@ -141,6 +159,45 @@ def test_compare_to_window_endpoint_past_the_first_precision(
     if den == 1:
         s = s.numerator
     assert _Comparer(alpha, x).compare(s, q, add) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.integers(min_value=1, max_value=10**15),
+    alpha=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                       max_denominator=100),
+    q=st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+        # q f(x) past 2^80 puts s beyond what 80 bits hold exactly.
+        st.fractions(min_value=-(2**100), max_value=2**100, max_denominator=7),
+    ),
+    add=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000),
+    offset=st.integers(min_value=-2, max_value=2),
+)
+@example(x=1, alpha=Fraction(3, 10), q=Fraction(5), add=Fraction(7), offset=0)
+@example(x=10**6, alpha=Fraction(3, 10), q=Fraction(0), add=Fraction(-9, 2), offset=1)
+@example(x=10**15, alpha=Fraction(99, 100), q=Fraction(2**100), add=Fraction(0), offset=-2)
+def test_endpoint_sign_on_integers_matches_mpmath(x, alpha, q, add, offset):
+    # An integer s within 2 of the endpoint q f(x) + add, placed through
+    # the endpoint's integer brackets ceil(lo) and floor(hi).  x = 1 or
+    # q = 0 leave the rational add, compared exactly (ties included);
+    # otherwise the endpoint is irrational and mpmath at 400 bits plus the
+    # bits of q decides the sign independently.
+    comparer = _Comparer(alpha, x)
+    if x == 1 or q == 0:
+        s = math.floor(add) + offset
+        want = (s > add) - (s < add)
+    else:
+        with mpmath.workprec(400 + abs(q).numerator.bit_length()):
+            fx = mpmath.power(x, _mp_fraction(alpha)) * mpmath.log(x)
+            endpoint = _mp_fraction(q) * fx + _mp_fraction(add)
+            s = int(mpmath.floor(endpoint)) + offset
+            diff = s - endpoint
+            assume(abs(diff) > mpmath.mpf(2) ** -200)
+            want = 1 if diff > 0 else -1
+    assert analytics._Endpoint(comparer, q, add).sign(s) == want
+    assert comparer.compare(s, q, add) == want
 
 
 def test_window_comparison_escalates_where_80_bits_cannot_separate(monkeypatch):
@@ -348,6 +405,25 @@ def test_part1_floors_pinned_gamma10(monkeypatch, estimate):
         assert (row.m_i, row.n_i) == want, i
     assert sequence_part1(1, 0.3, 10).m_i == 1
     assert len(calls) == 2 * (len(PART1_FLOORS_GAMMA10) + 1)
+
+
+def test_part1_rows_decide_each_floor_with_two_comparisons(monkeypatch):
+    # The seed lands on the floor m or on m + 1, so the floor search
+    # decides f(m) <= target < f(m + 1) and stops: two comparisons per
+    # floor, four per row.  Below 2**53 (m_i up to i = 11, n_i up to
+    # i = 9) the seeds are floats, past it _big_seed's.
+    counts = []
+    compare = _Comparer.compare
+
+    def counting(self, *args):
+        counts[-1] += 1
+        return compare(self, *args)
+
+    monkeypatch.setattr(_Comparer, "compare", counting)
+    for i in range(1, 16):
+        counts.append(0)
+        sequence_part1(i, 0.3, 10)
+    assert max(counts) <= 4, counts
 
 
 @pytest.mark.parametrize("target", [
@@ -683,6 +759,21 @@ def test_window_report_encloses_f_once_per_precision(monkeypatch, window):
         assert window_report(n, 0.3, 10, r=2, window=window) == report
         assert precisions == first
         precisions.clear()
+
+
+def test_sequence_part1_encloses_each_x_once_per_precision(monkeypatch):
+    # The floor search's comparer at m_i (and at n_i) is the one the
+    # window at that floor compares on, so no x is enclosed twice at one
+    # precision within a row.
+    enclosed = []
+    real_ln = analytics._enclose_ln
+    monkeypatch.setattr(analytics, "_enclose_ln",
+                        lambda x, prec: enclosed.append((x, prec)) or real_ln(x, prec))
+    for i in range(3, 13):
+        row = sequence_part1(i, 0.3, 10)
+        assert (row.m_i, 80) in enclosed and (row.n_i, 80) in enclosed
+        assert len(enclosed) == len(set(enclosed)), (i, enclosed)
+        enclosed.clear()
 
 
 def test_part1_constants_of_equal_arguments_of_two_types_stay_apart():
