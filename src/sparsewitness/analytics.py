@@ -4,15 +4,16 @@ domination probability, and the non-convergence witness sequences.
 Expectations are carried as LogReal (sign plus natural-log magnitude)
 because the values overflow floats long before interesting parameters.
 
-Window-membership certificates never trust floats.  A window endpoint
-q * f(x) + add (q, add rational, x a positive integer, f(x) = x^alpha *
-ln x) is enclosed once per precision by outward-rounded interval
-arithmetic, and an integer s(a) is placed against it by two int
-comparisons per precision, with the integers ceil and floor of the
-enclosure's ends; the precision escalates until they separate, falling
-back to an explicit UndecidableComparisonError instead of guessing.  The
+Window-membership certificates never trust floats.  Every window
+comparison places an integer against the integer bracket ceil(lo),
+floor(hi) of an outward-rounded enclosure [lo, hi] of an endpoint
+q * f(x) + add (q, add rational, x a positive integer, f(x) = x^alpha
+ln x), at escalating precision until the two separate, and raises
+UndecidableComparisonError instead of guessing where they never do; a
+rational N/D is placed as N against D q f(x) + D add.  The float inverse
+of f only seeds the floor search and is the one float input.  The
 enclosures of the rational constants are kept across calls, those of
-f(x) and of the endpoints only within one.  The part-2 size inequalities
+f(x) and the brackets only within one.  The part-2 size inequalities
 v^q <= x^p are placed on interval enclosures of q ln v and p ln x, and
 decided on exact integers only where those never separate.
 """
@@ -30,7 +31,6 @@ from mpmath.libmp import (
     from_int,
     mpf_gt,
     mpf_le,
-    mpf_lt,
     mpi_add,
     mpi_div,
     mpi_exp,
@@ -136,8 +136,11 @@ def inverse_f(target: float, alpha: float) -> float:
     target keeps the digits that rounding ln x loses, brings the seed
     within about a unit of the preimage.  A target below 2**-53 gives
     1.0, since f(x) >= ln x puts its preimage closer to 1 than floats
-    resolve; a preimage past the float range gives inf.
+    resolve; a preimage past the float range gives inf.  alpha must be
+    finite and positive: f is not increasing otherwise.
     """
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and positive")
     if not math.isfinite(target):
         raise ValueError("target must be finite")
     if target < 0:
@@ -186,20 +189,15 @@ def _point(n: int, prec: int):
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def _place(s, prec: int):
-    """Enclosure of the rational s (an int or a Fraction) at prec bits."""
-    if s.denominator == 1:
-        return _point(s.numerator, prec)
-    return mpi_div(_point(s.numerator, prec), _point(s.denominator, prec), prec)
-
-
 @functools.lru_cache(maxsize=512)
 def _constant(q, prec: int):
-    """_place(q, prec) for a rational constant of the windows: alpha, the
-    endpoint factors q and add, and 1.  There are a few per parameter
-    tuple, so their enclosures are kept across calls, one per
-    (rational, precision)."""
-    return _place(q, prec)
+    """Enclosure at prec bits of a rational constant of the windows: alpha
+    and the endpoint factors q and add, times the denominator of the
+    rational placed against them.  There are a few per parameter tuple,
+    so they are kept across calls, one per (rational, precision)."""
+    if q.denominator == 1:
+        return _point(q.numerator, prec)
+    return mpi_div(_point(q.numerator, prec), _point(q.denominator, prec), prec)
 
 
 def _enclose_ln(x: int, prec: int):
@@ -242,8 +240,12 @@ class _Comparer:
         return fx
 
     def compare(self, s, q: Fraction, add: Fraction = Fraction(0)) -> int:
-        """Sign of s - (q * f(x) + add) for a rational s."""
-        return _Endpoint(self, q, add).sign(s)
+        """Sign of s - (q * f(x) + add) for a rational s = N/D: that of
+        the integer N against the scaled endpoint D q f(x) + D add."""
+        d = s.denominator
+        if d != 1:
+            q, add = d * q, d * add
+        return _Endpoint(self, q, add).sign(s.numerator)
 
     def power_leq(self, v: int, beta: Fraction) -> bool:
         """v <= x^beta for a positive integer v, beta = p/q: q ln v against
@@ -263,12 +265,11 @@ class _Comparer:
 class _Endpoint:
     """The window endpoint q * f(x) + add at one _Comparer's x.
 
-    Its enclosure [lo, hi] is made once per precision.  An integer s is
-    placed against it by two int comparisons, with ceil(lo) and floor(hi)
-    also taken once per precision: s < ceil(lo) exactly when s < lo, and
-    s > floor(hi) exactly when s > hi.  A Fraction s is enclosed at each
-    precision and placed by two endpoint tests.  f(1) = 0 and q = 0 make
-    the endpoint the rational add, compared exactly.
+    The one placement rule: an integer s is placed against the integer
+    bracket ceil(lo), floor(hi) of the endpoint's enclosure [lo, hi],
+    taken once per precision: s < ceil(lo) exactly when s < lo, and
+    s > floor(hi) exactly when s > hi.  f(1) = 0 and q = 0 make the
+    endpoint the rational add, compared exactly.
     """
 
     def __init__(self, at: _Comparer, q: Fraction, add: Fraction = Fraction(0)):
@@ -276,45 +277,29 @@ class _Endpoint:
         self._q = q
         self._add = add
         self._exact = add if at.x == 1 or q == 0 else None
-        self._by_prec: dict[int, tuple] = {}
         self._brackets: dict[int, tuple[int, int]] = {}
-
-    def _enclose(self, prec: int):
-        e = self._by_prec.get(prec)
-        if e is None:
-            e = mpi_mul(_constant(self._q, prec), self._at.f(prec), prec)
-            if self._add:
-                e = mpi_add(e, _constant(self._add, prec), prec)
-            self._by_prec[prec] = e
-        return e
 
     def _bracket(self, prec: int) -> tuple[int, int]:
         b = self._brackets.get(prec)
         if b is None:
-            lo, hi = self._enclose(prec)
+            e = mpi_mul(_constant(self._q, prec), self._at.f(prec), prec)
+            if self._add:
+                e = mpi_add(e, _constant(self._add, prec), prec)
+            lo, hi = e
             b = self._brackets[prec] = (to_int(lo, round_ceiling), to_int(hi, round_floor))
         return b
 
-    def sign(self, s) -> int:
-        """Sign of s - (q * f(x) + add) for a rational s, decided only
-        where an enclosure separates the two."""
+    def sign(self, s: int) -> int:
+        """Sign of s - (q * f(x) + add) for an integer s, decided only
+        where a bracket separates the two."""
         if self._exact is not None:
             return (s > self._exact) - (s < self._exact)
-        if isinstance(s, int):
-            for prec in _PRECISIONS:
-                lo, hi = self._bracket(prec)
-                if s < lo:
-                    return -1
-                if s > hi:
-                    return 1
-        else:
-            for prec in _PRECISIONS:
-                lo, hi = self._enclose(prec)
-                s_lo, s_hi = _place(s, prec)
-                if mpf_lt(s_hi, lo):
-                    return -1
-                if mpf_gt(s_lo, hi):
-                    return 1
+        for prec in _PRECISIONS:
+            lo, hi = self._bracket(prec)
+            if s < lo:
+                return -1
+            if s > hi:
+                return 1
         raise UndecidableComparisonError(
             f"comparison of {s} against {self._q}*f({self._at.x})+{self._add} "
             "undecided at max precision"
@@ -500,11 +485,6 @@ def part1_constants(alpha, gamma: int) -> Part1Constants:
     )
 
 
-def _floor_of_f_preimage(target: Fraction, alpha: Fraction) -> int:
-    """Largest integer m with f(m) <= target (target > 0)."""
-    return _floor_comparer(target, alpha).x
-
-
 def _floor_comparer(target: Fraction, alpha: Fraction) -> _Comparer:
     """The _Comparer at the largest integer m with f(m) <= target
     (target > 0), with the enclosures of f(m) that deciding it made.
@@ -620,27 +600,26 @@ def _part1_setup(alpha, gamma: int) -> _Part1Setup:
 def _part1_window(setup: _Part1Setup, window: _Window, at_x: _Comparer, r: int = 4
                   ) -> tuple[int, ...]:
     """Every a >= 1 whose size s(a) = w_vertex_count(a, gamma, r) lies
-    inside the part-1 window at at_x's x, decided rigorously.  The
-    candidates run past a float estimate of the upper endpoint with room
-    to spare; both endpoints are enclosed once per precision for all of
-    them, on at_x's enclosure of f(x), and the upper one is tested only
-    where the lower one lets s inside."""
-    low_f, high_f, add_f = window.floats
-    upper = (high_f * f(at_x.x, setup.alpha_f) + add_f) * 1.01 + 4
-    if not math.isfinite(upper):
-        raise ParameterError("candidate window bound is not finite")
+    inside the part-1 window at at_x's x.  Each s(a) is placed against
+    the integer brackets of both endpoints, made once per precision on
+    at_x's enclosure of f(x); the upper one is tested only where the
+    lower one lets s inside.  s grows with a, so the walk a = 1, 2, ...
+    stops at the first s(a) that the upper bracket puts beyond the
+    window.  No float enters; the float inverse of f only seeds the
+    floor search."""
     low, high = _Endpoint(at_x, window.low_q), _Endpoint(at_x, window.high_q, window.add)
     closed, gamma = window.closed, setup.consts.gamma
     inside = []
     a = 1
-    while (s := w_vertex_count(a, gamma, r)) <= upper:
+    while True:
+        s = w_vertex_count(a, gamma, r)
         lo = low.sign(s)
         if lo > 0 or (closed and lo == 0):
             hi = high.sign(s)
-            if hi < 0 or (closed and hi == 0):
-                inside.append(a)
+            if hi > 0 or (not closed and hi == 0):
+                return tuple(inside)
+            inside.append(a)
         a += 1
-    return tuple(inside)
 
 
 def sequence_part1(i: int, alpha, gamma: int) -> Part1Row:

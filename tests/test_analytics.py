@@ -89,6 +89,14 @@ def test_inverse_f_rejects_non_finite_targets(target):
         inverse_f(target, 0.3)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan])
+def test_inverse_f_rejects_alpha_that_is_not_finite_and_positive(alpha):
+    # f is increasing on [1, inf) only for alpha > 0: alpha = 0 divided by
+    # zero, -0.5 gave about -8.1e38 and nan gave nan.
+    with pytest.raises(ValueError, match="alpha"):
+        inverse_f(10.0, alpha)
+
+
 def test_compare_to_window_endpoint_exact_cases():
     # s vs q * x^alpha ln x + add, decided with outward interval arithmetic.
     # At x = e^... pick a rational-friendly case: alpha such that the
@@ -426,6 +434,18 @@ def test_part1_rows_decide_each_floor_with_two_comparisons(monkeypatch):
     assert max(counts) <= 4, counts
 
 
+def test_part1_windows_never_consult_the_float_f(monkeypatch):
+    # The windows are placed on integer brackets alone; the float inverse
+    # seeds the floor search, and the float f is read by nothing.
+    want = [sequence_part1(i, 0.3, 10) for i in range(3, 11)]
+
+    def no_float_f(x, alpha):
+        raise AssertionError("the float f was consulted")
+
+    monkeypatch.setattr(analytics, "f", no_float_f)
+    assert [sequence_part1(i, 0.3, 10) for i in range(3, 11)] == want
+
+
 @pytest.mark.parametrize("target", [
     # sequence_part1(170, 0.3, 13)'s m_i target: finite as a float, but its
     # preimage (about 2**1093) is not.
@@ -437,7 +457,7 @@ def test_floor_of_f_preimage_beyond_float_range(target):
     # The float inverse has no finite seed here; the floor must still be
     # exact, checked at a precision above the preimage's bit length,
     # independently of the interval comparisons the search uses.
-    m = analytics._floor_of_f_preimage(target, Fraction(3, 10))
+    m = analytics._floor_comparer(target, Fraction(3, 10)).x
     assert m.bit_length() > 1024
     with mpmath.workprec(2 * m.bit_length()):
         t = mpmath.mpf(target.numerator) / target.denominator
@@ -466,6 +486,53 @@ def test_part1_certificates_hold_for_gamma13_large_i():
         assert row.gap_certificate, (i, row.gap_violators)
         assert row.existence_certificate, i
         assert row.existence_a == (i,)
+
+
+@pytest.mark.parametrize("i", [520, 700])
+def test_part1_rows_past_the_float_range(i):
+    # f(m_i) and f(n_i) are past the float range, so nothing but the
+    # integer brackets bounds the candidate walk.  The row certifies, and
+    # each floor is the largest m with f(m) <= target.
+    alpha = Fraction(3, 10)
+    consts = part1_constants(alpha, 13)
+    row = sequence_part1(i, alpha, 13)
+    assert row.gap_certificate and row.gap_violators == ()
+    assert row.existence_a == (i,)
+    for m, target in (
+        (row.m_i, Fraction(4**i, 9) / (1 - alpha)),
+        (row.n_i, Fraction(w_vertex_count(i, 13, 4)) / (consts.C * consts.k)),
+    ):
+        assert math.isinf(f(m, 0.3))
+        assert _Comparer(alpha, m).compare(target, Fraction(1)) >= 0
+        assert _Comparer(alpha, m + 1).compare(target, Fraction(1)) < 0
+
+
+@pytest.mark.parametrize("window", ["existence", "gap"])
+def test_window_report_part1_past_the_float_range(window):
+    # At n = 10^1100, f(n) is about 10^333.  s(a) = a + 14 (4^a - 1)/3
+    # differs from 14 * 4^a / 3 by less than a, so s(a) lies in the window
+    # only if an integer a lies between log_4 of 3/14 times its ends, up to
+    # a relative 10^-300.  mpmath at 3,000 bits finds none, with both ends
+    # far from an integer, and checks that the two sizes around the window
+    # lie outside it.
+    n, gamma, alpha = 10**1100, 13, Fraction(3, 10)
+    consts = part1_constants(alpha, gamma)
+    k = consts.k
+    if window == "existence":
+        low_q, high_q, add = consts.C1 * k, consts.C2 * k, Fraction(0)
+    else:
+        low_q, high_q, add = consts.c * k, k, consts.epsilon
+    with mpmath.workprec(3000):
+        fn = mpmath.mpf(n) ** _mp_fraction(alpha) * mpmath.log(n)
+        lo = _mp_fraction(low_q) * fn
+        hi = _mp_fraction(high_q) * fn + _mp_fraction(add)
+        ends = [mpmath.log(3 * end / (gamma + 1), 4) for end in (lo, hi)]
+        a = int(mpmath.floor(ends[0]))
+        assert a == int(mpmath.floor(ends[1])) and a > 500
+        assert all(min(t - a, a + 1 - t) > 0.01 for t in ends)
+        assert w_vertex_count(a, gamma, 4) < lo
+        assert w_vertex_count(a + 1, gamma, 4) > hi
+    assert window_report(n, 0.3, gamma, window=window).admissible_a == ()
 
 
 def part1_bands(gamma, alpha):
