@@ -1,7 +1,9 @@
 """Detection of induced witness copies, dominating sets, and connector
 structure in host graphs.
 
-Witness searches run on the hotpath kernel in hotpath.search_order, which
+Both witness searches, find_induced_W for one a and
+find_dominating_induced_W over a range, run one loop over the a values
+within one budget, on the hotpath kernel in hotpath.search_order, which
 takes pinned vertices first and then each time the vertex with the most
 placed neighbours; detect only chooses the pins.  Path patterns (a = 1)
 pin a path endpoint.  W(a) with a >= 2 pins the r-ary tree root f2[0]
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import hotpath, witness
 from .graphs import (
@@ -75,6 +77,32 @@ def witness_pattern(a: int, gamma: int, r: int) -> tuple[witness.WitnessGraph, t
     return ws, tuple(_pattern_order(ws))
 
 
+def _witness_search(g: Graph, gamma: int, r: int, a_values, kernel_mode: int,
+                    budget: int) -> DetectionResult:
+    """The loop of both entries: W(a) for each a of a_values in turn,
+    skipping those larger than g, within one budget of expansions.  Only
+    the find modes return embeddings, so a find stops at the first copy
+    and names its a; a count sums the counts of every a."""
+    check_budget(budget)
+    count = expansions = 0
+    for a in a_values:
+        ws, order = witness_pattern(a, gamma, r)
+        if ws.graph.n > g.n:
+            continue
+        res = hotpath.embed_search(ws.graph, g, mode=kernel_mode, order=order,
+                                   budget=budget - expansions)
+        count += res.count
+        expansions += res.expansions
+        if res.exceeded:
+            return DetectionResult("budget_exceeded", count=count,
+                                   expansions=expansions)
+        if res.embeddings:
+            return DetectionResult("found", a=a, embedding=res.embeddings[0],
+                                   count=res.count, expansions=expansions)
+    return DetectionResult("found" if count else "none", count=count,
+                           expansions=expansions)
+
+
 def find_induced_W(
     g: Graph,
     a: int,
@@ -88,25 +116,14 @@ def find_induced_W(
     mode "find" stops at the first copy; "count" counts all labeled
     embeddings.  Both search one embedding per automorphism class where
     that prunes (see hotpath.embed_search), so the embedding "find"
-    reports is the first class representative in the search order.  A
-    negative budget raises ValueError, even when W(a) is larger than g.
+    reports is the first class representative in the search order.  The
+    result names a on every outcome.  A negative budget raises
+    ValueError, even when W(a) is larger than g.
     """
     if mode not in ("find", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    check_budget(budget)
-    ws, order = witness_pattern(a, gamma, r)
-    if ws.graph.n > g.n:
-        return DetectionResult("none", a=a)
     kernel_mode = hotpath.MODE_FIND if mode == "find" else hotpath.MODE_COUNT
-    res = hotpath.embed_search(ws.graph, g, mode=kernel_mode, order=order, budget=budget)
-    if res.exceeded:
-        return DetectionResult("budget_exceeded", a=a, count=res.count,
-                               expansions=res.expansions)
-    if res.count == 0:
-        return DetectionResult("none", a=a, expansions=res.expansions)
-    emb = res.embeddings[0] if res.embeddings else None
-    return DetectionResult("found", a=a, embedding=emb, count=res.count,
-                           expansions=res.expansions)
+    return replace(_witness_search(g, gamma, r, (a,), kernel_mode, budget), a=a)
 
 
 def find_dominating_induced_W(
@@ -121,43 +138,18 @@ def find_dominating_induced_W(
     a_range[0].  Domination is checked once per completed candidate, inside
     the kernel.  In "count" mode, counts dominating labeled embeddings
     summed over the range, as in find_induced_W; expansions is what those
-    searches spent.  A negative budget raises ValueError, even when every
-    W(a) in the range is larger than g.
+    searches spent.  Only a "find" that finds a copy names its a.  A
+    negative budget raises ValueError, even when every W(a) in the range
+    is larger than g.
     """
     if mode not in ("find", "count"):
         raise ValueError(f"unknown mode {mode!r}")
     a_lo, a_hi = a_range
     if a_lo < 1 or a_hi < a_lo:
         raise ValueError(f"bad a_range {a_range}")
-    check_budget(budget)
-    remaining = budget
-    total = 0
-    expansions = 0
-    exceeded = False
-    for a in range(a_hi, a_lo - 1, -1):
-        ws, order = witness_pattern(a, gamma, r)
-        if ws.graph.n > g.n:
-            continue
-        kernel_mode = (
-            hotpath.MODE_FIND_DOMINATING if mode == "find"
-            else hotpath.MODE_COUNT_DOMINATING
-        )
-        res = hotpath.embed_search(ws.graph, g, mode=kernel_mode, order=order,
-                                   budget=remaining)
-        expansions += res.expansions
-        remaining -= res.expansions
-        total += res.count
-        if res.exceeded:
-            exceeded = True
-            break
-        if mode == "find" and res.count:
-            return DetectionResult("found", a=a, embedding=res.embeddings[0],
-                                   count=res.count, expansions=expansions)
-    if exceeded:
-        return DetectionResult("budget_exceeded", count=total, expansions=expansions)
-    if mode == "count" and total:
-        return DetectionResult("found", count=total, expansions=expansions)
-    return DetectionResult("none", count=total, expansions=expansions)
+    kernel_mode = (hotpath.MODE_FIND_DOMINATING if mode == "find"
+                   else hotpath.MODE_COUNT_DOMINATING)
+    return _witness_search(g, gamma, r, range(a_hi, a_lo - 1, -1), kernel_mode, budget)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

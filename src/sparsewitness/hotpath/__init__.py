@@ -270,9 +270,11 @@ def embed_search(
     expansions is the derivation's plus the search's, and the derivation
     is charged on every call although it runs once per (pattern, order,
     fixing), so budget bounds both and the result never depends on the
-    cache.  When the budget is exceeded, count is the partial count so
-    far (a multiple of |Aut| in a constrained count), and 0 if the budget
-    ran out during the derivation.  A negative budget raises ValueError.
+    cache.  Every mode stops at its first expansion past the budget: a
+    search that runs out reports expansions == budget + 1, and count is
+    the partial count of the leaves it paid for (a multiple of |Aut| in
+    a constrained count), 0 if the budget ran out during the derivation.
+    A negative budget raises ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

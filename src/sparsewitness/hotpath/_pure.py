@@ -12,9 +12,10 @@ node is kept small:
   complement (Ullmann's candidate-set refinement);
 * when that refined mask is empty no sibling has a child, so all of them
   are charged in one step;
-* leaves are handled in their parent, and in the dominating modes a
-  closed-neighbourhood cover of the path replaces the per-leaf domination
-  scan;
+* leaves are handled in their parent: the count modes take them in one
+  batch when the whole batch fits the budget, and in the dominating modes
+  a closed-neighbourhood cover of the path replaces the per-leaf
+  domination scan;
 * the dominating modes look ahead (Haralick and Elliott's forward
   checking, applied to domination) at each depth k with an
   interchangeable tail: the depths k + 1 to the last are one class of
@@ -52,9 +53,13 @@ Optional symmetry-breaking conditions (``smaller``) name, per depth, the
 earlier depths whose image must be the smaller host vertex.  Each is one
 mask, ``-(2 << image)``, that keeps only larger vertices: a node ANDs the
 masks of depths before its own into the next depth's candidate mask, and
-each child ANDs in the mask of its own image.  So both leaf batches see
-the last depth's conditions.  Without conditions the search tree is
+each child ANDs in the mask of its own image.  So the leaves see the
+last depth's conditions.  Without conditions the search tree is
 unchanged.
+
+One stop rule holds in every mode: a search that runs out of budget
+stops at its first expansion past the budget, so it reports expansions
+== budget + 1, and its count holds only the leaves it paid for.
 """
 
 import functools
@@ -136,7 +141,9 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     dominating modes a complete assignment only counts when its image set
     dominates the host, and subtrees that cannot dominate are skipped (see
     the module docstring), so they spend at most the expansions of the
-    same search in MODE_COUNT.
+    same search in MODE_COUNT.  exceeded is expansions > budget: a search
+    that runs out stops at expansion budget + 1 and counts only the leaves
+    it paid for.
     """
     n_p, n_h = len(pattern_masks), len(host_masks)
     dominating = mode in (MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING)
@@ -163,27 +170,18 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     embeddings = []
     count = 0
     expansions = 0
-    exceeded = False
 
     def leaves(cand, cover):
         # cand: the candidates at the last depth; cover: closed
         # neighbourhood of the assigned path (dominating modes only).
-        nonlocal count, expansions, exceeded
+        nonlocal count, expansions
         c = cand.bit_count()
-        if mode == MODE_COUNT:
-            # Every remaining candidate completes a copy.
-            count += c
+        if counting and expansions + c <= budget:
+            # The whole batch fits the budget.  In MODE_COUNT_DOMINATING a
+            # leaf dominates iff it lies in the closed neighbourhood of
+            # every vertex the path leaves uncovered.
             expansions += c
-            if expansions > budget:
-                exceeded = True
-                return True
-            return False
-        if mode == MODE_COUNT_DOMINATING and expansions + c <= budget:
-            # The whole batch fits the budget.  A leaf dominates iff it lies
-            # in the closed neighbourhood of every vertex the path leaves
-            # uncovered.
-            expansions += c
-            missing = full & ~cover
+            missing = full & ~cover if dominating else 0
             while missing and cand:
                 low = missing & -missing
                 missing ^= low
@@ -195,7 +193,6 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             cand ^= low
             expansions += 1
             if expansions > budget:
-                exceeded = True
                 return True
             v = low.bit_length() - 1
             if dominating and cover | closed[v] != full:
@@ -246,7 +243,7 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
 
     def descend(k, cand, used, cover):
         # cand: the candidates at depth k < last; used: images of depths < k.
-        nonlocal expansions, exceeded
+        nonlocal expansions
         nxt = k + 1
         pre = used
         for j in apart[nxt]:
@@ -261,7 +258,6 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             expansions += cand.bit_count()
             if expansions > budget:
                 expansions = budget + 1
-                exceeded = True
                 return True
             return False
         adjacent = pattern_masks[order[nxt]] >> order[k] & 1
@@ -272,7 +268,6 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             cand ^= low
             expansions += 1
             if expansions > budget:
-                exceeded = True
                 return True
             v = low.bit_length() - 1
             row = host_masks[v]
@@ -310,4 +305,4 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
     # descend's closure holds descend itself; unbinding it lets the search
     # state be freed on return instead of at the next cyclic collection.
     descend = None
-    return embeddings, count, expansions, exceeded
+    return embeddings, count, expansions, expansions > budget

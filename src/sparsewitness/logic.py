@@ -208,6 +208,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The binary connectives, loosest first; all but '->' associate left.
+_BINARY = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -251,35 +255,17 @@ class _Parser:
             raise BindingError(self.unbound)
         return node
 
-    def formula(self):
-        return self.iff()
-
-    def iff(self):
-        node = self.implies()
-        while self.peek()[:2] == ("op", "<->"):
+    def formula(self, level: int = 0):
+        # The connectives of _BINARY[level:], loosest first.
+        if level == len(_BINARY):
+            return self.unary()
+        op, node_type = _BINARY[level]
+        node = self.formula(level + 1)
+        while self.peek()[:2] == ("op", op):
             self.next()
-            node = Iff(node, self.implies())
-        return node
-
-    def implies(self):
-        node = self.or_()
-        if self.peek()[:2] == ("op", "->"):
-            self.next()
-            return Implies(node, self.implies())
-        return node
-
-    def or_(self):
-        node = self.and_()
-        while self.peek()[:2] == ("op", "|"):
-            self.next()
-            node = Or(node, self.and_())
-        return node
-
-    def and_(self):
-        node = self.unary()
-        while self.peek()[:2] == ("op", "&"):
-            self.next()
-            node = And(node, self.unary())
+            if op == "->":
+                return node_type(node, self.formula(level))
+            node = node_type(node, self.formula(level + 1))
         return node
 
     def unary(self):

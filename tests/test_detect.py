@@ -138,6 +138,51 @@ def test_budget_exceeded_is_reported_not_raised():
     assert not res
 
 
+def test_both_entries_stop_at_the_first_expansion_past_the_budget():
+    # On K_{2,3} = W(2, 0, 2) the exact count of W(1, 0, 2) spends 19
+    # expansions and counts 12 labeled copies; the dominating count over
+    # a in {1, 2} spends 48 and counts 24.  Every smaller budget runs out
+    # at expansion budget + 1 and counts only leaves it paid for.
+    k23 = build_W(2, 0, 2).graph
+    exact = find_induced_W(k23, 1, 0, 2, mode="count")
+    assert (exact.outcome, exact.count, exact.expansions) == ("found", 12, 19)
+    for b in range(19):
+        res = find_induced_W(k23, 1, 0, 2, mode="count", budget=b)
+        assert (res.outcome, res.expansions) == ("budget_exceeded", b + 1)
+        assert res.count <= 12
+    exact = find_dominating_induced_W(k23, 0, 2, (1, 2), mode="count")
+    assert (exact.outcome, exact.count, exact.expansions) == ("found", 24, 48)
+    for b in range(48):
+        res = find_dominating_induced_W(k23, 0, 2, (1, 2), mode="count", budget=b)
+        assert (res.outcome, res.expansions) == ("budget_exceeded", b + 1)
+        assert res.count <= 24
+
+
+def test_which_outcomes_name_their_a():
+    # find_induced_W names its a on every outcome, also where W(a) is
+    # larger than the host; find_dominating_induced_W only on a found copy.
+    k23 = build_W(2, 0, 2).graph
+    isolates = Graph(5, [])
+    plain = [
+        find_induced_W(k23, 2, 0, 2),
+        find_induced_W(isolates, 2, 0, 2),
+        find_induced_W(k23, 2, 0, 2, budget=1),
+        find_induced_W(k23, 3, 0, 2),
+    ]
+    assert [(res.outcome, res.a) for res in plain] == [
+        ("found", 2), ("none", 2), ("budget_exceeded", 2), ("none", 3)]
+    dominating = [
+        find_dominating_induced_W(k23, 0, 2, (1, 2)),
+        find_dominating_induced_W(k23, 0, 2, (1, 2), mode="count"),
+        find_dominating_induced_W(isolates, 0, 2, (1, 2)),
+        find_dominating_induced_W(k23, 0, 2, (1, 2), budget=1),
+        find_dominating_induced_W(k23, 0, 2, (3, 3)),
+    ]
+    assert [(res.outcome, res.a) for res in dominating] == [
+        ("found", 2), ("found", None), ("none", None), ("budget_exceeded", None),
+        ("none", None)]
+
+
 def test_unknown_mode_is_rejected():
     # Rejected before any search, also where the pattern does not fit the
     # host.

@@ -215,8 +215,9 @@ W2_ROOT_BFS = [2, 0, 3, 4, 5, 6, 1]
 # before bounds it from above.  In the breadth-first orders no depth has
 # an interchangeable tail, so nothing is skipped and expansions equals
 # before again; the default order (order None, search_order) of K_{2,5},
-# [1, 0, 2, 3, 4, 5, 6], has one from depth 2.  Counts and expansions stay
-# exact at every budget.
+# [1, 0, 2, 3, 4, 5, 6], has one from depth 2.  One budget short, a
+# search stops at the same expansions and keeps the exact count, except
+# where its last expansion completes a copy (SHORT_COUNTS).
 PINNED_BENCH = [
     # (a, gamma, r, host n, host p, mode, order, count, expansions,
     # before); the hosts are those of benchmarks/bench_kernel.py (seed
@@ -301,11 +302,19 @@ def _embed(pattern, host, mode, order, budget):
     return res.count, res.expansions, res.exceeded
 
 
-def _assert_pinned(search, pattern, host, mode, order, count, expansions, before):
+# (a, host n): the count at budget expansions - 1 where it is below the
+# exact count.  The last expansion of both P_3 counts completes a copy,
+# which the stopped search has not paid for.
+SHORT_COUNTS = {(1, 60): 11149, (1, 120): 32915}
+
+
+def _assert_pinned(search, pattern, host, mode, order, count, expansions, before,
+                   short_count=None):
     assert expansions <= before
-    for budget in (expansions - 1, expansions, expansions + 1):
-        assert search(pattern, host, mode, order, budget) == (
-            count, expansions, budget < expansions)
+    assert search(pattern, host, mode, order, expansions - 1) == (
+        count if short_count is None else short_count, expansions, True)
+    for budget in (expansions, expansions + 1):
+        assert search(pattern, host, mode, order, budget) == (count, expansions, False)
 
 
 # ``backend`` names the kernel in ``_pure``, the one backend.
@@ -316,7 +325,8 @@ def test_pinned_counters_bench_kernel_hosts(backend, a, gamma, r, n, p, mode, or
                                             expansions, before):
     pattern = build_W(a, gamma, r).graph
     host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-    _assert_pinned(_kernel, pattern, host, mode, order, count, expansions, before)
+    _assert_pinned(_kernel, pattern, host, mode, order, count, expansions, before,
+                   short_count=SHORT_COUNTS.get((a, n)))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -333,7 +343,8 @@ def test_pinned_count_mode_counters_bench_kernel_hosts(a, gamma, r, n, p, mode, 
                                                        count, expansions, before):
     pattern = build_W(a, gamma, r).graph
     host = sample_gnp(SamplerConfig(n=n, p=p, seed=2024))
-    _assert_pinned(_embed, pattern, host, mode, order, count, expansions, before)
+    _assert_pinned(_embed, pattern, host, mode, order, count, expansions, before,
+                   short_count=SHORT_COUNTS.get((a, n)))
 
 
 @pytest.mark.parametrize("n, seed, trial, count, expansions, before",
@@ -683,7 +694,7 @@ def test_symmetry_broken_count_matches_oracle(instance, mode):
         if budget >= e:
             assert (res.count, res.expansions, res.exceeded) == (len(oracle), e, False)
         else:
-            assert res.exceeded and res.expansions > budget
+            assert res.exceeded and res.expansions == budget + 1
             # A partial count is still |Aut| times whole classes.
             assert res.count <= len(oracle) and res.count % unit == 0
 
@@ -734,12 +745,8 @@ def test_kernel_matches_oracle_at_budget_boundary(instance, mode):
             assert res.embeddings == exact.embeddings
         else:
             assert res.exceeded
-            if mode == MODE_COUNT:
-                # The count-mode leaf batch charges all its leaves at once.
-                assert res.expansions > budget
-            else:
-                # Every other search stops at the first expansion too many.
-                assert res.expansions == budget + 1
+            # Every search stops at the first expansion too many.
+            assert res.expansions == budget + 1
             assert res.count <= exact.count
             assert res.embeddings == exact.embeddings[: len(res.embeddings)]
 
