@@ -442,8 +442,6 @@ def domination_probability(n: int, p: float, k: int) -> float:
     """Probability that a fixed k-set dominates G(n, p)."""
     if not 0 <= k <= n:
         raise ParameterError(f"k={k} out of range for n={n}")
-    if k == n:
-        return 1.0
     return math.exp(_log_domination_factor(n, k, p))
 
 

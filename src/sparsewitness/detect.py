@@ -18,8 +18,11 @@ leaves is bounded by two host rows.  For gamma >= 1, f1[1] reaches the
 tree only through connectors, and only the root is pinned.  W(a) and its
 order are built once per (a, gamma, r) by witness_pattern and shared by
 every search of W(a), logic's included, so a Monte Carlo trial pays only
-for its host.  The connector check calls the kernel directly, with a
-candidate mask per path position (see check_connector_property).
+for its host.  W(a) is built only for an a whose W(a) fits the host:
+the loop sizes it from its parameters first, so an a range reaching
+past the host costs nothing for the a values that cannot occur.  The
+connector check calls the kernel directly, with a candidate mask per
+path position (see check_connector_property).
 """
 
 from __future__ import annotations
@@ -80,15 +83,17 @@ def witness_pattern(a: int, gamma: int, r: int) -> tuple[witness.WitnessGraph, t
 def _witness_search(g: Graph, gamma: int, r: int, a_values, kernel_mode: int,
                     budget: int) -> DetectionResult:
     """The loop of both entries: W(a) for each a of a_values in turn,
-    skipping those larger than g, within one budget of expansions.  Only
-    the find modes return embeddings, so a find stops at the first copy
-    and names its a; a count sums the counts of every a."""
+    skipping, before it is built, each W(a) larger than g, within one
+    budget of expansions.  Only the find modes return embeddings, so a
+    find stops at the first copy and names its a; a count sums the counts
+    of every a."""
     check_budget(budget)
     count = expansions = 0
     for a in a_values:
-        ws, order = witness_pattern(a, gamma, r)
-        if ws.graph.n > g.n:
+        witness._check_params(a, gamma, r)
+        if witness.w_vertex_count(a, gamma, r) > g.n:
             continue
+        ws, order = witness_pattern(a, gamma, r)
         res = hotpath.embed_search(ws.graph, g, mode=kernel_mode, order=order,
                                    budget=budget - expansions)
         count += res.count

@@ -55,6 +55,8 @@ class ExperimentConfig:
         # Values from a JSON config arrive untyped, so types are checked too.
         if not (isinstance(self.n_values, tuple) and all(map(_is_int, self.n_values))):
             raise ValueError(f"n_values must be a tuple of integers, got {self.n_values!r}")
+        if any(n < 1 for n in self.n_values):
+            raise ValueError(f"every n must be at least 1, got {self.n_values!r}")
         for name in _INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")

@@ -10,8 +10,7 @@ buffer, which is all of that generator's state, and so draws the same
 numbers.  Both paths build the adjacency rows with numpy, without a
 Python step per pair:
 
-- the dense path draws one uniform per pair (p = 1 takes it with no
-  draw);
+- the dense path draws one uniform per pair;
 - below p ~ 10/n a geometric pair-skipping path avoids touching all
   C(n, 2) pairs: each batch of gaps becomes edge positions through one
   cumulative sum.
@@ -126,8 +125,6 @@ def sample_gnp(cfg: SamplerConfig) -> Graph:
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n, [])
-    if p == 1.0:
-        return _dense_graph(n, True, total)
     rng = _rng(cfg)
     if p < SPARSE_FACTOR / n:
         return _sample_sparse(rng, n, p, total)
@@ -136,10 +133,10 @@ def sample_gnp(cfg: SamplerConfig) -> Graph:
 
 
 def _dense_graph(n: int, hit, m: int) -> Graph:
-    """Rows from the pair flags in lexicographic order (or one flag for all
-    pairs): scatter them into the upper triangle of a bool matrix padded to
-    whole 64-bit words, symmetrise the n x n part, and pack each row into a
-    little-endian Python int."""
+    """Rows from the pair flags in lexicographic order: scatter them into
+    the upper triangle of a bool matrix padded to whole 64-bit words,
+    symmetrise the n x n part, and pack each row into a little-endian
+    Python int."""
     upper = _upper_triangle(n)
     adj = np.zeros(upper.shape, dtype=bool)
     adj[upper] = hit

@@ -10,8 +10,6 @@ node is kept small:
 * each node refines the next depth's candidate mask once, over the
   earlier assignments, and each child then ANDs in one host row or its
   complement (Ullmann's candidate-set refinement);
-* when that refined mask is empty no sibling has a child, so all of them
-  are charged in one step;
 * leaves are handled in their parent: the count modes take them in one
   batch when the whole batch fits the budget, and in the dominating modes
   a closed-neighbourhood cover of the path replaces the per-leaf
@@ -27,8 +25,9 @@ node is kept small:
   and the images of the tail are then an independent set of the host
   inside the child's mask for depth k + 1.  A child there has no
   dominating leaf, and is skipped, when that mask has no independent set
-  of last - k vertices or leaves some host vertex outside the path's
-  cover without a closed neighbour in it.  The independence bound is the
+  of last - k vertices, or fails the one domination test: the closed
+  neighbourhoods of the path and of every vertex in the mask must
+  together cover the host.  The independence bound is the
   clique-cover bound of colouring-based clique search (Tomita and Seki,
   DMTCS 2003): a greedy matching pairs the lowest unmatched vertex of
   the mask with its lowest unmatched neighbour there.  With c vertices,
@@ -223,23 +222,15 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
                     return True
         return False
 
-    def uncovered(c, images, cover):
+    def uncovered(images, cover):
         # True when some host vertex outside cover has no closed neighbour
-        # among the c images open to the later depths.
-        missing = full & ~cover
-        if c < missing.bit_count():
-            reach = 0
-            while images:
-                low = images & -images
-                images ^= low
-                reach |= closed[low.bit_length() - 1]
-            return missing & ~reach != 0
-        while missing:
-            low = missing & -missing
-            missing ^= low
-            if not closed[low.bit_length() - 1] & images:
-                return True
-        return False
+        # among the images open to the later depths.
+        reach = cover
+        while images:
+            low = images & -images
+            images ^= low
+            reach |= closed[low.bit_length() - 1]
+        return reach != full
 
     def descend(k, cand, used, cover):
         # cand: the candidates at depth k < last; used: images of depths < k.
@@ -253,13 +244,6 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
             pre &= rows[j]
         for j in lower[nxt]:
             pre &= -(2 << assign[j])
-        if not pre:
-            # No candidate at this depth has a child: charge them all.
-            expansions += cand.bit_count()
-            if expansions > budget:
-                expansions = budget + 1
-                return True
-            return False
         adjacent = pattern_masks[order[nxt]] >> order[k] & 1
         bounded = lower_parent[nxt]
         need = ahead[k]
@@ -283,7 +267,7 @@ def search(pattern_masks, host_masks, order, base_masks, mode, budget, smaller=N
                 if c < need or matching(child, c - need + 1):
                     continue
                 child_cover = cover | closed[v]
-                if uncovered(c, child, child_cover):
+                if uncovered(child, child_cover):
                     continue
             elif dominating:
                 child_cover = cover | closed[v]

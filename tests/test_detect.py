@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle, path, random_graph
+from sparsewitness import detect
 from sparsewitness.detect import (
     _pattern_order,
     check_connector_property,
@@ -19,7 +20,7 @@ from sparsewitness.detect import (
     wilson_interval,
 )
 from sparsewitness.graphs import BudgetExceededError, Graph, induced_embeddings, is_dominating
-from sparsewitness.witness import build_W, build_W_star
+from sparsewitness.witness import WitnessError, build_W, build_W_star, w_vertex_count
 
 
 def test_find_induced_W_rejects_a_negative_budget_before_the_size_check():
@@ -36,6 +37,34 @@ def test_find_dominating_induced_W_rejects_a_negative_budget_before_the_size_che
     assert find_dominating_induced_W(k23, 0, 2, (3, 3), budget=0).outcome == "none"
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
         find_dominating_induced_W(k23, 0, 2, (3, 3), budget=-1)
+
+
+def test_W_a_is_built_only_when_it_fits_the_host(monkeypatch):
+    # W(30, 0, 4) would have about 10^17 vertices.  Each a is sized from
+    # its parameters, after they are checked, and only a W(a) that fits is
+    # built; an edge dominates 4 of C_6's 6 vertices, so no copy is found.
+    host = cycle(6)
+    build = detect.witness_pattern
+
+    def fitting(a, gamma, r):
+        assert w_vertex_count(a, gamma, r) <= host.n, f"W({a}, {gamma}, {r}) built"
+        return build(a, gamma, r)
+
+    monkeypatch.setattr(detect, "witness_pattern", fitting)
+    assert find_dominating_induced_W(host, 0, 4, (1, 30)).outcome == "none"
+    assert find_dominating_induced_W(host, 0, 4, (1, 30), mode="count").outcome == "none"
+    assert find_induced_W(host, 30, 0, 4).outcome == "none"
+    for call, match in [
+        (lambda: find_induced_W(host, 0, 0, 4), "a must be at least 1"),
+        (lambda: find_induced_W(host, 30, -1, 4), "gamma must be nonnegative"),
+        (lambda: find_dominating_induced_W(host, 0, 1, (1, 30)), "r must be at least 2"),
+        (lambda: find_dominating_induced_W(host, -1, 1, (1, 30), budget=-1),
+         "budget must be nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            call()
+    with pytest.raises(WitnessError):
+        find_induced_W(host, 30, 0, 1)
 
 
 def test_find_induced_W_examples():

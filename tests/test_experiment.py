@@ -42,6 +42,8 @@ def test_config_rejects_unknown_keys():
     ({"alpha": "0.3"}, "alpha must be a number"),
     ({"p_override": "0.5"}, "p_override must be a number"),
     ({"record_runtime": 1}, "record_runtime must be a bool"),
+    ({"n_values": (0,)}, "every n must be at least 1"),
+    ({"n_values": (-3,)}, "every n must be at least 1"),
 ])
 def test_config_rejects_bad_values(bad, match):
     # Without the check workers=0 runs serially and budget=-5 writes a CSV

@@ -46,9 +46,18 @@ def test_different_seeds_and_streams_differ():
 
 
 def test_edge_probabilities():
-    for p in (0.0, 1.0):
-        g = sample_gnp(SamplerConfig(n=10, p=p, seed=0))
-        assert g.m == (0 if p == 0.0 else 45)
+    # p = 1 takes the geometric path at n = 2 and 9 (p < 10/n) and the
+    # dense one at n >= 10, with one-word rows up to n = 64 and two-word
+    # rows at n = 70; every path returns K_n.
+    for n in (2, 9, 10, 64, 70):
+        for p in (0.0, 1.0):
+            g = sample_gnp(SamplerConfig(n=n, p=p, seed=0))
+            if p == 0.0:
+                assert g.m == 0 and not any(g.bits)
+            else:
+                assert g.m == n * (n - 1) // 2
+                full = (1 << n) - 1
+                assert g.bits == [full ^ (1 << v) for v in range(n)]
 
 
 def test_splitmix64_reference_values():

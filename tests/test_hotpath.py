@@ -751,6 +751,25 @@ def test_kernel_matches_oracle_at_budget_boundary(instance, mode):
             assert res.embeddings == exact.embeddings[: len(res.embeddings)]
 
 
+@pytest.mark.parametrize("mode", [MODE_COUNT, MODE_COLLECT])
+def test_budget_runs_out_among_siblings_with_no_child(mode):
+    # P_3 a-b-c searched ends first, in the star K_{1,3} (centre 0) beside
+    # the edge 4-5.  Depth 2 takes b, so it needs a host vertex of degree
+    # >= 2 adjacent to the depth-0 image: only the centre.  With depth 0 at
+    # 0, 4 or 5 that next-depth mask is empty, and every candidate at depth
+    # 1 is a sibling with no child: expansions 2-3, 26-29 and 31-34 of the
+    # 34.  Expansions 6, 8, 13, 15, 20 and 22 are the six leaves.
+    pattern = Graph(3, [(0, 1), (1, 2)])
+    host = Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    order = (0, 2, 1)
+    assert _kernel(pattern, host, mode, order, 10**9) == (6, 34, False)
+    leaves = (6, 8, 13, 15, 20, 22)
+    # Each budget stops the search at one of those siblings.
+    for budget in (1, 2, 25, 26, 27, 28, 30, 31, 32, 33):
+        paid = sum(1 for e in leaves if e <= budget)
+        assert _kernel(pattern, host, mode, order, budget) == (paid, budget + 1, True)
+
+
 def _meets(smaller, order, emb):
     """emb satisfies every condition img(order[j]) < img(order[d])."""
     return all(emb[order[j]] < emb[order[d]] for d, js in enumerate(smaller) for j in js)
