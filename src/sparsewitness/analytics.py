@@ -16,6 +16,13 @@ enclosures of the rational constants are kept across calls, those of
 f(x) and the brackets only within one.  The part-2 size inequalities
 v^q <= x^p are placed on interval enclosures of q ln v and p ln x, and
 decided on exact integers only where those never separate.
+
+mpmath is not imported with the module.  The first window comparison
+binds the libmp primitives, and the arbitrary-precision branches import
+it where they run: ln n!/(n - s)! past n = 10^12, the floor search's
+seed past the float range and the float logarithms of part-2 rows.  So
+sampling, domination and the first moments below n = 10^12 never load
+it.
 """
 
 from __future__ import annotations
@@ -26,21 +33,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-from mpmath.libmp import (
-    from_int,
-    mpf_gt,
-    mpf_le,
-    mpi_add,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_mul,
-    round_ceiling,
-    round_floor,
-    to_int,
-)
-
 from .witness import (
     omega,
     w_edge_count,
@@ -50,6 +42,29 @@ from .witness import (
 )
 
 _PRECISIONS = (80, 160, 320, 640, 1280, 2560, 5120)
+# mpmath's rounding modes, the strings its API takes as rounding=.
+_FLOOR, _CEILING = "f", "c"
+# The mpmath.libmp interval primitives of the window comparisons.  mpmath
+# loads on the first comparison, not with the package, since sampling and
+# domination never compare: until then each name is a stand-in whose one
+# call binds every name below to the libmp function and forwards, so the
+# comparisons call plain module globals from then on.
+_LIBMP = ("from_int", "mpf_gt", "mpf_le", "mpi_add", "mpi_div", "mpi_exp",
+          "mpi_log", "mpi_mul", "to_int")
+
+
+def _stand_in(name):
+    def first_call(*args):
+        from mpmath import libmp
+
+        globals().update((n, getattr(libmp, n)) for n in _LIBMP)
+        return globals()[name](*args)
+
+    return first_call
+
+
+(from_int, mpf_gt, mpf_le, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul,
+ to_int) = map(_stand_in, _LIBMP)
 
 
 class ParameterError(ValueError):
@@ -186,7 +201,7 @@ def _ln_preimage(t, alpha, lib):
 
 def _point(n: int, prec: int):
     """Enclosure of the integer n by prec-bit endpoints, exact when n fits."""
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+    return from_int(n, prec, _FLOOR), from_int(n, prec, _CEILING)
 
 
 @functools.lru_cache(maxsize=512)
@@ -286,7 +301,7 @@ class _Endpoint:
             if self._add:
                 e = mpi_add(e, _constant(self._add, prec), prec)
             lo, hi = e
-            b = self._brackets[prec] = (to_int(lo, round_ceiling), to_int(hi, round_floor))
+            b = self._brackets[prec] = (to_int(lo, _CEILING), to_int(hi, _FLOOR))
         return b
 
     def sign(self, s: int) -> int:
@@ -357,6 +372,8 @@ def _log_falling_factorial(n: int, s: int) -> float:
     if n <= 10**12:
         lg = math.lgamma
         return lg(n + 1) - lg(s + 1) - lg(n - s + 1) + lg(s + 1)
+    import mpmath
+
     with mpmath.workdps(len(str(n)) + 20):
         return float(mpmath.loggamma(n + 1) - mpmath.loggamma(n - s + 1))
 
@@ -533,6 +550,8 @@ def _big_seed(target: Fraction, alpha: Fraction) -> int:
     large for the float inverse: _ln_preimage at a working precision set
     by the target's bit length, 64 bits beyond the bits of x, so the seed
     is off by a few units at most."""
+    import mpmath
+
     bits = target.numerator.bit_length() - target.denominator.bit_length() + 1
     with mpmath.workprec(int(bits / float(alpha)) + 64):
         t = mpmath.mpf(target.numerator) / target.denominator
@@ -801,6 +820,8 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int) -> Part2Row:
         )
 
     def log_of(x: int) -> float:
+        import mpmath
+
         with mpmath.workdps(30):
             return float(mpmath.log(mpmath.mpf(x)))
 

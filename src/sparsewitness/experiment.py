@@ -4,18 +4,19 @@ G(n, p) across a grid of sizes, with deterministic CSV output.
 Each trial gets its own derived random stream, so results are identical
 for any worker count.  runtime_ms is 0 by default to keep the CSV
 byte-stable; pass record_runtime=True to measure wall time instead (at
-the cost of reproducible bytes).
+the cost of reproducible bytes).  The process pool, and with it
+concurrent.futures, is imported only for workers > 1.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import time
 from dataclasses import dataclass
 
 from . import analytics, detect, gnp
 from .graphs import check_budget
+from .witness import w_vertex_count
 
 CSV_COLUMNS = [
     "n", "alpha", "p", "gamma", "r", "a_min", "a_max", "trials",
@@ -73,6 +74,12 @@ class ExperimentConfig:
         check_budget(self.budget)
         if self.a_min < 1 or self.a_max < self.a_min:
             raise ValueError(f"bad a range: a_min={self.a_min}, a_max={self.a_max}")
+        smallest = w_vertex_count(self.a_min, self.gamma, self.r)
+        if any(n < smallest for n in self.n_values):
+            raise ValueError(
+                f"every n must hold W(a_min) = W({self.a_min}, {self.gamma}, {self.r}), "
+                f"which has {smallest} vertices, got {self.n_values!r}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -114,6 +121,8 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     """Run the grid and return the CSV text (header + one row per n).
     With workers > 1 one process pool serves every n."""
     if cfg.workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
             return _run_grid(cfg, pool)
     return _run_grid(cfg, None)

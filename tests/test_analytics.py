@@ -3,14 +3,19 @@
 import dataclasses
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import sparsewitness
 from sparsewitness import analytics
 from sparsewitness.analytics import (
     LogReal,
@@ -922,3 +927,25 @@ def test_first_moments_are_pinned_exactly():
                         out = str(exc)
                     h.update(repr((fn.__name__, n, a, gamma, extra, out)).encode())
     assert h.hexdigest() == FIRST_MOMENT_DIGEST
+
+
+def test_import_leaves_mpmath_and_the_pool_unloaded():
+    # Sampling and domination never compare, so a fresh interpreter's
+    # import loads neither mpmath nor the process pool (nor the logging
+    # the pool brings).  The first window report loads mpmath and gives
+    # the report this process gives.
+    src = str(Path(sparsewitness.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, sparsewitness\n"
+        "print(sorted({'mpmath', 'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        "print(repr(sparsewitness.window_report(10**6, 0.3, 10)))\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    loaded, report, mpmath_after = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert report == repr(window_report(10**6, 0.3, 10))
+    assert mpmath_after == "True"

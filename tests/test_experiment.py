@@ -44,6 +44,7 @@ def test_config_rejects_unknown_keys():
     ({"record_runtime": 1}, "record_runtime must be a bool"),
     ({"n_values": (0,)}, "every n must be at least 1"),
     ({"n_values": (-3,)}, "every n must be at least 1"),
+    ({"n_values": (40, 1)}, "every n must hold W"),
 ])
 def test_config_rejects_bad_values(bad, match):
     # Without the check workers=0 runs serially and budget=-5 writes a CSV
