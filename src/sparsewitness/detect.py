@@ -197,6 +197,7 @@ def exists_dominating_set_of_size(
     A set S dominates iff the union of closed neighborhoods N[s], s in S,
     covers every vertex.
     """
+    check_budget(budget)
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} out of range")
     closed = [g.bits[v] | (1 << v) for v in range(g.n)]

@@ -3,9 +3,12 @@ G(n, p) across a grid of sizes, with deterministic CSV output.
 
 Each trial gets its own derived random stream, so results are identical
 for any worker count.  runtime_ms is 0 by default to keep the CSV
-byte-stable; pass record_runtime=True to measure wall time instead (at
-the cost of reproducible bytes).  The process pool, and with it
-concurrent.futures, is imported only for workers > 1.
+byte-stable; pass record_runtime=True to measure the wall time of each
+n's trials instead (at the cost of reproducible bytes).  ExperimentConfig
+checks types and ranges; run_experiment then computes every n's
+analytics before the first trial, so a config they reject (say alpha
+outside (0, 1), or gamma < 0) fails before any trial runs.  The process
+pool, and with it concurrent.futures, is imported only for workers > 1.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ class ExperimentConfig:
     record_runtime: bool = False
 
     def __post_init__(self):
-        # Checked here, so that a bad value fails before any trial runs.
+        # Checked here, so that a bad value fails before any trial runs;
+        # run_experiment's analytics reject the rest, also before any trial.
         # Values from a JSON config arrive untyped, so types are checked too.
         if not (isinstance(self.n_values, tuple) and all(map(_is_int, self.n_values))):
             raise ValueError(f"n_values must be a tuple of integers, got {self.n_values!r}")
@@ -119,20 +123,29 @@ def _fmt(x: float) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Run the grid and return the CSV text (header + one row per n).
-    With workers > 1 one process pool serves every n."""
+    Every n's analytics are computed first, so a config they reject fails
+    before any trial runs.  With workers > 1 one process pool serves every
+    n."""
+    context = []
+    for n in cfg.n_values:
+        p = cfg.p_override if cfg.p_override is not None else n ** (-cfg.alpha)
+        log_exp = analytics.expected_W_dominating(n, p, cfg.a_min, cfg.gamma).log
+        report = analytics.window_report(
+            n, cfg.alpha, cfg.gamma, r=cfg.r, mode="part1", window="existence"
+        )
+        context.append((n, p, log_exp, report))
     if cfg.workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
-            return _run_grid(cfg, pool)
-    return _run_grid(cfg, None)
+            return _run_grid(cfg, context, pool)
+    return _run_grid(cfg, context, None)
 
 
-def _run_grid(cfg: ExperimentConfig, pool) -> str:
+def _run_grid(cfg: ExperimentConfig, context: list, pool) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for n in cfg.n_values:
+    for n, p, log_exp, report in context:
         start = time.monotonic()
-        p = cfg.p_override if cfg.p_override is not None else n ** (-cfg.alpha)
         args = [
             (n, p, cfg.gamma, cfg.r, cfg.a_min, cfg.a_max, cfg.seed, t, cfg.budget)
             for t in range(cfg.trials)
@@ -141,16 +154,12 @@ def _run_grid(cfg: ExperimentConfig, pool) -> str:
             outcomes = list(pool.map(run_trial, args, chunksize=64))
         else:
             outcomes = [run_trial(a) for a in args]
-        successes = sum(1 for ok, _, _ in outcomes if ok)
-        exceeded = sum(1 for _, _, ex in outcomes if ex)
-        ci_low, ci_high = detect.wilson_interval(successes, cfg.trials)
-        log_exp = analytics.expected_W_dominating(n, p, cfg.a_min, cfg.gamma).log
-        report = analytics.window_report(
-            n, cfg.alpha, cfg.gamma, r=cfg.r, mode="part1", window="existence"
-        )
         runtime_ms = (
             int((time.monotonic() - start) * 1000) if cfg.record_runtime else 0
         )
+        successes = sum(1 for ok, _, _ in outcomes if ok)
+        exceeded = sum(1 for _, _, ex in outcomes if ex)
+        ci_low, ci_high = detect.wilson_interval(successes, cfg.trials)
         row = [
             str(n), _fmt(cfg.alpha), _fmt(p), str(cfg.gamma), str(cfg.r),
             str(cfg.a_min), str(cfg.a_max), str(cfg.trials),

@@ -133,6 +133,7 @@ def stabilizer_chain(pattern: Graph, order: list[int] | None = None,
     Raises BudgetExceededError when the self-searches together need more
     than budget expansions.
     """
+    check_budget(budget)
     if order is None:
         order = search_order(pattern)
     chain = _chain(pattern, tuple(order), budget, _fixed(pattern, fixing))

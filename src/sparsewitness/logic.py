@@ -16,6 +16,11 @@ Grammar (binding gets looser downward; '&', '|' and '<->' associate left,
     atom     := name '~' name | name '=' name | name 'in' name
               | '@' name '(' name (',' name)* ')'
 
+The AST has one frozen node class per production: Atom(rel, left, right)
+for '~', '=' and 'in'; BuiltinAtom(name, args); Not(body); Binary(op,
+left, right) for the connectives; Quantifier(kind, var, body) for EX, ALL
+and EXSET.
+
 Variable kind is determined by the binder: EX/ALL bind vertex variables,
 EXSET binds set variables.  Every builtin argument is a set variable.  The
 parser checks bindings as it reads, against the scopes of the enclosing
@@ -49,19 +54,10 @@ class BindingError(ValueError):
 # AST
 
 @dataclass(frozen=True)
-class Adj:
+class Atom:
+    rel: str  # '~' (adjacency), '=' or 'in' (right is a set variable)
     left: str
     right: str
-
-@dataclass(frozen=True)
-class Eq:
-    left: str
-    right: str
-
-@dataclass(frozen=True)
-class Member:
-    element: str
-    container: str
 
 @dataclass(frozen=True)
 class BuiltinAtom:
@@ -73,37 +69,14 @@ class Not:
     body: object
 
 @dataclass(frozen=True)
-class And:
+class Binary:
+    op: str  # a token of _BINARY
     left: object
     right: object
 
 @dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Implies:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Iff:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: object
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: object
-
-@dataclass(frozen=True)
-class ExistsSet:
+class Quantifier:
+    kind: str  # 'EX', 'ALL' or 'EXSET'
     var: str
     body: object
 
@@ -209,7 +182,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # The binary connectives, loosest first; all but '->' associate left.
-_BINARY = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+_BINARY = ("<->", "->", "|", "&")
 
 
 class _Parser:
@@ -259,13 +232,13 @@ class _Parser:
         # The connectives of _BINARY[level:], loosest first.
         if level == len(_BINARY):
             return self.unary()
-        op, node_type = _BINARY[level]
+        op = _BINARY[level]
         node = self.formula(level + 1)
         while self.peek()[:2] == ("op", op):
             self.next()
             if op == "->":
-                return node_type(node, self.formula(level))
-            node = node_type(node, self.formula(level + 1))
+                return Binary(op, node, self.formula(level))
+            node = Binary(op, node, self.formula(level + 1))
         return node
 
     def unary(self):
@@ -285,7 +258,7 @@ class _Parser:
             scope.append(var)
             body = self.unary()
             scope.pop()
-            return {"EX": Exists, "ALL": Forall, "EXSET": ExistsSet}[val](var, body)
+            return Quantifier(val, var, body)
         if kind == "op" and val == "@":
             return self.builtin(pos)
         if kind == "name":
@@ -312,13 +285,9 @@ class _Parser:
 
     def atom(self):
         left = self.bound_name("vertex")
-        kind, val, pos = self.next()
-        if kind == "op" and val == "~":
-            return Adj(left, self.bound_name("vertex"))
-        if kind == "op" and val == "=":
-            return Eq(left, self.bound_name("vertex"))
-        if kind == "kw" and val == "in":
-            return Member(left, self.bound_name("set"))
+        _, val, pos = self.next()
+        if val in ("~", "=", "in"):
+            return Atom(val, left, self.bound_name("set" if val == "in" else "vertex"))
         raise FormulaSyntaxError(f"expected ~, = or 'in' after {left!r}", pos)
 
 
@@ -331,41 +300,39 @@ def parse_formula(text: str):
 
 def is_emso(node) -> bool:
     """All set quantifiers are outermost existentials."""
-    while isinstance(node, ExistsSet):
+    while isinstance(node, Quantifier) and node.kind == "EXSET":
         node = node.body
     stack = [node]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, ExistsSet):
-            return False
         if isinstance(cur, Not):
             stack.append(cur.body)
-        elif isinstance(cur, (And, Or, Implies, Iff)):
+        elif isinstance(cur, Binary):
             stack.extend((cur.left, cur.right))
-        elif isinstance(cur, (Exists, Forall)):
+        elif isinstance(cur, Quantifier):
+            if cur.kind == "EXSET":
+                return False
             stack.append(cur.body)
     return True
 
 
 def _conjuncts(node) -> list:
-    """The operands of node's And chain, in any grouping, left to right."""
-    if isinstance(node, And):
+    """The operands of node's '&' chain, in any grouping, left to right."""
+    if isinstance(node, Binary) and node.op == "&":
         return _conjuncts(node.left) + _conjuncts(node.right)
     return [node]
 
 
-def _isoW_guarded(node: ExistsSet):
+def _isoW_guarded(node: Quantifier):
     """psi when node is EXSET X (C1 & ... & Ck), grouped in any way, with
     some Ci = @isoW(X): the conjunction of the other conjuncts in their
     order.  None otherwise, and for a body that is the guard alone."""
-    if not isinstance(node.body, And):
-        return None
     conjuncts = _conjuncts(node.body)
     guard = BuiltinAtom("isoW", (node.var,))
-    if guard not in conjuncts:
+    if len(conjuncts) < 2 or guard not in conjuncts:
         return None
     conjuncts.remove(guard)
-    return functools.reduce(And, conjuncts)
+    return functools.reduce(functools.partial(Binary, "&"), conjuncts)
 
 
 def _witness_copies(ctx: EvalContext):
@@ -404,48 +371,46 @@ def evaluate(g: Graph, phi, budget: int = 10**7, gamma: int = 0, r: int = 4) -> 
     ctx = EvalContext(g, budget, gamma, r)
 
     def ev(node, fo: dict, so: dict) -> bool:
-        if isinstance(node, Adj):
-            return g.has_edge(fo[node.left], fo[node.right])
-        if isinstance(node, Eq):
-            return fo[node.left] == fo[node.right]
-        if isinstance(node, Member):
-            return bool((so[node.container] >> fo[node.element]) & 1)
+        if isinstance(node, Atom):
+            if node.rel == "~":
+                return g.has_edge(fo[node.left], fo[node.right])
+            if node.rel == "=":
+                return fo[node.left] == fo[node.right]
+            return bool((so[node.right] >> fo[node.left]) & 1)
         if isinstance(node, BuiltinAtom):
             ctx.charge()
             return BUILTINS[node.name][1](ctx, *(so[a] for a in node.args))
         if isinstance(node, Not):
             return not ev(node.body, fo, so)
-        if isinstance(node, And):
-            return ev(node.left, fo, so) and ev(node.right, fo, so)
-        if isinstance(node, Or):
-            return ev(node.left, fo, so) or ev(node.right, fo, so)
-        if isinstance(node, Implies):
-            return not ev(node.left, fo, so) or ev(node.right, fo, so)
-        if isinstance(node, Iff):
-            return ev(node.left, fo, so) == ev(node.right, fo, so)
-        if isinstance(node, Exists):
-            for v in range(g.n):
+        if isinstance(node, Binary):
+            left = ev(node.left, fo, so)
+            if node.op == "&":
+                return left and ev(node.right, fo, so)
+            if node.op == "|":
+                return left or ev(node.right, fo, so)
+            if node.op == "->":
+                return not left or ev(node.right, fo, so)
+            return left == ev(node.right, fo, so)
+        if isinstance(node, Quantifier):
+            body, values = node.body, range(g.n)
+            if node.kind == "EXSET":
+                psi = _isoW_guarded(node)
+                if psi is None:
+                    values = range(1 << g.n)
+                else:
+                    body, values = psi, _witness_copies(ctx)
+            # EX and EXSET stop at the first true body, ALL at the first
+            # false one.
+            stop = node.kind != "ALL"
+            for value in values:
                 ctx.charge()
-                if ev(node.body, {**fo, node.var: v}, so):
-                    return True
-            return False
-        if isinstance(node, Forall):
-            for v in range(g.n):
-                ctx.charge()
-                if not ev(node.body, {**fo, node.var: v}, so):
-                    return False
-            return True
-        if isinstance(node, ExistsSet):
-            psi = _isoW_guarded(node)
-            if psi is None:
-                body, masks = node.body, range(1 << g.n)
-            else:
-                body, masks = psi, _witness_copies(ctx)
-            for mask in masks:
-                ctx.charge()
-                if ev(body, fo, {**so, node.var: mask}):
-                    return True
-            return False
+                if node.kind == "EXSET":
+                    holds = ev(body, fo, {**so, node.var: value})
+                else:
+                    holds = ev(body, {**fo, node.var: value}, so)
+                if bool(holds) is stop:
+                    return stop
+            return not stop
         raise TypeError(f"unknown AST node {node!r}")
 
     return ev(phi, {}, {})

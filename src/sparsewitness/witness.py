@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_BUDGET, BudgetExceededError, Graph, mask_of
+from .graphs import DEFAULT_BUDGET, BudgetExceededError, Graph, check_budget, mask_of
 from . import hotpath
 
 ROLE_F1 = "F1"
@@ -465,6 +465,7 @@ def has_gamma_r_property(
     budget bounds each a's search, symmetry derivation included, and a
     search that needs more raises BudgetExceededError.
     """
+    check_budget(budget)
     a = 2
     while w_star_vertex_count(a, gamma, r) <= g.n:
         ws, order = _star_pattern(a, gamma, r)

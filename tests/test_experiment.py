@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sparsewitness import analytics, detect
+from sparsewitness import analytics, detect, experiment
 from sparsewitness.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -53,6 +53,22 @@ def test_config_rejects_bad_values(bad, match):
         ExperimentConfig.from_dict({"n_values": [10], **bad})
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(SMALL, **bad)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"n_values": (10,), "gamma": -1}, "gamma must be nonnegative"),
+    ({"n_values": (5,), "r": 2, "a_min": 2}, "pattern size s=7 exceeds n=5"),
+    ({"n_values": (20,), "alpha": 0.6}, "k_gamma must be positive"),
+    ({"n_values": (20,), "alpha": 1.5}, "alpha must lie in"),
+])
+def test_config_the_analytics_reject_fails_before_any_trial(monkeypatch, bad, match):
+    # ExperimentConfig accepts these; the analytics of some n raise.
+    calls = []
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda args: calls.append(args) or (False, 0, False))
+    with pytest.raises(ValueError, match=match):
+        run_experiment(dataclasses.replace(SMALL, trials=3, **bad))
+    assert calls == []
 
 
 def test_config_from_file(tmp_path):

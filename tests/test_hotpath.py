@@ -50,7 +50,7 @@ from sparsewitness.hotpath import (
     search_order,
     stabilizer_chain,
 )
-from sparsewitness.witness import build_W, build_W_star
+from sparsewitness.witness import build_W, build_W_star, has_gamma_r_property
 
 BACKENDS = available_backends()
 MODES = [MODE_FIND, MODE_COUNT, MODE_COLLECT, MODE_FIND_DOMINATING, MODE_COUNT_DOMINATING]
@@ -406,6 +406,13 @@ def test_negative_budget_is_rejected_at_the_kernel_entry():
         detect.find_induced_W(host, 1, 0, 4, budget=-5)
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
         detect.find_dominating_induced_W(host, 0, 4, (1, 2), mode="count", budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        detect.exists_dominating_set_of_size(host, 2, budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        # No W*(a) fits K_{2,3}, so no search would run.
+        has_gamma_r_property(build_W(2, 0, 2).graph, 0, 2, budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        stabilizer_chain(ws.graph, budget=-1)
     res = embed_search(ws.graph, host, mode=MODE_COUNT_DOMINATING, budget=0)
     assert (res.count, res.expansions, res.exceeded) == (0, 1, True)
     with pytest.raises(BudgetExceededError):

@@ -12,15 +12,12 @@ from sparsewitness import detect, gnp, logic
 from sparsewitness.graphs import BudgetExceededError, Graph
 from sparsewitness.hotpath import MODE_COLLECT, embed_search
 from sparsewitness.logic import (
-    And,
+    Atom,
+    Binary,
     BindingError,
-    Eq,
     EvalContext,
-    Exists,
     FormulaSyntaxError,
-    Iff,
-    Implies,
-    Or,
+    Quantifier,
     evaluate,
     is_emso,
     parse_formula,
@@ -83,15 +80,18 @@ def test_operator_precedence_and_associativity():
     assert ev(g, f"{falsum} -> {falsum} -> {falsum}")
 
 
-@pytest.mark.parametrize("op, node, left_assoc", [
-    ("&", And, True), ("|", Or, True), ("<->", Iff, True), ("->", Implies, False),
+@pytest.mark.parametrize("op, connective, left_assoc", [
+    ("&", "And", True), ("|", "Or", True), ("<->", "Iff", True), ("->", "Implies", False),
 ])
-def test_binary_connective_associativity(op, node, left_assoc):
+def test_binary_connective_associativity(op, connective, left_assoc):
     # '&', '|' and '<->' group to the left; '->' groups to the right.
-    a, b, c = Eq("x", "y"), Eq("y", "z"), Eq("z", "x")
+    a, b, c = Atom("=", "x", "y"), Atom("=", "y", "z"), Atom("=", "z", "x")
     phi = parse_formula(f"EX x EX y EX z (x = y {op} y = z {op} z = x)")
-    want = node(node(a, b), c) if left_assoc else node(a, node(b, c))
-    assert phi == Exists("x", Exists("y", Exists("z", want)))
+    if left_assoc:
+        want = Binary(op, Binary(op, a, b), c)
+    else:
+        want = Binary(op, a, Binary(op, b, c))
+    assert phi == Quantifier("EX", "x", Quantifier("EX", "y", Quantifier("EX", "z", want))), connective
 
 
 def test_is_emso():
@@ -167,6 +167,29 @@ def test_budget_is_enforced():
     # A negative budget is bad input, not a search that ran out.
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
         ev(g, "EX x x = x", budget=-1)
+
+
+@pytest.mark.parametrize("graph, text, least_budget, verdict", [
+    ("p3", "EX x EX y x ~ y", 3, True),
+    ("p3", "ALL x EX y x ~ y", 8, True),
+    ("p3", "EX x ALL y (x = y | x ~ y)", 8, True),
+    ("p3", "ALL x (x ~ x & x = x)", 1, False),
+    ("p3", "ALL x (x ~ x -> x = x)", 3, True),
+    ("p3", "EX x ! (x = x <-> x ~ x)", 1, True),
+    ("p3", "EXSET X ALL x x in X", 22, True),
+    ("k23", "EXSET X (@isoW(X) & @max(X))", 15, True),
+    ("k23", "EXSET X (@even(X) & @max(X))", 10, True),
+])
+def test_budget_use_per_node_kind(graph, text, least_budget, verdict):
+    # The least budget at which evaluate returns pins what each node kind
+    # charges and where it stops: '&', '|' and '->' may skip their right
+    # operand, '<->' evaluates both, EX stops at the first true body and
+    # ALL at the first false one.  K_{2,3} is W(2, 0, 2).
+    g = path(3) if graph == "p3" else build_W(2, 0, 2).graph
+    phi = parse_formula(text)
+    with pytest.raises(BudgetExceededError):
+        evaluate(g, phi, budget=least_budget - 1, gamma=0, r=2)
+    assert evaluate(g, phi, budget=least_budget, gamma=0, r=2) is verdict
 
 
 def test_evaluate_agrees_with_brute_force_domination():
