@@ -4,25 +4,31 @@ domination probability, and the non-convergence witness sequences.
 Expectations are carried as LogReal (sign plus natural-log magnitude)
 because the values overflow floats long before interesting parameters.
 
-Window-membership certificates never trust floats.  Every window
-comparison places an integer against the integer bracket ceil(lo),
-floor(hi) of an outward-rounded enclosure [lo, hi] of an endpoint
+Window-membership certificates trust a float only under a proven error
+bound.  Every window comparison places an integer against an endpoint
 q * f(x) + add (q, add rational, x a positive integer, f(x) = x^alpha
-ln x), at escalating precision until the two separate, and raises
+ln x).  The first rung computes the endpoint in doubles, widened by a
+bound on their rounding error (derived in _Comparer), and decides with
+Python's exact int/float comparison where that interval separates the
+two.  Where it does not, or where the doubles overflow, the comparison
+falls through to the integer bracket ceil(lo), floor(hi) of an
+outward-rounded enclosure [lo, hi] of the endpoint, at escalating
+precision from 80 bits until the two separate, and raises
 UndecidableComparisonError instead of guessing where they never do; a
 rational N/D is placed as N against D q f(x) + D add.  The float inverse
-of f only seeds the floor search and is the one float input.  The
-enclosures of the rational constants are kept across calls, those of
-f(x) and the brackets only within one.  The part-2 size inequalities
-v^q <= x^p are placed on interval enclosures of q ln v and p ln x, and
+of f only seeds the floor search.  The enclosures of the rational
+constants are kept across calls, those of f(x) and the brackets only
+within one.  The part-2 size inequalities v^q <= x^p are placed on q ln v
+and p ln x, in doubles first and then on interval enclosures, and
 decided on exact integers only where those never separate.
 
-mpmath is not imported with the module.  The first window comparison
-binds the libmp primitives, and the arbitrary-precision branches import
-it where they run: ln n!/(n - s)! past n = 10^12, the floor search's
-seed past the float range and the float logarithms of part-2 rows.  So
-sampling, domination and the first moments below n = 10^12 never load
-it.
+mpmath is not imported with the module.  The first comparison that the
+doubles leave open binds the libmp primitives, and the
+arbitrary-precision branches import it where they run: ln n!/(n - s)!
+past n = 10^12, the floor search's seed past the float range and the
+float logarithms of part-2 rows.  So sampling, domination, the first
+moments below n = 10^12 and the part-1 window reports of the Monte Carlo
+grid never load it.
 """
 
 from __future__ import annotations
@@ -45,10 +51,10 @@ _PRECISIONS = (80, 160, 320, 640, 1280, 2560, 5120)
 # mpmath's rounding modes, the strings its API takes as rounding=.
 _FLOOR, _CEILING = "f", "c"
 # The mpmath.libmp interval primitives of the window comparisons.  mpmath
-# loads on the first comparison, not with the package, since sampling and
-# domination never compare: until then each name is a stand-in whose one
-# call binds every name below to the libmp function and forwards, so the
-# comparisons call plain module globals from then on.
+# loads on the first comparison that the doubles leave open, not with the
+# package: until then each name is a stand-in whose one call binds every
+# name below to the libmp function and forwards, so the comparisons call
+# plain module globals from then on.
 _LIBMP = ("from_int", "mpf_gt", "mpf_le", "mpi_add", "mpi_div", "mpi_exp",
           "mpi_log", "mpi_mul", "to_int")
 
@@ -221,15 +227,44 @@ def _enclose_ln(x: int, prec: int):
     return mpi_log(_point(x, prec), prec)
 
 
+def _in_doubles(alpha: float, x: int) -> tuple[float, float, float]:
+    """The float rung's view of x: ln x, f(x) and the bound on f(x)'s
+    relative error that _Comparer derives, in doubles.  f(x) is inf where
+    it overflows a double, and so is the bound where x^alpha does."""
+    ln_x = math.log(x)  # accepts arbitrarily large ints
+    y = alpha * ln_x
+    try:
+        power = math.exp(y)
+    except OverflowError:
+        return ln_x, math.inf, math.inf
+    return ln_x, power * ln_x, (abs(y) + 2) * 2.0**-41
+
+
 class _Comparer:
     """Window comparisons at one integer x >= 1 for one alpha.
 
-    ln x and f(x) = x^alpha ln x are enclosed once per precision, when a
-    comparison first needs that precision, with the mpmath.libmp interval
-    primitives that mpmath's iv context calls; every endpoint at x shares
-    them.  One is made per x of a public call and dropped with it, so no
-    enclosure of f(x) is kept between calls; sequence_part1 hands the one
-    its floor search ends on to the window at that floor.
+    Each comparison tries doubles first.  ln x and f(x) = x^alpha ln x are
+    computed once in doubles, with a bound on the relative error of f(x).
+    With u = 2^-53, and math.log and math.exp good to 2 ulps (4u
+    relative): L = log(x) is within 6u of ln x relative (4u, plus u where
+    x is rounded to a double past 2^53 or split into mantissa and
+    exponent past the float range); y = float(alpha) L is within 9u |y|
+    of alpha ln x (u each for float(alpha) and the product, to first
+    order); exp(y) is within 4u + 9u |y| (1 + 2^-30) of x^alpha relative,
+    since |y| < 710 wherever it does not overflow; so f = exp(y) L is
+    within 4u + 9u |y| + 6u + u + O(u^2) <= 9u (|y| + 2) of f(x).  The
+    bound kept is (|y| + 2) 2^-41 = 4096u (|y| + 2), 455 times that worst
+    case, and more than 2^8 times it under log and exp good to 4 ulps.
+    _Endpoint widens q f(x) + add by it, and power_leq takes the same
+    margin on its logarithms.
+
+    Where the doubles leave a comparison open, ln x and f(x) are enclosed
+    once per precision, when a comparison first needs that precision,
+    with the mpmath.libmp interval primitives that mpmath's iv context
+    calls; every endpoint at x shares them.  One is made per x of a
+    public call and dropped with it, so no enclosure of f(x) is kept
+    between calls; sequence_part1 hands the one its floor search ends on
+    to the window at that floor.
     """
 
     def __init__(self, alpha: Fraction, x: int):
@@ -237,6 +272,8 @@ class _Comparer:
             raise ValueError("endpoint argument x must be >= 1")
         self.alpha = alpha
         self.x = x
+        # float(alpha), without Fraction's generic __float__ call.
+        self.ln_d, self.f_d, self.f_err = _in_doubles(alpha.numerator / alpha.denominator, x)
         self._ln: dict[int, tuple] = {}
         self._f: dict[int, tuple] = {}
 
@@ -264,9 +301,23 @@ class _Comparer:
 
     def power_leq(self, v: int, beta: Fraction) -> bool:
         """v <= x^beta for a positive integer v, beta = p/q: q ln v against
-        p ln x on enclosures at escalating precision, and on exact integers
-        where those never separate."""
+        p ln x, first in doubles, then on enclosures at escalating
+        precision, and on exact integers where those never separate.
+
+        In doubles each side is within 8u of its value (6u for the log, u
+        each for the float of p or q and the product), and the slack
+        (q ln v + p ln x) 2^-41 covers both and the rounding of the two
+        sums 400-fold.  p or q past the float range skip the doubles."""
         p, q = beta.numerator, beta.denominator
+        try:
+            lv, lx = q * math.log(v), p * self.ln_d
+        except OverflowError:
+            lv = lx = math.nan
+        slack = (lv + lx) * 2.0**-41
+        if lv + slack < lx:
+            return True
+        if lv > lx + slack:
+            return False
         for prec in _PRECISIONS:
             lv_lo, lv_hi = mpi_mul(_enclose_ln(v, prec), _point(q, prec), prec)
             lx_lo, lx_hi = mpi_mul(self.ln(prec), _point(p, prec), prec)
@@ -280,11 +331,27 @@ class _Comparer:
 class _Endpoint:
     """The window endpoint q * f(x) + add at one _Comparer's x.
 
-    The one placement rule: an integer s is placed against the integer
-    bracket ceil(lo), floor(hi) of the endpoint's enclosure [lo, hi],
-    taken once per precision: s < ceil(lo) exactly when s < lo, and
-    s > floor(hi) exactly when s > hi.  f(1) = 0 and q = 0 make the
-    endpoint the rational add, compared exactly.
+    The one placement rule: an integer s is placed first against the
+    float interval [lo, hi] around the endpoint computed in doubles, then
+    against the integer bracket ceil(lo), floor(hi) of the endpoint's
+    enclosure [lo, hi], taken once per precision: s < ceil(lo) exactly
+    when s < lo, and s > floor(hi) exactly when s > hi.  f(1) = 0 and
+    q = 0 make the endpoint the rational add, compared exactly.
+
+    The float interval is e -+ err with e = float(q) f + float(add) for
+    the double f of f(x) and
+
+        err = 2 (|q f| (r + 2^-50) + (|q f| + |add|) 2^-50) + 2^-1000,
+
+    r being _Comparer's bound on f.  float(q) and the product round q f
+    by at most 2u, float(add) rounds add by u and the sum rounds by u of
+    |q f| + |add|; each is taken as 2^-50 = 8u, on |q f| and |add| rather
+    than on |e|, so cancellation in the sum is covered.  The factor 2
+    covers second-order terms, the rounding of err itself and of e -+ err;
+    2^-1000 covers results that underflow to subnormals.  Python compares
+    an int with a float exactly.  Where err is not finite (f(x), q or add
+    past the float range) lo and hi are nan and every comparison with
+    them falls through.
     """
 
     def __init__(self, at: _Comparer, q: Fraction, add: Fraction = Fraction(0)):
@@ -292,7 +359,24 @@ class _Endpoint:
         self._q = q
         self._add = add
         self._exact = add if at.x == 1 or q == 0 else None
+        self._lo = self._hi = math.nan
+        if self._exact is None:
+            self._lo, self._hi = self._float_interval()
         self._brackets: dict[int, tuple[int, int]] = {}
+
+    def _float_interval(self) -> tuple[float, float]:
+        q, add = self._q, self._add
+        try:  # float(q) and float(add), as _Comparer takes float(alpha)
+            qf = q.numerator / q.denominator * self._at.f_d
+            a = add.numerator / add.denominator
+        except OverflowError:
+            return math.nan, math.nan
+        err = 2 * (abs(qf) * (self._at.f_err + 2.0**-50)
+                   + (abs(qf) + abs(a)) * 2.0**-50) + 2.0**-1000
+        if not math.isfinite(err):
+            return math.nan, math.nan
+        e = qf + a
+        return e - err, e + err
 
     def _bracket(self, prec: int) -> tuple[int, int]:
         b = self._brackets.get(prec)
@@ -306,9 +390,13 @@ class _Endpoint:
 
     def sign(self, s: int) -> int:
         """Sign of s - (q * f(x) + add) for an integer s, decided only
-        where a bracket separates the two."""
+        where the float interval or a bracket separates the two."""
         if self._exact is not None:
             return (s > self._exact) - (s < self._exact)
+        if s < self._lo:
+            return -1
+        if s > self._hi:
+            return 1
         for prec in _PRECISIONS:
             lo, hi = self._bracket(prec)
             if s < lo:
@@ -387,6 +475,19 @@ def _xlogy(e, y: float) -> float:
     return e * math.log(y)
 
 
+def _check_p(p: float) -> None:
+    if not 0 <= p <= 1:  # false for nan too
+        raise ParameterError("p must lie in [0, 1]")
+
+
+def _check_moment_args(p: float, gamma: int) -> None:
+    """The first moments' checks, made before any arithmetic: W(a, gamma,
+    r) is defined for gamma >= 0 only, and p is a probability."""
+    if gamma < 0:
+        raise ParameterError("gamma must be nonnegative")
+    _check_p(p)
+
+
 def _first_moment(
     n: int, p: float, s: int, e: int, t: int, r: int, log_r_factorial: float
 ) -> LogReal:
@@ -418,6 +519,7 @@ def expected_W(n: int, p: float, a: int, gamma: int) -> LogReal:
 
     with s = a + (gamma+1) * omega(a) and E = a + (gamma+2) * omega(a) - 2.
     """
+    _check_moment_args(p, gamma)
     return _first_moment(
         n, p, w_vertex_count(a, gamma, 4), w_edge_count(a, gamma, 4),
         omega(a, 4), 4, math.log(24.0),
@@ -449,6 +551,7 @@ def expected_W_star(n: int, p: float, a: int, gamma: int, r: int) -> LogReal:
 
         C(n, s) * s! / (r!)^((omega(omega(a))-1)/r) * p^E * (1-p)^(C(s,2)-E)
     """
+    _check_moment_args(p, gamma)
     return _first_moment(
         n, p, w_star_vertex_count(a, gamma, r), w_star_edge_count(a, gamma, r),
         omega(omega(a, r), r), r, math.lgamma(r + 1),
@@ -459,6 +562,7 @@ def domination_probability(n: int, p: float, k: int) -> float:
     """Probability that a fixed k-set dominates G(n, p)."""
     if not 0 <= k <= n:
         raise ParameterError(f"k={k} out of range for n={n}")
+    _check_p(p)
     return math.exp(_log_domination_factor(n, k, p))
 
 

@@ -67,8 +67,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not _is_real(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        if self.p_override is not None and not _is_real(self.p_override):
-            raise ValueError(f"p_override must be a number or None, got {self.p_override!r}")
+        if self.p_override is not None:
+            if not _is_real(self.p_override):
+                raise ValueError(f"p_override must be a number or None, got {self.p_override!r}")
+            if not 0 <= self.p_override <= 1:  # false for nan too
+                raise ValueError(f"p_override must lie in [0, 1], got {self.p_override!r}")
         if not isinstance(self.record_runtime, bool):
             raise ValueError(f"record_runtime must be a bool, got {self.record_runtime!r}")
         if self.trials < 1:

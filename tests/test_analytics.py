@@ -213,6 +213,83 @@ def test_endpoint_sign_on_integers_matches_mpmath(x, alpha, q, add, offset):
     assert comparer.compare(s, q, add) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(min_value=2, max_value=10**15),
+    alpha=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
+                       max_denominator=100),
+    q=st.one_of(
+        st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+        st.fractions(min_value=-(2**60), max_value=2**60, max_denominator=7),
+    ).filter(bool),
+    add=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000),
+    side=st.sampled_from([-1, 0, 1, None]),
+    k=st.integers(min_value=10, max_value=60),
+    offset=st.integers(min_value=-2, max_value=2),
+)
+@example(x=10**15, alpha=Fraction(99, 100), q=Fraction(2**60), add=Fraction(0),
+         side=1, k=31, offset=0)
+@example(x=10**6, alpha=Fraction(3, 10), q=Fraction(1000, 7), add=Fraction(-21317, 1),
+         side=0, k=10, offset=1)
+@example(x=2, alpha=Fraction(1, 2), q=Fraction(1, 1000), add=Fraction(10**6),
+         side=None, k=40, offset=0)
+def test_float_rung_agrees_with_mpmath_and_decides_far_comparisons(
+    x, alpha, q, add, side, k, offset
+):
+    # s = floor(E (1 + side 2^-k)) + offset for the endpoint E = q f(x) +
+    # add: within a few units of E for side = 0, else about 2^-k of E
+    # away, across the rung's error bound (under 2^-34 of |q f| + |add|
+    # here).  side = None moves add instead, to a multiple of 2^-k that
+    # puts E within 2^-k of an integer N, and s = N + offset.  Every sign
+    # matches mpmath at 400 bits plus the bits of q, and s farther than
+    # 2^-30 of |q f(x)| + |add| from E is placed by the doubles alone,
+    # with no interval enclosure.  The bound is taken on |q f| and |add|,
+    # not on |E|, since add may cancel q f.
+    with mpmath.workprec(400 + abs(q).numerator.bit_length()):
+        qf = _mp_fraction(q) * mpmath.power(x, _mp_fraction(alpha)) * mpmath.log(x)
+        if side is None:
+            n = int(mpmath.nint(qf + _mp_fraction(add)))
+            add = Fraction(int(mpmath.nint((n - qf) * 2**k)), 2**k)
+            s = n + offset
+        endpoint = qf + _mp_fraction(add)
+        if side is not None:
+            s = int(mpmath.floor(endpoint * (1 + side * mpmath.mpf(2) ** -k))) + offset
+        diff = s - endpoint
+        assume(abs(diff) > mpmath.mpf(2) ** -200)
+        want = 1 if diff > 0 else -1
+        far = abs(diff) > mpmath.mpf(2) ** -30 * (abs(qf) + abs(_mp_fraction(add)))
+    comparer = _Comparer(alpha, x)
+    assert analytics._Endpoint(comparer, q, add).sign(s) == want
+    if far:
+        assert not comparer._ln
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 4), Fraction(2, 9), Fraction(3, 13)])
+def test_power_leq_near_perfect_powers_matches_the_exact_comparison(monkeypatch, beta):
+    # x = t^q + dx and v = t^p + dv, or v moved by about 2^-j of itself,
+    # with x of 10^4 or more bits, so v^q against x^p is a tie or differs
+    # by one part in 2^j or in 2^(10^4).  Every verdict matches the exact
+    # integer comparison; at j = 8 the doubles decide it alone.
+    enclosed = []
+    real_ln = analytics._enclose_ln
+    monkeypatch.setattr(analytics, "_enclose_ln",
+                        lambda x, prec: enclosed.append(x) or real_ln(x, prec))
+    p, q = beta.numerator, beta.denominator
+    rnd = random.Random(q)
+    for bits in (10_000, 12_345):
+        t = rnd.getrandbits(bits // q) | 1 << (bits // q)
+        for dx in (-1, 0, 1):
+            x = t**q + dx
+            at = _Comparer(Fraction(3, 5), x)
+            vs = [t**p + dv for dv in (-1, 0, 1)]
+            vs += [t**p + sign * (t**p >> j) for j in (8, 30, 45, 60, 200) for sign in (-1, 1)]
+            for v in vs:
+                enclosed.clear()
+                assert at.power_leq(v, beta) == analytics._power_leq(v, x, beta), (bits, dx, v)
+                if abs(v - t**p) == t**p >> 8:
+                    assert not enclosed
+
+
 def test_window_comparison_escalates_where_80_bits_cannot_separate(monkeypatch):
     # floor(E) and floor(E) + 1 for an endpoint E of about 400 bits lie in
     # one 80-bit enclosure of E; only a precision past E's size separates
@@ -287,6 +364,30 @@ def test_first_moments_reject_a_zero():
         expected_W(10, 0.5, 0, 0)
     with pytest.raises(ParameterError):
         expected_W_star(10, 0.5, 0, 0, 2)
+
+
+FIRST_MOMENTS = {
+    "expected_W": lambda p, gamma: expected_W(10, p, 1, gamma),
+    "expected_W_dominating": lambda p, gamma: expected_W_dominating(10, p, 1, gamma),
+    "expected_W_star": lambda p, gamma: expected_W_star(10, p, 1, gamma, 2),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_MOMENTS)
+@pytest.mark.parametrize("p, gamma", [(0.5, -1), (1.5, 0), (-0.5, 0), (math.nan, 0)])
+def test_first_moments_reject_bad_gamma_and_p(name, p, gamma):
+    # W(a, gamma, r) is undefined for gamma < 0, yet expected_W(10, 0.5,
+    # 1, -1) gave e^2.30; p = 1.5 gave e^4.91 or a bare "math domain
+    # error", and p = nan a nan log.
+    match = "gamma must be nonnegative" if gamma < 0 else r"p must lie in \[0, 1\]"
+    with pytest.raises(ParameterError, match=match):
+        FIRST_MOMENTS[name](p, gamma)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+def test_domination_probability_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ParameterError, match=r"p must lie in \[0, 1\]"):
+        domination_probability(10, p, 3)
 
 
 def test_domination_probability_formula():
@@ -440,8 +541,10 @@ def test_part1_rows_decide_each_floor_with_two_comparisons(monkeypatch):
 
 
 def test_part1_windows_never_consult_the_float_f(monkeypatch):
-    # The windows are placed on integer brackets alone; the float inverse
-    # seeds the floor search, and the float f is read by nothing.
+    # The windows are placed by the float rung, on doubles of f(x) with a
+    # proven error bound, and past it on integer brackets; the float
+    # inverse seeds the floor search.  The public float f, which carries no
+    # error bound, is read by none of them.
     want = [sequence_part1(i, 0.3, 10) for i in range(3, 11)]
 
     def no_float_f(x, alpha):
@@ -812,10 +915,11 @@ def test_analytics_rows_are_pinned_exactly(key):
 
 @pytest.mark.parametrize("window", ["existence", "gap"])
 def test_window_report_encloses_f_once_per_precision(monkeypatch, window):
-    # One call compares every candidate floor against both endpoints at
-    # the same n, so it needs one enclosure of f(n) per precision level;
-    # an identical second call does the same work again (no enclosure is
-    # kept between calls).
+    # The doubles decide every comparison of these reports, so they
+    # enclose nothing.  With the float rung off, one call compares every
+    # candidate floor against both endpoints at the same n, so it needs
+    # one enclosure of f(n) per precision level; an identical second call
+    # does the same work again (no enclosure is kept between calls).
     precisions = []
     real_ln = analytics._enclose_ln
 
@@ -824,8 +928,12 @@ def test_window_report_encloses_f_once_per_precision(monkeypatch, window):
         return real_ln(x, prec)
 
     monkeypatch.setattr(analytics, "_enclose_ln", counting_ln)
-    for n in (10**4, 10**8, 10**12):
-        report = window_report(n, 0.3, 10, r=2, window=window)
+    reports = {n: window_report(n, 0.3, 10, r=2, window=window)
+               for n in (10**4, 10**8, 10**12)}
+    assert precisions == []
+    monkeypatch.setattr(analytics, "_in_doubles", lambda alpha, x: (math.nan,) * 3)
+    for n, report in reports.items():
+        assert window_report(n, 0.3, 10, r=2, window=window) == report
         first, precisions[:] = list(precisions), []
         assert first and len(first) == len(set(first)), (n, first)
         assert window_report(n, 0.3, 10, r=2, window=window) == report
@@ -834,15 +942,26 @@ def test_window_report_encloses_f_once_per_precision(monkeypatch, window):
 
 
 def test_sequence_part1_encloses_each_x_once_per_precision(monkeypatch):
-    # The floor search's comparer at m_i (and at n_i) is the one the
-    # window at that floor compares on, so no x is enclosed twice at one
-    # precision within a row.
+    # Up to i = 5 the doubles decide the floor searches and both windows,
+    # so those rows enclose nothing.  From i = 6 on, f(m) <= target <
+    # f(m + 1) is closer than doubles resolve (about alpha / m relative)
+    # and the floor search encloses its last probes.  The floor search's
+    # comparer at m_i (and at n_i) is the one the window at that floor
+    # compares on, so, with the rung on or off, no x is enclosed twice at
+    # one precision within a row; with it off, m_i and n_i are enclosed.
     enclosed = []
     real_ln = analytics._enclose_ln
     monkeypatch.setattr(analytics, "_enclose_ln",
                         lambda x, prec: enclosed.append((x, prec)) or real_ln(x, prec))
+    rows = {}
     for i in range(3, 13):
-        row = sequence_part1(i, 0.3, 10)
+        rows[i] = sequence_part1(i, 0.3, 10)
+        assert i > 5 or enclosed == [], (i, enclosed)
+        assert len(enclosed) == len(set(enclosed)), (i, enclosed)
+        enclosed.clear()
+    monkeypatch.setattr(analytics, "_in_doubles", lambda alpha, x: (math.nan,) * 3)
+    for i, row in rows.items():
+        assert sequence_part1(i, 0.3, 10) == row
         assert (row.m_i, 80) in enclosed and (row.n_i, 80) in enclosed
         assert len(enclosed) == len(set(enclosed)), (i, enclosed)
         enclosed.clear()
@@ -930,22 +1049,36 @@ def test_first_moments_are_pinned_exactly():
 
 
 def test_import_leaves_mpmath_and_the_pool_unloaded():
-    # Sampling and domination never compare, so a fresh interpreter's
-    # import loads neither mpmath nor the process pool (nor the logging
-    # the pool brings).  The first window report loads mpmath and gives
-    # the report this process gives.
+    # A fresh interpreter's import loads neither mpmath nor the process
+    # pool (nor the logging the pool brings).  The doubles decide a part-1
+    # window report, which gives the report this process gives and leaves
+    # mpmath unloaded.  A comparison they leave open, the 400-bit endpoint
+    # of test_window_comparison_escalates_where_80_bits_cannot_separate,
+    # loads it and gives the reference signs.
+    alpha, x, q = Fraction(3, 10), 10**6, Fraction(-(2**400 + 1), 3)
+    with mpmath.workprec(700):
+        endpoint = _mp_fraction(q) * mpmath.power(x, _mp_fraction(alpha)) * mpmath.log(x)
+        s = int(mpmath.floor(endpoint))
     src = str(Path(sparsewitness.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, sparsewitness\n"
+        "from fractions import Fraction\n"
         "print(sorted({'mpmath', 'concurrent.futures', 'logging'} & set(sys.modules)))\n"
         "print(repr(sparsewitness.window_report(10**6, 0.3, 10)))\n"
+        "print('mpmath' in sys.modules)\n"
+        "from sparsewitness.analytics import _Comparer\n"
+        f"s, q = {s}, Fraction({q.numerator}, {q.denominator})\n"
+        "at = _Comparer(Fraction(3, 10), 10**6)\n"
+        "print(at.compare(s, q), at.compare(s + 1, q))\n"
         "print('mpmath' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True, timeout=60)
-    loaded, report, mpmath_after = done.stdout.splitlines()
+    loaded, report, mpmath_after, signs, mpmath_open = done.stdout.splitlines()
     assert loaded == "[]"
     assert report == repr(window_report(10**6, 0.3, 10))
-    assert mpmath_after == "True"
+    assert mpmath_after == "False"
+    assert signs == "-1 1"
+    assert mpmath_open == "True"

@@ -45,6 +45,8 @@ def test_config_rejects_unknown_keys():
     ({"n_values": (0,)}, "every n must be at least 1"),
     ({"n_values": (-3,)}, "every n must be at least 1"),
     ({"n_values": (40, 1)}, "every n must hold W"),
+    ({"p_override": 1.5}, r"p_override must lie in \[0, 1\], got 1.5"),
+    ({"p_override": float("nan")}, r"p_override must lie in \[0, 1\], got nan"),
 ])
 def test_config_rejects_bad_values(bad, match):
     # Without the check workers=0 runs serially and budget=-5 writes a CSV
