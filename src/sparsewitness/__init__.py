@@ -27,7 +27,6 @@ from .gnp import SamplerConfig, derive_stream, sample_gnp
 from .detect import (
     DetectionResult,
     check_connector_property,
-    exists_dominating_set_of_size,
     find_dominating_induced_W,
     find_induced_W,
 )

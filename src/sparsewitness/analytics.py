@@ -19,8 +19,9 @@ rational N/D is placed as N against D q f(x) + D add.  The float inverse
 of f only seeds the floor search.  The enclosures of the rational
 constants are kept across calls, those of f(x) and the brackets only
 within one.  The part-2 size inequalities v^q <= x^p are placed on q ln v
-and p ln x, in doubles first and then on interval enclosures, and
-decided on exact integers only where those never separate.
+and p ln x in doubles, and decided on exact integers only where those
+do not separate, which for a row of sequence_part2 takes an x of 2^40
+bits or more (see _Comparer.power_leq).
 
 mpmath is not imported with the module.  The first comparison that the
 doubles leave open binds the libmp primitives, and the
@@ -55,8 +56,8 @@ _FLOOR, _CEILING = "f", "c"
 # package: until then each name is a stand-in whose one call binds every
 # name below to the libmp function and forwards, so the comparisons call
 # plain module globals from then on.
-_LIBMP = ("from_int", "mpf_gt", "mpf_le", "mpi_add", "mpi_div", "mpi_exp",
-          "mpi_log", "mpi_mul", "to_int")
+_LIBMP = ("from_int", "mpi_add", "mpi_div", "mpi_exp", "mpi_log", "mpi_mul",
+          "to_int")
 
 
 def _stand_in(name):
@@ -69,8 +70,7 @@ def _stand_in(name):
     return first_call
 
 
-(from_int, mpf_gt, mpf_le, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul,
- to_int) = map(_stand_in, _LIBMP)
+from_int, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul, to_int = map(_stand_in, _LIBMP)
 
 
 class ParameterError(ValueError):
@@ -256,9 +256,9 @@ class _Comparer:
     bound kept is (|y| + 2) 2^-41 = 4096u (|y| + 2), 455 times that worst
     case, and more than 2^8 times it under log and exp good to 4 ulps.
     _Endpoint widens q f(x) + add by it, and power_leq takes the same
-    margin on its logarithms.
+    margin on its logarithms before it compares exact integers.
 
-    Where the doubles leave a comparison open, ln x and f(x) are enclosed
+    Where the doubles leave a window comparison open, f(x) is enclosed
     once per precision, when a comparison first needs that precision,
     with the mpmath.libmp interval primitives that mpmath's iv context
     calls; every endpoint at x shares them.  One is made per x of a
@@ -274,19 +274,12 @@ class _Comparer:
         self.x = x
         # float(alpha), without Fraction's generic __float__ call.
         self.ln_d, self.f_d, self.f_err = _in_doubles(alpha.numerator / alpha.denominator, x)
-        self._ln: dict[int, tuple] = {}
         self._f: dict[int, tuple] = {}
-
-    def ln(self, prec: int):
-        ln = self._ln.get(prec)
-        if ln is None:
-            ln = self._ln[prec] = _enclose_ln(self.x, prec)
-        return ln
 
     def f(self, prec: int):
         fx = self._f.get(prec)
         if fx is None:
-            ln = self.ln(prec)
+            ln = _enclose_ln(self.x, prec)
             power = mpi_exp(mpi_mul(_constant(self.alpha, prec), ln, prec), prec)
             fx = self._f[prec] = mpi_mul(power, ln, prec)
         return fx
@@ -301,13 +294,19 @@ class _Comparer:
 
     def power_leq(self, v: int, beta: Fraction) -> bool:
         """v <= x^beta for a positive integer v, beta = p/q: q ln v against
-        p ln x, first in doubles, then on enclosures at escalating
-        precision, and on exact integers where those never separate.
+        p ln x in doubles, and v^q against x^p on exact integers where
+        those do not separate.
 
         In doubles each side is within 8u of its value (6u for the log, u
         each for the float of p or q and the product), and the slack
         (q ln v + p ln x) 2^-41 covers both and the rounding of the two
-        sums 400-fold.  p or q past the float range skip the doubles."""
+        sums 400-fold.  p or q past the float range skip the doubles.
+
+        sequence_part2 takes x = 2 floor(B^(1/beta)) with V(a) = B +
+        O(omega(a)), so once omega(a) is small against B, q ln V(a) and
+        p ln x lie p ln 2 apart, and the slack is about 2 p ln x 2^-41:
+        the doubles decide every row whose x has fewer than 2^40 bits,
+        and no row whose integers fit in memory has more."""
         p, q = beta.numerator, beta.denominator
         try:
             lv, lx = q * math.log(v), p * self.ln_d
@@ -318,13 +317,6 @@ class _Comparer:
             return True
         if lv > lx + slack:
             return False
-        for prec in _PRECISIONS:
-            lv_lo, lv_hi = mpi_mul(_enclose_ln(v, prec), _point(q, prec), prec)
-            lx_lo, lx_hi = mpi_mul(self.ln(prec), _point(p, prec), prec)
-            if mpf_le(lv_hi, lx_lo):
-                return True
-            if mpf_gt(lv_lo, lx_hi):
-                return False
         return _power_leq(v, self.x, beta)
 
 
@@ -893,9 +885,9 @@ def sequence_part2(i: int, alpha, beta, gamma: int, r: int) -> Part2Row:
 
     Each row builds the towers omega(omega(a)) for a = a1, a1 + 1, a1 + 2
     once and reads V(a) = |W*(a)| off them.  The size certificate is
-    decided on interval logarithms, with the exact integer comparison
-    only where the intervals do not separate; the growth certificate by
-    _Comparer's rigorous window comparison.
+    decided on logarithms in doubles, with the exact integer comparison
+    only where those do not separate (_Comparer.power_leq); the growth
+    certificate by _Comparer's rigorous window comparison.
 
     The parameters are checked, and turned into Fractions and k_gamma,
     once per (alpha, beta, gamma, r) by _part2_setup, which the part-2

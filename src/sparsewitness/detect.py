@@ -1,5 +1,5 @@
-"""Detection of induced witness copies, dominating sets, and connector
-structure in host graphs.
+"""Detection of induced witness copies and connector structure in host
+graphs.
 
 Both witness searches, find_induced_W for one a and
 find_dominating_induced_W over a range, run one loop over the a values
@@ -169,50 +169,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-@dataclass(frozen=True)
-class DominatingSetVerdict:
-    """Whether some k-subset dominates, decided by exhaustive search.
-
-    checked counts the subsets tried; exhausted is False when the budget
-    ran out first, and then exists is False without being definite.
-    """
-
-    exists: bool
-    checked: int
-    witness: tuple[int, ...] | None = None
-    exhausted: bool = True
-
-    def __bool__(self) -> bool:
-        return self.exists
-
-
-def exists_dominating_set_of_size(
-    g: Graph, k: int, budget: int = DEFAULT_BUDGET
-) -> DominatingSetVerdict:
-    """Decide whether some k-subset dominates g, trying k-subsets in
-    lexicographic order until one does or budget of them have been tried.
-
-    A set S dominates iff the union of closed neighborhoods N[s], s in S,
-    covers every vertex.
-    """
-    check_budget(budget)
-    if not 0 <= k <= g.n:
-        raise ValueError(f"k={k} out of range")
-    closed = [g.bits[v] | (1 << v) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    checked = 0
-    for combo in itertools.combinations(range(g.n), k):
-        checked += 1
-        if checked > budget:
-            return DominatingSetVerdict(False, checked - 1, exhausted=False)
-        cover = 0
-        for v in combo:
-            cover |= closed[v]
-        if cover == full:
-            return DominatingSetVerdict(True, checked, witness=combo)
-    return DominatingSetVerdict(False, checked)
 
 
 def check_connector_property(

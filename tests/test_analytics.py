@@ -261,7 +261,7 @@ def test_float_rung_agrees_with_mpmath_and_decides_far_comparisons(
     comparer = _Comparer(alpha, x)
     assert analytics._Endpoint(comparer, q, add).sign(s) == want
     if far:
-        assert not comparer._ln
+        assert not comparer._f
 
 
 @pytest.mark.parametrize("beta", [Fraction(1, 4), Fraction(2, 9), Fraction(3, 13)])
@@ -748,9 +748,11 @@ def test_iroot_is_the_floor_root(p):
 
 
 def test_part2_size_check_falls_back_to_exact_on_ties(monkeypatch):
-    # 1024^4 = 2^40 exactly: no enclosure of the two logarithms separates
-    # them, so only the exact comparison can say "<="; near misses are
-    # decided on the enclosures alone.
+    # 1024^4 = 2^40 exactly, and 1024^4 against 2^40 - 1 differs by one
+    # part in 2^40: both lie inside the doubles' slack of about 2^-41 of
+    # the logarithms, as does the tie 3^20 against 3^90 at beta = 2/9, so
+    # only the exact comparison decides them.  1025^4 against 2^40 is one
+    # part in 2^8 apart and the doubles decide it alone.
     exact = []
     power_leq = analytics._power_leq
     monkeypatch.setattr(analytics, "_power_leq",
@@ -760,11 +762,34 @@ def test_part2_size_check_falls_back_to_exact_on_ties(monkeypatch):
         return analytics._Comparer(Fraction(3, 5), x).power_leq(v, beta)
 
     assert not leq(2**10 + 1, 2**40, Fraction(1, 4))
-    assert not leq(2**10, 2**40 - 1, Fraction(1, 4))
     assert not exact
+    assert not leq(2**10, 2**40 - 1, Fraction(1, 4))
     assert leq(2**10, 2**40, Fraction(1, 4))
     assert leq(3**20, 3**90, Fraction(2, 9))
-    assert len(exact) == 2
+    assert exact == [(2**10, 2**40 - 1, Fraction(1, 4)), (2**10, 2**40, Fraction(1, 4)),
+                     (3**20, 3**90, Fraction(2, 9))]
+
+
+def test_part2_size_certificates_are_decided_in_doubles(monkeypatch):
+    # A row's x is 2 floor(B^(1/beta)), beta = p/q, and V(a) = B +
+    # O(omega(a)), so once omega(a) is small against B (here from a = 4
+    # on) q ln V(a) and p ln x lie p ln 2 apart, while the doubles' slack
+    # is about 2 p ln x 2^-41: they decide every such row whose x has
+    # fewer than 2^40 bits.  At a = 2 and 3 the gap differs (0.069 at
+    # r = 3, a = 2, the least here) but is as far past the slack.  So no
+    # part-2 row that the tests or the command line build reaches the
+    # exact comparison.  At beta = 3/13 the rows stop at i = 3: i = 4
+    # takes about 3 s to build its floors, cube roots of B^13 (it is
+    # decided in doubles too).
+    def no_exact(*args):
+        raise AssertionError(f"exact size comparison reached at x of {args[1].bit_length()} bits")
+
+    monkeypatch.setattr(analytics, "_power_leq", no_exact)
+    rows = [(i, Fraction(1, 4), 2) for i in range(1, 11)]
+    rows += [(i, Fraction(1, 4), r) for r in (3, 4) for i in range(1, 6)]
+    rows += [(4, Fraction(2, 9), 4)] + [(i, Fraction(3, 13), 4) for i in range(1, 4)]
+    for i, beta, r in rows:
+        sequence_part2(i, 0.6, beta, 4, r)
 
 
 def test_part2_row_at_r4_i6_holds_both_certificates():

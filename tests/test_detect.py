@@ -1,6 +1,5 @@
 """Witness-copy detection against the brute-force oracle, budget
-semantics, Wilson intervals, the exact dominating-set search, and the
-connector-path predicate."""
+semantics, Wilson intervals and the connector-path predicate."""
 
 import itertools
 import random
@@ -14,7 +13,6 @@ from sparsewitness import detect
 from sparsewitness.detect import (
     _pattern_order,
     check_connector_property,
-    exists_dominating_set_of_size,
     find_dominating_induced_W,
     find_induced_W,
     wilson_interval,
@@ -250,39 +248,6 @@ def test_wilson_interval_examples():
         wilson_interval(5, 0)
     with pytest.raises(ValueError):
         wilson_interval(7, 5)
-
-
-def test_exists_dominating_set_exact():
-    c5 = cycle(5)
-    assert not exists_dominating_set_of_size(c5, 1)
-    assert exists_dominating_set_of_size(c5, 2)
-    p3 = path(3)
-    assert exists_dominating_set_of_size(p3, 1)
-
-
-def test_exists_dominating_set_matches_brute_force():
-    # The search tries k-subsets in lexicographic order, so its verdict,
-    # witness and checked count are those of a plain scan.
-    rnd = random.Random(31)
-    for trial in range(40):
-        g = random_graph(rnd.randint(1, 9), rnd.choice([0.2, 0.4, 0.6]), rnd)
-        for k in range(g.n + 1):
-            combos = list(itertools.combinations(range(g.n), k))
-            hits = [i for i, c in enumerate(combos) if is_dominating(g, c)]
-            verdict = exists_dominating_set_of_size(g, k)
-            assert verdict.exhausted
-            assert bool(verdict) == bool(hits), (trial, k)
-            if hits:
-                assert verdict.witness == combos[hits[0]]
-                assert verdict.checked == hits[0] + 1
-            else:
-                assert verdict.witness is None
-                assert verdict.checked == len(combos)
-            # One subset short of the budget the decision needs.
-            budget = verdict.checked - 1
-            short = exists_dominating_set_of_size(g, k, budget=budget)
-            assert not short and not short.exhausted
-            assert short.checked == budget and short.witness is None
 
 
 def test_connector_property():

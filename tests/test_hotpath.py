@@ -407,8 +407,6 @@ def test_negative_budget_is_rejected_at_the_kernel_entry():
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
         detect.find_dominating_induced_W(host, 0, 4, (1, 2), mode="count", budget=-1)
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
-        detect.exists_dominating_set_of_size(host, 2, budget=-1)
-    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
         # No W*(a) fits K_{2,3}, so no search would run.
         has_gamma_r_property(build_W(2, 0, 2).graph, 0, 2, budget=-1)
     with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
